@@ -252,10 +252,6 @@ def ccmle(
 
     def gradient(mu: np.ndarray) -> np.ndarray:
         g = grad_log_ordering_probability(MeanConfig(tuple(mu), obs.sigma), spec)
-        # the exact gradient of log P sums to zero (translation invariance);
-        # centering removes finite-difference noise so the iterate sum is
-        # preserved to machine precision
-        g -= g.mean()
         return (obs.x - mu) / sigma2 - g
 
     def residual(mu: np.ndarray, grad: np.ndarray) -> float:

@@ -1,17 +1,32 @@
 """Probability that independent normals come out in strictly decreasing order.
 
 For p = 2 the probability has a closed form through the normal CDF. For
-p >= 3 we evaluate a nested-conditioning recursion on a shared grid:
+p >= 3 we evaluate nested-conditioning recursions on a shared grid. With
+f_k(t) = (1/sigma) phi((t - mu_k)/sigma), the "below t" recursion
 
-    H_{p+1}(t) = 1
-    H_k(t)     = integral_{-inf}^{t} (1/sigma) phi((s - mu_k)/sigma) H_{k+1}(s) ds
-    P          = integral (1/sigma) phi((t - mu_1)/sigma) H_2(t) dt
+    H_{p+1}(t) = 1,   H_k(t) = integral_{-inf}^{t} f_k(s) H_{k+1}(s) ds
 
-which generalizes the condition-on-the-middle identity for three populations.
-H_k(t) is the probability that populations k..p all fall below t in strictly
-decreasing order, so H_2 integrated against the first population's density
-gives the full ordering probability. Cumulative Simpson integration on a
-uniform grid keeps the cost linear in p instead of exponential.
+is the probability that populations k..p all fall below t in strictly
+decreasing order, and its mirror, the "above t" recursion
+
+    U_0(t) = 1,       U_k(t) = integral_{t}^{inf} f_k(s) U_{k-1}(s) ds
+
+is the probability that populations 1..k all lie above t in that order.
+For every k,
+
+    P = integral f_k(t) U_{k-1}(t) H_{k+1}(t) dt,
+
+which generalizes the condition-on-the-middle identity for three
+populations. Since d f_k / d mu_k = (t - mu_k)/sigma^2 f_k, the same
+integrands give the exact gradient
+
+    d log P / d mu_k = integral (t - mu_k) f_k U_{k-1} H_{k+1} dt / (sigma^2 P)
+                     = (E[X_k | order] - mu_k) / sigma^2.
+
+The value takes the H sweep alone (k = 1); the gradient takes both sweeps,
+U being the H sweep on the reversed grid with the populations reversed.
+Each sweep is one cumulative Simpson pass per population, so the cost is
+linear in p. Where P underflows, both sweeps run in log space.
 """
 
 from __future__ import annotations
@@ -19,10 +34,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
-from scipy.special import log_ndtr, logsumexp, ndtr
+from scipy.special import log_ndtr, ndtr
 
 from .kernels import INV_SQRT_2PI, SQRT_2, QuadratureSpec, inverse_mills
 
@@ -70,53 +86,73 @@ class DegenerateEstimate(RuntimeError):
     """Monte Carlo estimate hit 0 or 1; its log is undefined."""
 
 
-def _log_pdf_grid(grid: np.ndarray, mus: np.ndarray, sigma: float) -> np.ndarray:
-    z = (grid[None, :] - mus[:, :, None]) / sigma
-    return -0.5 * z * z - math.log(sigma) + math.log(INV_SQRT_2PI)
+def _cumulative_log_trapezoid(logw: np.ndarray, dx: float) -> np.ndarray:
+    """Log of the running trapezoid integral of exp(logw) along the last axis."""
+    panel = np.logaddexp(logw[..., :-1], logw[..., 1:]) + math.log(0.5 * dx)
+    start = np.full(logw.shape[:-1] + (1,), -np.inf)
+    return np.concatenate((start, np.logaddexp.accumulate(panel, axis=-1)), axis=-1)
 
 
-def _batch_log_ordering_prob(
-    mus: np.ndarray, sigma: float, radius: float, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grid-recursion evaluation for a batch of mean vectors.
+def _integrands(
+    logpdf: np.ndarray, dx: float, gradient: bool, log_space: bool
+) -> np.ndarray:
+    """Integrands f_k U_{k-1} H_{k+1} of P (module docstring), or their logs.
 
-    Returns (values, log_values); rows whose direct value underflows get a
-    log-space (log-sum-exp) pass so log_values stays usable.
+    One row per population with ``gradient``, else the k = 1 row alone. The
+    "above t" recursion U is the "below t" one on the mirrored problem: grid
+    and population order both reversed, so one loop runs both sweeps. Linear
+    space integrates with cumulative Simpson; log space, kept for P below the
+    underflow floor, with a cumulative trapezoid.
     """
-    mus = np.atleast_2d(np.asarray(mus, dtype=float))
-    lo = mus.min() - radius * sigma
-    hi = mus.max() + radius * sigma
-    grid = np.linspace(lo, hi, m)
-    p = mus.shape[1]
+    if log_space:
+        f, unit, combine = logpdf, 0.0, np.add
+        cumulate = partial(_cumulative_log_trapezoid, dx=dx)
+    else:
+        f, unit, combine = np.exp(logpdf), 1.0, np.multiply
+        cumulate = partial(cumulative_simpson, dx=dx, axis=-1, initial=0.0)
+    rows = np.stack((f, f[::-1, ::-1])) if gradient else f[None]
+    below = np.empty_like(rows)  # below[:, k] is H_{k+2}, 0-based k
+    below[:, -1] = unit
+    for k in range(rows.shape[1] - 1, 0, -1):
+        below[:, k - 1] = cumulate(combine(rows[:, k], below[:, k]))
+    if not gradient:
+        return combine(f[:1], below[0, :1])
+    return combine(combine(f, below[0]), below[1, ::-1, ::-1])
 
+
+def _grid(mu: np.ndarray, sigma: float, spec: QuadratureSpec, m: int) -> np.ndarray:
+    """Uniform m-point grid over the means, widened by the truncation radius."""
+    r = spec.truncation_radius * sigma
+    return np.linspace(mu.min() - r, mu.max() + r, m)
+
+
+def _grid_recursion(
+    mu: np.ndarray, sigma: float, grid: np.ndarray, gradient: bool = False
+) -> tuple[float, float, np.ndarray | None]:
+    """(P, log P, gradient of log P or None) on a uniform grid.
+
+    P is the linear-space value; when it falls below the underflow floor,
+    log P and the gradient come from the log-space sweeps.
+    """
     dx = float(grid[1] - grid[0])
-    logpdf = _log_pdf_grid(grid, mus, sigma)  # (B, p, m)
-    pdf = np.exp(logpdf)
-    h = np.ones((mus.shape[0], m))
-    for k in range(p - 1, 0, -1):
-        w = pdf[:, k, :] * h
-        h = cumulative_simpson(w, dx=dx, axis=-1, initial=0.0)
-    values = simpson(pdf[:, 0, :] * h, dx=dx, axis=-1)
+    z = (grid[None, :] - mu[:, None]) / sigma
+    logpdf = -0.5 * z * z - math.log(sigma) + math.log(INV_SQRT_2PI)
 
-    logs = np.empty_like(values)
-    ok = values >= _UNDERFLOW_FLOOR
-    logs[ok] = np.log(values[ok])
-    for i in np.flatnonzero(~ok):
-        logs[i] = _log_pass(grid, logpdf[i], p)
-    return values, logs
-
-
-def _log_pass(grid: np.ndarray, logpdf: np.ndarray, p: int) -> float:
-    """Trapezoid recursion carried entirely in log space."""
-    dx = grid[1] - grid[0]
-    logh = np.zeros(grid.shape[0])
-    for k in range(p - 1, 0, -1):
-        logw = logpdf[k] + logh
-        panel = np.logaddexp(logw[:-1], logw[1:]) + math.log(0.5 * dx)
-        logh = np.concatenate(([-np.inf], np.logaddexp.accumulate(panel)))
-    logw = logpdf[0] + logh
-    panel = np.logaddexp(logw[:-1], logw[1:]) + math.log(0.5 * dx)
-    return float(logsumexp(panel))
+    w = _integrands(logpdf, dx, gradient, log_space=False)
+    mass = simpson(w, dx=dx, axis=-1)
+    value = float(mass[0])
+    log_shift = 0.0
+    if value < _UNDERFLOW_FLOOR:
+        logw = _integrands(logpdf, dx, gradient, log_space=True)
+        shifts = logw.max(axis=-1, keepdims=True)
+        w = np.exp(logw - shifts)
+        mass = simpson(w, dx=dx, axis=-1)
+        log_shift = float(shifts[0, 0])
+    log_value = log_shift + math.log(mass[0])
+    if not gradient:
+        return value, log_value, None
+    moment = simpson((grid[None, :] - mu[:, None]) * w, dx=dx, axis=-1)
+    return value, log_value, moment / (mass * sigma**2)
 
 
 def ordering_probability(
@@ -140,18 +176,13 @@ def ordering_probability(
         return OrderingProb(value, log_value, "closed_form_p2", 1e-16)
 
     m = grid_points if grid_points % 2 == 1 else grid_points + 1
-    values, logs = _batch_log_ordering_prob(
-        mu[None, :], cfg.sigma, spec.truncation_radius, m
-    )
-    m_half = (m - 1) // 2 + 1
-    values_h, _ = _batch_log_ordering_prob(
-        mu[None, :], cfg.sigma, spec.truncation_radius, m_half
-    )
-    err = abs(values[0] - values_h[0]) / 15.0 + 1e-15
-    value = float(values[0])
+    value, log_value, _ = _grid_recursion(mu, cfg.sigma, _grid(mu, cfg.sigma, spec, m))
+    half = _grid(mu, cfg.sigma, spec, (m - 1) // 2 + 1)
+    value_h, _, _ = _grid_recursion(mu, cfg.sigma, half)
+    err = abs(value - value_h) / 15.0 + 1e-15
     if value < _UNDERFLOW_FLOOR:
         warnings.warn("ordering probability underflowed", UnderflowWarning)
-    return OrderingProb(value, float(logs[0]), "quadrature", float(err))
+    return OrderingProb(value, log_value, "quadrature", float(err))
 
 
 def mc_ordering_probability(cfg: MeanConfig, n_draws: int, seed: int) -> OrderingProb:
@@ -182,13 +213,19 @@ def mc_ordering_probability(cfg: MeanConfig, n_draws: int, seed: int) -> Orderin
 def grad_log_ordering_probability(
     cfg: MeanConfig,
     spec: QuadratureSpec = QuadratureSpec(),
-    h: float | None = None,
+    *,
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> np.ndarray:
     """Gradient of log P(X_1 > ... > X_p) with respect to the means.
 
-    Analytic for p = 2 (inverse Mills ratio of the scaled mean gap); central
-    finite differences on the log probability otherwise.
+    Analytic for p = 2 (inverse Mills ratio of the scaled mean gap). For
+    p >= 3 it is the exact identity
+
+        d log P / d mu_k = (E[X_k | order] - mu_k) / sigma^2,
+
+    with the truncated mean taken from one "below t" and one "above t"
+    sweep on the grid of ``ordering_probability`` (module docstring). When
+    P underflows both sweeps run in log space, so the gradient stays finite.
     """
     mu = np.asarray(cfg.mu, dtype=float)
     if cfg.p == 2:
@@ -196,13 +233,6 @@ def grad_log_ordering_probability(
         g = inverse_mills(u) / (cfg.sigma * SQRT_2)
         return np.array([g, -g])
 
-    if h is None:
-        h = 1e-5 * cfg.sigma
     m = grid_points if grid_points % 2 == 1 else grid_points + 1
-    p = cfg.p
-    pert = np.tile(mu, (2 * p, 1))
-    for i in range(p):
-        pert[2 * i, i] += h
-        pert[2 * i + 1, i] -= h
-    _, logs = _batch_log_ordering_prob(pert, cfg.sigma, spec.truncation_radius, m)
-    return (logs[0::2] - logs[1::2]) / (2.0 * h)
+    grid = _grid(mu, cfg.sigma, spec, m)
+    return _grid_recursion(mu, cfg.sigma, grid, gradient=True)[2]

@@ -4,18 +4,48 @@ import math
 import numpy as np
 import pytest
 
+from selex import ordering
 from selex.kernels import QuadratureSpec, inverse_mills
 from selex.ordering import (
+    DEFAULT_GRID_POINTS,
     MeanConfig,
     UnderflowWarning,
-    _batch_log_ordering_prob,
-    _log_pass,
+    _grid,
+    _grid_recursion,
     grad_log_ordering_probability,
     mc_ordering_probability,
     ordering_probability,
 )
 
 SPEC = QuadratureSpec()
+
+
+def fd_grad(cfg: MeanConfig) -> np.ndarray:
+    """Reference gradient: central differences of log P, step 1e-5 sigma.
+
+    All 2p perturbed mean vectors share the grid of the unperturbed ones, so
+    the differences see no change of discretization.
+    """
+    mu = np.asarray(cfg.mu, dtype=float)
+    h = 1e-5 * cfg.sigma
+    grid = _grid(mu, cfg.sigma, SPEC, DEFAULT_GRID_POINTS)
+    out = np.empty(cfg.p)
+    for i in range(cfg.p):
+        step = np.zeros(cfg.p)
+        step[i] = h
+        up = _grid_recursion(mu + step, cfg.sigma, grid)[1]
+        dn = _grid_recursion(mu - step, cfg.sigma, grid)[1]
+        out[i] = (up - dn) / (2.0 * h)
+    return out
+
+
+def random_means(rng, p: int, on_cone: bool) -> MeanConfig:
+    """Means about 1.5 sigma apart, sigma log-uniform on [0.1, 10], shift in +-100."""
+    sigma = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+    mu = sigma * rng.normal(0.0, 1.5, p)
+    if on_cone:
+        mu = np.sort(mu)[::-1]
+    return MeanConfig(tuple(mu + rng.uniform(-100.0, 100.0)), sigma)
 
 
 class TestMeanConfig:
@@ -104,16 +134,18 @@ class TestOrderingProbability:
         assert prob.value == 0.0
         assert math.isfinite(prob.log_value) and prob.log_value < -500
 
-    def test_log_pass_matches_direct(self):
-        # exercise the log-stabilized recursion where the direct value is
-        # still representable, so both paths can be compared
-        mus = np.array([[-3.0, 0.0, 3.0]])
-        grid = np.linspace(-11.0, 11.0, 2049)
-        z = (grid[None, :] - mus[0][:, None])
-        logpdf = -0.5 * z * z - 0.5 * math.log(2 * math.pi)
-        log_direct = _batch_log_ordering_prob(mus, 1.0, 8.0, 2049)[1][0]
-        log_stable = _log_pass(grid, logpdf, 3)
+    def test_log_pass_matches_direct(self, monkeypatch):
+        # force the log-space sweeps where the direct value is still
+        # representable, so both paths can be compared
+        cfg = MeanConfig((3.0, 0.0, 1.0, -3.0), 1.0)
+        log_direct = ordering_probability(cfg).log_value
+        grad_direct = grad_log_ordering_probability(cfg)
+        monkeypatch.setattr(ordering, "_UNDERFLOW_FLOOR", 1.0)
+        with pytest.warns(UnderflowWarning):
+            log_stable = ordering_probability(cfg).log_value
         assert log_stable == pytest.approx(log_direct, abs=1e-3)
+        grad_stable = grad_log_ordering_probability(cfg)
+        assert np.abs(grad_stable - grad_direct).max() <= 1e-3
 
 
 class TestMonteCarlo:
@@ -160,11 +192,39 @@ class TestGradient:
         assert grad[0] == pytest.approx(0.5641895835, abs=1e-6)
 
     def test_components_sum_to_zero(self):
+        # translation invariance of P; checked on the cone, where the
+        # estimator evaluates the gradient
         rng = np.random.default_rng(11)
-        for p in (2, 3, 4):
-            mu = tuple(rng.normal(0, 1, p))
-            grad = grad_log_ordering_probability(MeanConfig(mu, 1.0))
-            assert abs(grad.sum()) < 1e-6
+        for p in (2, 3, 4, 6, 10, 20):
+            for _ in range(3):
+                cfg = random_means(rng, p, on_cone=True)
+                grad = grad_log_ordering_probability(cfg)
+                assert abs(grad.sum()) * cfg.sigma <= 1e-10
+
+    @pytest.mark.parametrize("p", [3, 4, 6, 10, 20])
+    def test_matches_finite_differences(self, p):
+        rng = np.random.default_rng(100 + p)
+        for on_cone in (True, False):
+            cfg = random_means(rng, p, on_cone)
+            worst = np.abs(grad_log_ordering_probability(cfg) - fd_grad(cfg)).max()
+            assert worst * cfg.sigma <= 1e-7
+
+    @pytest.mark.parametrize("p", [3, 6, 20])
+    def test_translation_invariance(self, p):
+        rng = np.random.default_rng(200 + p)
+        cfg = random_means(rng, p, on_cone=False)
+        base = grad_log_ordering_probability(cfg)
+        for c in rng.uniform(-100.0, 100.0, 3):
+            moved = MeanConfig(tuple(m + c for m in cfg.mu), cfg.sigma)
+            shifted = grad_log_ordering_probability(moved)
+            assert np.abs(shifted - base).max() * cfg.sigma <= 1e-10
+
+    def test_underflow_stays_finite(self):
+        cfg = MeanConfig((0.0, 0.0, 60.0), 1.0)  # log P about -1209
+        grad = grad_log_ordering_probability(cfg)
+        assert np.all(np.isfinite(grad))
+        assert np.abs(grad - fd_grad(cfg)).max() <= 1e-4
+        assert grad == pytest.approx([20.04, 19.99, -40.03], abs=0.01)
 
     def test_fd_matches_analytic_p2(self):
         rng = np.random.default_rng(12)
