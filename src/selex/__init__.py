@@ -3,7 +3,6 @@
 from .estimator import (
     CcmleResult,
     MaxIterationsExceeded,
-    MonotoneCone,
     ObservedSample,
     OptimizerSettings,
     RootBracketFailure,
@@ -26,9 +25,7 @@ from .experiments import (
 from .kernels import (
     ConvergenceFailure,
     QuadratureSpec,
-    integrate,
     inverse_mills,
-    std_normal_cdf,
     std_normal_pdf,
 )
 from .ordering import (
@@ -50,7 +47,6 @@ __all__ = [
     "IntervalSet",
     "MaxIterationsExceeded",
     "MeanConfig",
-    "MonotoneCone",
     "MseConfig",
     "ObservedSample",
     "OptimizerSettings",
@@ -63,7 +59,6 @@ __all__ = [
     "conditional_log_likelihood",
     "export_results",
     "grad_log_ordering_probability",
-    "integrate",
     "inverse_mills",
     "mc_ordering_probability",
     "ordering_probability",
@@ -71,7 +66,6 @@ __all__ = [
     "run_bootstrap_ci",
     "run_mse",
     "score_draw",
-    "std_normal_cdf",
     "std_normal_pdf",
     "taylor_start",
 ]

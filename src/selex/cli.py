@@ -125,8 +125,9 @@ def cmd_estimate(args) -> int:
             f"iterations = {result.iterations}, kkt_residual = {result.kkt_residual:.3g}"
         )
     if flagged:
-        payload["warning"] = "optimizer did not converge; best iterate shown"
-        lines.append("WARNING: optimizer did not converge; best iterate shown")
+        warning = "optimizer did not converge; last (and best) iterate shown"
+        payload["warning"] = warning
+        lines.append(f"WARNING: {warning}")
     _emit(payload, args.json, lines)
     return EXIT_OPTIMIZER if flagged else EXIT_OK
 
@@ -237,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--sigma", type=float, required=True, help="common std deviation")
     e.add_argument("--json", action="store_true", help="emit a JSON document")
     e.add_argument("--diagnostics", action="store_true",
-                   help="include iterations and KKT residual")
+                   help="include iterations and the KKT residual, the length "
+                   "of the last projected step in sigma units")
     e.set_defaults(fn=cmd_estimate)
 
     m = sub.add_parser("simulate-mse", help="selection-respecting MSE experiment")

@@ -7,8 +7,23 @@ The estimate maximizes the selection-conditioned log-likelihood
 over the monotone cone {mu : mu_1 >= mu_2 >= ... >= mu_p}. Two populations
 admit an exact solution: observations closer than 2 sigma / sqrt(pi) pool at
 the grand mean, wider gaps shrink toward each other through a single
-transcendental root. The general case runs projected gradient ascent with
-pool-adjacent-violators projection, started from a first-order Taylor step.
+transcendental root.
+
+The general case solves in standardized coordinates z = (x - xbar)/sigma,
+nu = (mu - xbar)/sigma, where the objective is the same function with
+sigma = 1, and maps back with mu = xbar + sigma nu; shifting or scaling the
+input therefore leaves the solve unchanged. The objective is concave with
+Hessian -Cov(X | order)/sigma^4, and a normal conditioned on the convex
+order cone has Cov(X | order) <= sigma^2 I (Brascamp-Lieb). So the
+gradient is 1/sigma^2-Lipschitz, and the projected step of length sigma^2
+(unit length in nu) ascends from any point: no line search is needed. In
+nu the step is
+
+    nu+ = project_monotone(z - grad log P_1(nu)),
+
+started from the first-order Taylor step at z. Pool-adjacent-violators sets
+each pooled block to one value, so tie groups are the runs of exactly
+equal entries of the estimate.
 """
 
 from __future__ import annotations
@@ -34,7 +49,11 @@ class RootBracketFailure(RuntimeError):
 
 
 class MaxIterationsExceeded(RuntimeError):
-    """Ascent hit the iteration cap; carries the best iterate found."""
+    """Ascent hit the iteration cap.
+
+    Carries the result at the last iterate. Every step ascends, so it is
+    also the best iterate found.
+    """
 
     def __init__(self, message: str, result: "CcmleResult"):
         super().__init__(message)
@@ -53,7 +72,6 @@ class ObservedSample:
     x: np.ndarray
     sigma: float
     permutation: np.ndarray = field(init=False)
-    sorted: bool = field(init=False, default=True)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -77,23 +95,15 @@ class ObservedSample:
 
 
 @dataclass(frozen=True)
-class MonotoneCone:
-    """The cone of nonincreasing mean vectors."""
-
-    p: int
-
-    def contains(self, v: np.ndarray) -> bool:
-        v = np.asarray(v, dtype=float)
-        return v.size == self.p and bool(np.all(np.diff(v) <= 0))
-
-
-@dataclass(frozen=True)
 class OptimizerSettings:
+    """Stopping rule of the general path.
+
+    ``kkt_tol`` bounds the length of the last unit step in standardized
+    coordinates, that is ||mu+ - mu|| / sigma.
+    """
+
     kkt_tol: float = 1e-7
     max_iterations: int = 500
-    initial_step: float | None = None  # default sigma^2
-    backtrack: float = 0.5
-    tie_tol: float | None = None  # default 1e-6 * sigma
 
 
 @dataclass
@@ -207,21 +217,15 @@ def taylor_start(
     return project_monotone(obs.x - obs.sigma**2 * grad)
 
 
-def _tie_groups(mu: np.ndarray, tol: float) -> list[list[int]]:
+def _tie_groups(nu: np.ndarray) -> list[list[int]]:
+    """Maximal runs of exactly equal entries (0-based rank indices)."""
     groups: list[list[int]] = [[0]]
-    for i in range(1, mu.size):
-        if mu[i - 1] - mu[i] < tol:
+    for i in range(1, nu.size):
+        if nu[i] == nu[i - 1]:
             groups[-1].append(i)
         else:
             groups.append([i])
     return groups
-
-
-def _snap_groups(mu: np.ndarray, groups: list[list[int]]) -> np.ndarray:
-    out = mu.copy()
-    for grp in groups:
-        out[grp] = mu[grp].mean()
-    return out
 
 
 def ccmle(
@@ -233,98 +237,47 @@ def ccmle(
     """Constrained conditional MLE for any number of populations.
 
     Dispatches to the exact path for p = 2 (``method="numeric"`` forces the
-    general optimizer). The general path runs projected gradient ascent with
-    Armijo backtracking from the Taylor starting point, then snaps near-ties
-    into exact groups. Raises MaxIterationsExceeded (carrying the best
-    iterate) if the KKT tolerance is not reached.
+    general optimizer). The general path standardizes the sample, starts
+    from the Taylor step and repeats the fixed unit projected-gradient step
+    of the module docstring until the step is shorter than ``opt.kkt_tol``
+    (in sigma units, reported as ``kkt_residual``). Each step ascends, by
+    the Brascamp-Lieb bound Cov(X | order) <= sigma^2 I. Tie groups are the
+    blocks that pool-adjacent-violators set to one value. Raises
+    MaxIterationsExceeded, carrying the last iterate, if the tolerance is
+    not reached within ``opt.max_iterations`` steps.
     """
     if method not in ("auto", "numeric"):
         raise ValueError("method must be 'auto' or 'numeric'")
     if obs.p == 2 and method == "auto":
         return ccmle_p2(obs, spec)
 
-    sigma2 = obs.sigma**2
-    step0 = opt.initial_step if opt.initial_step is not None else sigma2
-    tie_tol = opt.tie_tol if opt.tie_tol is not None else 1e-6 * obs.sigma
-
-    def objective(mu: np.ndarray) -> float:
-        return conditional_log_likelihood(mu, obs, spec)
-
-    def gradient(mu: np.ndarray) -> np.ndarray:
-        g = grad_log_ordering_probability(MeanConfig(tuple(mu), obs.sigma), spec)
-        return (obs.x - mu) / sigma2 - g
-
-    def residual(mu: np.ndarray, grad: np.ndarray) -> float:
-        return float(np.linalg.norm(project_monotone(mu + step0 * grad) - mu)) / step0
-
-    mu = taylor_start(obs, spec)
-    ll = objective(mu)
+    # shifting and scaling by sigma > 0 keep the order, so std.x lines up with obs.x
+    std = ObservedSample((obs.x - obs.xbar) / obs.sigma, 1.0)
+    nu = taylor_start(std, spec)
     kkt = math.inf
     iterations = 0
-    converged = False
-    local_phase = False
-    local_step = step0
-    best_mu, best_kkt = mu, math.inf
-    while iterations < opt.max_iterations:
+    while kkt > opt.kkt_tol and iterations < opt.max_iterations:
         iterations += 1
-        grad = gradient(mu)
-        kkt = residual(mu, grad)
-        if kkt < best_kkt:
-            best_mu, best_kkt = mu, kkt
-        if kkt <= opt.kkt_tol:
-            converged = True
-            break
-
-        if not local_phase:
-            # globalization: Armijo backtracking on the projected step
-            t = step0
-            progressed = False
-            while t >= 1e-10 * step0:
-                cand = project_monotone(mu + t * grad)
-                move = cand - mu
-                cand_ll = objective(cand)
-                if cand_ll >= ll + 1e-4 * float(grad @ move):
-                    mu, ll = cand, cand_ll
-                    progressed = True
-                    break
-                t *= opt.backtrack
-            # near the optimum the objective is numerically flat and the
-            # line search stalls; the (accurate) gradient alone still drives
-            # fixed-step iterations down to the KKT tolerance
-            if not progressed or kkt <= 1e-4:
-                local_phase = True
-            continue
-
-        if kkt > 10.0 * best_kkt:  # fixed step too aggressive; back off
-            local_step *= opt.backtrack
-            mu = best_mu
-            if local_step < 1e-10 * step0:
-                break
-            continue
-        mu = project_monotone(mu + local_step * grad)
-
-    if not converged:
-        mu = best_mu
-        kkt = best_kkt
-        ll = objective(mu)
-    else:
-        ll = objective(mu)
-
-    groups = _tie_groups(mu, tie_tol)
-    snapped = _snap_groups(mu, groups)
-    snapped_ll = objective(snapped)
-    if snapped_ll >= ll - opt.kkt_tol:
-        mu, ll = snapped, snapped_ll
-    else:
-        groups = [[i] for i in range(obs.p)]
+        grad = grad_log_ordering_probability(MeanConfig(tuple(nu), 1.0), spec)
+        nu_next = project_monotone(std.x - grad)
+        kkt = float(np.linalg.norm(nu_next - nu))
+        nu = nu_next
+    converged = kkt <= opt.kkt_tol
 
     result = CcmleResult(
-        mu, groups, "numeric", iterations, kkt, ll, obs.permutation, converged
+        obs.xbar + obs.sigma * nu,
+        _tie_groups(nu),
+        "numeric",
+        iterations,
+        kkt,
+        conditional_log_likelihood(nu, std, spec),
+        obs.permutation,
+        converged,
     )
     if not converged:
         raise MaxIterationsExceeded(
             f"projected ascent did not reach kkt_tol={opt.kkt_tol} in "
-            f"{opt.max_iterations} iterations (residual {kkt:.3e})",
+            f"{opt.max_iterations} iterations (residual {kkt:.3e} sigma)",
             result,
         )
     return result

@@ -245,15 +245,8 @@ def run_bootstrap_ci(
         raise ValueError(f"data must have shape {(p, n)}")
     means = data.mean(axis=1)
 
-    cache: dict[bytes, CcmleResult] = {}
-
     def solve(xs: np.ndarray) -> CcmleResult:
-        key = xs.tobytes()
-        hit = cache.get(key)
-        if hit is None:
-            hit = ccmle(ObservedSample(xs, sigma_eff), spec, opt)
-            cache[key] = hit
-        return hit
+        return ccmle(ObservedSample(xs, sigma_eff), spec, opt)
 
     point_ccmle = solve(means).mu_hat
     point_trad = np.sort(means)[::-1]

@@ -1,4 +1,4 @@
-"""Scalar numeric primitives: normal density/CDF, inverse Mills ratio, quadrature.
+"""Scalar numeric primitives: normal density, inverse Mills ratio, quadrature spec.
 
 These are the shared building blocks for the ordering-probability and
 estimation modules. All functions are pure and safe to call concurrently.
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from scipy.special import erfcx
 
@@ -28,30 +27,22 @@ class ConvergenceFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and truncation window for adaptive quadrature."""
+    """Tolerances and truncation window of the ordering-probability quadrature."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     truncation_radius: float = 8.0  # half-width in standard deviations
-    max_subdivisions: int = 100
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("abs_tol and rel_tol must be positive")
         if self.truncation_radius < 6:
             raise ValueError("truncation_radius must be >= 6")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be >= 10")
 
 
 def std_normal_pdf(z: float) -> float:
     """Standard normal density phi(z)."""
     return INV_SQRT_2PI * math.exp(-0.5 * z * z)
-
-
-def std_normal_cdf(z: float) -> float:
-    """Standard normal CDF Phi(z), accurate in both tails via erfc."""
-    return 0.5 * math.erfc(-z / SQRT_2)
 
 
 def inverse_mills(z: float) -> float:
@@ -64,94 +55,3 @@ def inverse_mills(z: float) -> float:
     if z >= 0:
         return math.sqrt(2.0 / math.pi) / erfcx(z / SQRT_2)
     return std_normal_pdf(z) / (0.5 * math.erfc(z / SQRT_2))
-
-
-# Gauss-Kronrod (G7, K15) nodes and weights on [-1, 1]. Positive half; the
-# rule is symmetric. Even-indexed Kronrod nodes are the Gauss-7 nodes.
-_KRONROD_NODES = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
-    0.0,
-)
-_KRONROD_WEIGHTS = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
-)
-_GAUSS_WEIGHTS = (
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
-)
-
-
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 15-point panel; returns (estimate, error estimate)."""
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    kronrod = 0.0
-    gauss = 0.0
-    for i, x in enumerate(_KRONROD_NODES):
-        if x == 0.0:
-            fv = f(center)
-            kronrod += _KRONROD_WEIGHTS[i] * fv
-            gauss += _GAUSS_WEIGHTS[i // 2] * fv
-        else:
-            fv = f(center - half * x) + f(center + half * x)
-            kronrod += _KRONROD_WEIGHTS[i] * fv
-            if i % 2 == 1:
-                gauss += _GAUSS_WEIGHTS[i // 2] * fv
-    kronrod *= half
-    gauss *= half
-    err = abs(kronrod - gauss)
-    # standard QUADPACK-style sharpening of the raw difference
-    if err > 0:
-        err = min(err, (200.0 * err) ** 1.5) if err < 1 else err
-    return kronrod, err
-
-
-def integrate(
-    f: Callable[[float], float], spec: QuadratureSpec = QuadratureSpec()
-) -> tuple[float, float]:
-    """Adaptive quadrature of f over [-R, R], R = spec.truncation_radius.
-
-    The caller is responsible for choosing a truncation window containing
-    the integrand's mass. Returns (value, error estimate); raises
-    ConvergenceFailure when the subdivision budget is exhausted before the
-    tolerance max(abs_tol, rel_tol * |value|) is met.
-    """
-    a, b = -spec.truncation_radius, spec.truncation_radius
-    val, err = _gk15(f, a, b)
-    panels = [(err, a, b, val)]
-    for _ in range(spec.max_subdivisions):
-        total = sum(p[3] for p in panels)
-        total_err = sum(p[0] for p in panels)
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-            return total, total_err
-        # split the panel with the largest error estimate
-        panels.sort(key=lambda p: p[0])
-        _, pa, pb, _ = panels.pop()
-        mid = 0.5 * (pa + pb)
-        lv, le = _gk15(f, pa, mid)
-        rv, re = _gk15(f, mid, pb)
-        panels.append((le, pa, mid, lv))
-        panels.append((re, mid, pb, rv))
-    total = sum(p[3] for p in panels)
-    total_err = sum(p[0] for p in panels)
-    raise ConvergenceFailure(
-        f"quadrature did not converge in {spec.max_subdivisions} subdivisions "
-        f"(value={total!r}, err_est={total_err!r})",
-        total,
-        total_err,
-    )

@@ -82,10 +82,6 @@ class OrderingProb:
     degenerate: bool = False
 
 
-class DegenerateEstimate(RuntimeError):
-    """Monte Carlo estimate hit 0 or 1; its log is undefined."""
-
-
 def _cumulative_log_trapezoid(logw: np.ndarray, dx: float) -> np.ndarray:
     """Log of the running trapezoid integral of exp(logw) along the last axis."""
     panel = np.logaddexp(logw[..., :-1], logw[..., 1:]) + math.log(0.5 * dx)

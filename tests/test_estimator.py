@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from selex.estimator import (
     POOLING_THRESHOLD,
     CcmleResult,
-    MonotoneCone,
+    MaxIterationsExceeded,
     ObservedSample,
     OptimizerSettings,
     ccmle,
@@ -57,13 +57,6 @@ class TestObservedSample:
     def test_invalid(self, x, sigma):
         with pytest.raises(ValueError):
             ObservedSample(np.array(x), sigma)
-
-
-class TestMonotoneCone:
-    def test_membership(self):
-        cone = MonotoneCone(3)
-        assert cone.contains(np.array([3.0, 2.0, 2.0]))
-        assert not cone.contains(np.array([1.0, 2.0, 0.0]))
 
 
 class TestProjectMonotone:
@@ -212,17 +205,39 @@ class TestCcmleGeneral:
             assert res.mu_hat[0] <= x[0] + 1e-9
             assert res.mu_hat[-1] >= x[-1] - 1e-9
 
-    def test_translation_equivariance(self):
+    # bounds in sigma units (sigma = 1 here); at a shift of 1e9 the inputs
+    # and the answer are only representable to ulp(1e9) = 1.2e-7
+    @pytest.mark.parametrize(
+        "shift,bound", [(7.3, 1e-7), (1e6, 1e-7), (1e9, 5e-7)], ids=["7.3", "1e6", "1e9"]
+    )
+    def test_translation_equivariance(self, shift, bound):
         x = np.array([3.0, 2.5, 1.0])
         base = ccmle(ObservedSample(x.copy(), 1.0)).mu_hat
-        shifted = ccmle(ObservedSample(x + 7.3, 1.0)).mu_hat
-        assert np.allclose(shifted, base + 7.3, atol=1e-6)
+        shifted = ccmle(ObservedSample(x + shift, 1.0)).mu_hat
+        assert np.max(np.abs((shifted - shift) - base)) <= bound
 
-    def test_scale_equivariance(self):
+    @pytest.mark.parametrize(
+        "factor,bound", [(1e-4, 1e-7), (2.5, 1e-7), (1e4, 1e-7)], ids=["1e-4", "2.5", "1e4"]
+    )
+    def test_scale_equivariance(self, factor, bound):
         x = np.array([3.0, 2.5, 1.0])
         base = ccmle(ObservedSample(x.copy(), 1.0)).mu_hat
-        scaled = ccmle(ObservedSample(2.5 * x, 2.5)).mu_hat
-        assert np.allclose(scaled, 2.5 * base, atol=1e-6)
+        scaled = ccmle(ObservedSample(factor * x, factor)).mu_hat
+        assert np.max(np.abs(scaled / factor - base)) <= bound
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    @settings(deadline=None, max_examples=10)
+    @given(data=st.data())
+    def test_equivariance_property(self, p, data):
+        """Shifting, scaling and relabelling the input moves the estimate the
+        same way: est(a + s x[perm], s) = a + s est(x, 1)[perm]."""
+        x = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=p, max_size=p)))
+        scale = 10.0 ** data.draw(st.floats(-4.0, 4.0))
+        shift = scale * data.draw(st.floats(-1e6, 1e6))
+        perm = np.array(data.draw(st.permutations(range(p))))
+        base = ccmle(ObservedSample(x, 1.0)).in_original_order()
+        moved = ccmle(ObservedSample(shift + scale * x[perm], scale)).in_original_order()
+        assert np.max(np.abs((moved - shift) / scale - base[perm])) <= 1e-6
 
     def test_matches_closed_form_p2(self):
         rng = np.random.default_rng(43)
@@ -241,6 +256,24 @@ class TestCcmleGeneral:
         res = ccmle(obs, SPEC, opt)
         start_ll = conditional_log_likelihood(taylor_start(obs, SPEC), obs, SPEC)
         assert res.log_likelihood >= start_ll - opt.kkt_tol
+
+    @pytest.mark.parametrize(
+        "x", [[10.0, 9.0, 8.0, 0.0], [2.0, 1.6, 1.5, 0.2, 0.1, -0.4]], ids=["p4", "p6"]
+    )
+    def test_every_step_ascends(self, x):
+        """The unit step needs no line search: stopping after k steps, for
+        each k, gives a nondecreasing log-likelihood (up to quadrature noise),
+        and the capped solve reports its last iterate."""
+        obs = ObservedSample(np.array(x), 0.7)
+        lls = []
+        for k in range(1, 16):
+            try:
+                res = ccmle(obs, opt=OptimizerSettings(max_iterations=k))
+            except MaxIterationsExceeded as exc:
+                res = exc.result
+                assert not res.converged and res.iterations == k
+            lls.append(res.log_likelihood)
+        assert np.all(np.diff(lls) >= -1e-9)
 
     def test_labels_restored(self):
         res = ccmle(ObservedSample(np.array([0.0, 10.0]), 1.0))

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from selex.kernels import (
-    ConvergenceFailure,
     QuadratureSpec,
-    integrate,
     inverse_mills,
-    std_normal_cdf,
     std_normal_pdf,
 )
 
@@ -27,28 +24,6 @@ class TestPdf:
 
     def test_positive(self):
         assert std_normal_pdf(38.0) > 0
-
-
-class TestCdf:
-    def test_at_zero(self):
-        assert std_normal_cdf(0.0) == 0.5
-
-    def test_975_quantile(self):
-        assert std_normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
-
-    def test_left_tail(self):
-        v = std_normal_cdf(-8.0)
-        assert 0 < v < 1e-14
-
-    def test_complement_identity(self):
-        for z in np.linspace(-6, 6, 61):
-            assert abs(std_normal_cdf(z) + std_normal_cdf(-z) - 1.0) < 1e-15
-
-    def test_derivative_matches_pdf(self):
-        h = 1e-5
-        for z in np.linspace(-6, 6, 121):
-            num = (std_normal_cdf(z + h) - std_normal_cdf(z - h)) / (2 * h)
-            assert num == pytest.approx(std_normal_pdf(z), abs=1e-6)
 
 
 class TestInverseMills:
@@ -100,33 +75,9 @@ class TestQuadratureSpec:
             {"abs_tol": 0.0},
             {"rel_tol": -1.0},
             {"truncation_radius": 5.0},
-            {"max_subdivisions": 5},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
 
-
-class TestIntegrate:
-    def test_normal_density_normalizes(self):
-        value, err = integrate(std_normal_pdf)
-        assert value == pytest.approx(1.0, abs=1e-10)
-        assert err <= 1e-8
-
-    def test_odd_integrand(self):
-        value, _ = integrate(lambda z: z * std_normal_pdf(z))
-        assert value == pytest.approx(0.0, abs=1e-10)
-
-    def test_pdf_times_cdf(self):
-        # P(X < Y) for iid normals is 1/2 by symmetry
-        value, _ = integrate(lambda z: std_normal_pdf(z) * std_normal_cdf(z))
-        assert value == pytest.approx(0.5, abs=1e-8)
-
-    def test_budget_exhaustion_raises(self):
-        spike = lambda z: (abs(z - 0.3) + 1e-300) ** -0.5
-        spec = QuadratureSpec(max_subdivisions=10)
-        with pytest.raises(ConvergenceFailure) as exc:
-            integrate(spike, spec)
-        assert math.isfinite(exc.value.value)
-        assert exc.value.err_est > 0
