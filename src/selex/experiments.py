@@ -26,6 +26,8 @@ from .estimator import (
 )
 from .kernels import QuadratureSpec
 
+MAX_RESAMPLE_ATTEMPTS = 10  # draws per bootstrap resample before giving up
+
 
 def worker_count() -> int:
     """Worker cap from SELEX_THREADS (0 = all cores; unset = 1)."""
@@ -231,7 +233,8 @@ def run_bootstrap_ci(
     Draws one dataset of ``n_per_group`` observations per population,
     resamples within each group, re-ranks the group means each time and
     recomputes the CCMLE with effective sigma = obs_sd / sqrt(n_per_group).
-    A resample whose solve fails is rejected and redrawn (counted).
+    A resample whose solve fails is rejected and redrawn (counted); after
+    MAX_RESAMPLE_ATTEMPTS draws its last failure is raised, naming (seed, b).
     """
     p = cfg.p
     n = cfg.n_per_group
@@ -255,20 +258,20 @@ def run_bootstrap_ci(
     boots_trad = np.empty((cfg.n_boot, p))
     failures = 0
     for b in range(cfg.n_boot):
-        attempt = 0
-        while True:
+        for attempt in range(MAX_RESAMPLE_ATTEMPTS):
             rng = np.random.default_rng([cfg.seed, 1, b, attempt])
             idx = rng.integers(0, n, size=(p, n))
             bmeans = np.take_along_axis(data, idx, axis=1).mean(axis=1)
             try:
                 res = solve(bmeans)
-            except MaxIterationsExceeded:
+                break
+            except MaxIterationsExceeded as exc:
                 failures += 1
-                attempt += 1
-                continue
-            boots_ccmle[b] = res.mu_hat
-            boots_trad[b] = np.sort(bmeans)[::-1]
-            break
+                if attempt + 1 == MAX_RESAMPLE_ATTEMPTS:
+                    msg = f"bootstrap resample (seed={cfg.seed}, b={b}): {exc}"
+                    raise MaxIterationsExceeded(msg, exc.result) from exc
+        boots_ccmle[b] = res.mu_hat
+        boots_trad[b] = np.sort(bmeans)[::-1]
 
     out = IntervalSet(cfg.level, cfg.n_boot, failures)
     for r in range(p):

@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
+from selex import experiments
 from selex.cli import main
+from selex.estimator import MaxIterationsExceeded
 
 
 def run(capsys, argv):
@@ -154,6 +158,27 @@ class TestBootstrapCi:
         assert code == 2
         assert "level" in err
 
+    def test_failing_resample_exits_optimizer(self, capsys, monkeypatch, tmp_path):
+        real = experiments.ccmle
+        calls = []
+
+        def fail_resamples(obs, spec, opt):
+            calls.append(obs)
+            if len(calls) == 1:  # the point estimate
+                return real(obs, spec, opt)
+            if len(calls) > 100:
+                raise RuntimeError("retries are not bounded")
+            raise MaxIterationsExceeded("forced failure", None)
+
+        monkeypatch.setattr(experiments, "ccmle", fail_resamples)
+        code, _, err = run(
+            capsys,
+            ["bootstrap-ci", "--mu", "1,0", "--n-boot", "999", "--seed", "3",
+             "--out", str(tmp_path / "ci.csv")],
+        )
+        assert code == 4
+        assert "(seed=3, b=0)" in err
+
 
 class TestHelp:
     @pytest.mark.parametrize("cmd", ["prob", "estimate", "simulate-mse", "bootstrap-ci"])
@@ -163,3 +188,12 @@ class TestHelp:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--help" in out or "usage" in out
+
+
+def test_cli_import_skips_scipy_integrate():
+    # set-up time: the quadrature kernels are selex's own
+    probe = "import sys, selex.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

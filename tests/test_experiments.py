@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from selex import experiments
+from selex.estimator import MaxIterationsExceeded
 from selex.experiments import (
+    MAX_RESAMPLE_ATTEMPTS,
     BootstrapConfig,
     MseConfig,
     export_results,
@@ -125,6 +128,25 @@ class TestRunBootstrap:
         for row in iv.rows:
             assert row["ccmle_lower"] == row["ccmle_upper"] == row["ccmle_point"]
             assert row["trad_lower"] == row["trad_upper"] == row["trad_point"]
+
+    def test_retries_are_bounded(self, monkeypatch):
+        real = experiments.ccmle
+        calls = []
+
+        def fail_resamples(obs, spec, opt):
+            calls.append(obs)
+            if len(calls) == 1:  # the point estimate
+                return real(obs, spec, opt)
+            if len(calls) > MAX_RESAMPLE_ATTEMPTS + 1:
+                raise RuntimeError("retries are not bounded")
+            raise MaxIterationsExceeded("forced failure", None)
+
+        monkeypatch.setattr(experiments, "ccmle", fail_resamples)
+        cfg = BootstrapConfig((1.0, 0.0), n_per_group=10, obs_sd=1.0,
+                              n_boot=999, seed=7)
+        with pytest.raises(MaxIterationsExceeded, match=r"seed=7, b=0\)"):
+            run_bootstrap_ci(cfg)
+        assert len(calls) == 1 + MAX_RESAMPLE_ATTEMPTS
 
 
 class TestExport:

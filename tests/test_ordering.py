@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson, simpson
 
 from selex import ordering
 from selex.kernels import QuadratureSpec, inverse_mills
@@ -10,8 +11,10 @@ from selex.ordering import (
     DEFAULT_GRID_POINTS,
     MeanConfig,
     UnderflowWarning,
+    _cumulative_simpson,
     _grid,
     _grid_recursion,
+    _simpson,
     grad_log_ordering_probability,
     mc_ordering_probability,
     ordering_probability,
@@ -146,6 +149,43 @@ class TestOrderingProbability:
         assert log_stable == pytest.approx(log_direct, abs=1e-3)
         grad_stable = grad_log_ordering_probability(cfg)
         assert np.abs(grad_stable - grad_direct).max() <= 1e-3
+
+    @pytest.mark.parametrize("p", [10, 20])
+    def test_err_est_tracks_fine_grid_error(self, p):
+        rng = np.random.default_rng(p)
+        cfg = MeanConfig(tuple(rng.normal(0.0, 2.0, p)), 1.0)
+        prob = ordering_probability(cfg)
+        error = abs(prob.value - ordering_probability(cfg, grid_points=16385).value)
+        assert error / 2 <= prob.err_est <= 2 * error
+
+    @pytest.mark.parametrize("grid_points", [2046, 2047, 2048])
+    def test_grid_points_round_up_to_simpson_grid(self, grid_points):
+        # 4k + 1 points, so the half-resolution grid is odd as well
+        cfg = MeanConfig((1.0, 0.2, -0.5), 1.0)
+        assert ordering_probability(cfg, grid_points=grid_points) == (
+            ordering_probability(cfg)
+        )
+
+
+class TestSimpsonKernels:
+    """scipy.integrate is the oracle for selex's own Simpson kernels."""
+
+    @pytest.mark.parametrize("n", [3, 5, 1025, 2049])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_cumulative_matches_scipy_bitwise(self, n, rows):
+        rng = np.random.default_rng(n + rows)
+        y = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-3, 3)
+        dx = rng.uniform(1e-3, 1.0)
+        expected = cumulative_simpson(y, dx=dx, axis=-1, initial=0.0)
+        assert np.array_equal(_cumulative_simpson(y, dx), expected)
+
+    @pytest.mark.parametrize("n", [3, 5, 1025, 2049])
+    def test_simpson_matches_scipy(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.uniform(0.0, 1.0, size=(2, n))
+        dx = rng.uniform(1e-3, 1.0)
+        expected = simpson(y, dx=dx, axis=-1)
+        np.testing.assert_allclose(_simpson(y, dx), expected, rtol=1e-14, atol=0)
 
 
 class TestMonteCarlo:
