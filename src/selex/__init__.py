@@ -4,13 +4,11 @@ from .estimator import (
     CcmleResult,
     MaxIterationsExceeded,
     ObservedSample,
-    OptimizerSettings,
     RootBracketFailure,
     ccmle,
     ccmle_p2,
     conditional_log_likelihood,
     project_monotone,
-    taylor_start,
 )
 from .experiments import (
     BootstrapConfig,
@@ -24,7 +22,6 @@ from .experiments import (
 )
 from .kernels import (
     ConvergenceFailure,
-    QuadratureSpec,
     inverse_mills,
     std_normal_pdf,
 )
@@ -49,9 +46,7 @@ __all__ = [
     "MeanConfig",
     "MseConfig",
     "ObservedSample",
-    "OptimizerSettings",
     "OrderingProb",
-    "QuadratureSpec",
     "RootBracketFailure",
     "UnderflowWarning",
     "ccmle",
@@ -67,5 +62,4 @@ __all__ = [
     "run_mse",
     "score_draw",
     "std_normal_pdf",
-    "taylor_start",
 ]

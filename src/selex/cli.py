@@ -141,21 +141,21 @@ def _load_config(path: str, cls, flag_values: dict):
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read config {path}: {exc}")
+        if not isinstance(raw, dict):
+            raise CliError(f"config {path} must be a JSON object")
         unknown = set(raw) - names
         if unknown:
             raise CliError(f"unknown config field(s): {', '.join(sorted(unknown))}")
         flag_values = raw
-    cleaned = {}
-    for k, v in flag_values.items():
-        if v is None:
-            continue
-        if k in ("mu_true", "ranks") and v is not None:
-            v = tuple(v)
-        cleaned[k] = v
     try:
+        cleaned = {
+            k: tuple(v) if k in ("mu_true", "ranks") else v
+            for k, v in flag_values.items()
+            if v is not None
+        }
         return cls(**cleaned)
     except (TypeError, ValueError) as exc:
-        raise CliError(str(exc))
+        raise CliError(f"invalid config: {exc}")
 
 
 def _infer_format(args) -> str:
@@ -175,7 +175,7 @@ def cmd_simulate_mse(args) -> int:
     }
     cfg = _load_config(args.config, MseConfig, flags)
     table = run_mse(cfg)
-    export_results(table, _infer_format(args), args.out)
+    export_results(table.rows, _infer_format(args), args.out)
     print(
         f"simulate-mse: {len(table.rows)} rows written to {args.out} "
         f"({table.n_failures} replicate failures)"
@@ -197,7 +197,7 @@ def cmd_bootstrap_ci(args) -> int:
     }
     cfg = _load_config(args.config, BootstrapConfig, flags)
     intervals = run_bootstrap_ci(cfg)
-    export_results(intervals, _infer_format(args), args.out)
+    export_results(intervals.rows, _infer_format(args), args.out)
     print(
         f"bootstrap-ci: {len(intervals.rows)} ranks written to {args.out} "
         f"({intervals.n_failures} rejected resamples)"

@@ -21,9 +21,9 @@ nu the step is
 
     nu+ = project_monotone(z - grad log P_1(nu)),
 
-started from the first-order Taylor step at z. Pool-adjacent-violators sets
-each pooled block to one value, so tie groups are the runs of exactly
-equal entries of the estimate.
+started at nu = z, so the first step is the first-order Taylor step at the
+observations. Pool-adjacent-violators sets each pooled block to one value,
+so tie groups are the runs of exactly equal entries of the estimate.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .kernels import SQRT_2, QuadratureSpec, inverse_mills
+from .kernels import SQRT_2, inverse_mills
 from .ordering import (
     MeanConfig,
     grad_log_ordering_probability,
@@ -42,6 +42,8 @@ from .ordering import (
 )
 
 POOLING_THRESHOLD = 2.0 / math.sqrt(math.pi)  # times sigma
+KKT_TOL = 1e-7  # bound on the last unit step ||mu+ - mu|| / sigma
+MAX_ITERATIONS = 500  # steps, one gradient evaluation each
 
 
 class RootBracketFailure(RuntimeError):
@@ -94,18 +96,6 @@ class ObservedSample:
         return float(self.x.mean())
 
 
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Stopping rule of the general path.
-
-    ``kkt_tol`` bounds the length of the last unit step in standardized
-    coordinates, that is ||mu+ - mu|| / sigma.
-    """
-
-    kkt_tol: float = 1e-7
-    max_iterations: int = 500
-
-
 @dataclass
 class CcmleResult:
     """Estimate on the cone plus solver diagnostics.
@@ -130,13 +120,11 @@ class CcmleResult:
         return out
 
 
-def conditional_log_likelihood(
-    mu: np.ndarray, obs: ObservedSample, spec: QuadratureSpec = QuadratureSpec()
-) -> float:
+def conditional_log_likelihood(mu: np.ndarray, obs: ObservedSample) -> float:
     """Selection-conditioned log-likelihood, constant term dropped."""
     mu = np.asarray(mu, dtype=float)
     quad = -0.5 * float(np.sum((obs.x - mu) ** 2)) / (obs.sigma**2)
-    prob = ordering_probability(MeanConfig(tuple(mu), obs.sigma), spec)
+    prob = ordering_probability(MeanConfig(tuple(mu), obs.sigma))
     return quad - prob.log_value
 
 
@@ -164,7 +152,7 @@ def project_monotone(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def ccmle_p2(obs: ObservedSample, spec: QuadratureSpec = QuadratureSpec()) -> CcmleResult:
+def ccmle_p2(obs: ObservedSample) -> CcmleResult:
     """Exact two-population solution.
 
     Pools at the grand mean when the gap is at most 2 sigma / sqrt(pi);
@@ -180,7 +168,7 @@ def ccmle_p2(obs: ObservedSample, spec: QuadratureSpec = QuadratureSpec()) -> Cc
 
     if gap <= POOLING_THRESHOLD * sigma:
         mu_hat = np.array([xbar, xbar])
-        ll = conditional_log_likelihood(mu_hat, obs, spec)
+        ll = conditional_log_likelihood(mu_hat, obs)
         return CcmleResult(
             mu_hat, [[0, 1]], "closed_form_pooled", 0, 0.0, ll, obs.permutation
         )
@@ -197,7 +185,7 @@ def ccmle_p2(obs: ObservedSample, spec: QuadratureSpec = QuadratureSpec()) -> Cc
         )
     m1 = brentq(stationarity, lo, hi, xtol=1e-15, rtol=8.9e-16)
     mu_hat = np.array([m1, x1 + x2 - m1])
-    ll = conditional_log_likelihood(mu_hat, obs, spec)
+    ll = conditional_log_likelihood(mu_hat, obs)
     return CcmleResult(
         mu_hat,
         [[0], [1]],
@@ -207,14 +195,6 @@ def ccmle_p2(obs: ObservedSample, spec: QuadratureSpec = QuadratureSpec()) -> Cc
         ll,
         obs.permutation,
     )
-
-
-def taylor_start(
-    obs: ObservedSample, spec: QuadratureSpec = QuadratureSpec()
-) -> np.ndarray:
-    """First-order Taylor step from the observed values, projected onto the cone."""
-    grad = grad_log_ordering_probability(MeanConfig(tuple(obs.x), obs.sigma), spec)
-    return project_monotone(obs.x - obs.sigma**2 * grad)
 
 
 def _tie_groups(nu: np.ndarray) -> list[list[int]]:
@@ -228,41 +208,37 @@ def _tie_groups(nu: np.ndarray) -> list[list[int]]:
     return groups
 
 
-def ccmle(
-    obs: ObservedSample,
-    spec: QuadratureSpec = QuadratureSpec(),
-    opt: OptimizerSettings = OptimizerSettings(),
-    method: str = "auto",
-) -> CcmleResult:
+def ccmle(obs: ObservedSample, method: str = "auto") -> CcmleResult:
     """Constrained conditional MLE for any number of populations.
 
     Dispatches to the exact path for p = 2 (``method="numeric"`` forces the
-    general optimizer). The general path standardizes the sample, starts
-    from the Taylor step and repeats the fixed unit projected-gradient step
-    of the module docstring until the step is shorter than ``opt.kkt_tol``
-    (in sigma units, reported as ``kkt_residual``). Each step ascends, by
-    the Brascamp-Lieb bound Cov(X | order) <= sigma^2 I. Tie groups are the
-    blocks that pool-adjacent-violators set to one value. Raises
-    MaxIterationsExceeded, carrying the last iterate, if the tolerance is
-    not reached within ``opt.max_iterations`` steps.
+    general optimizer). The general path standardizes the sample, starts at
+    the observations and repeats the fixed unit projected-gradient step of
+    the module docstring, the first of which is the Taylor step, until the
+    step is shorter than ``KKT_TOL`` (in sigma units, reported as
+    ``kkt_residual``). Each step ascends, by the Brascamp-Lieb bound
+    Cov(X | order) <= sigma^2 I. Tie groups are the blocks that
+    pool-adjacent-violators set to one value. Raises MaxIterationsExceeded,
+    carrying the last iterate, if the tolerance is not reached within
+    ``MAX_ITERATIONS`` steps.
     """
     if method not in ("auto", "numeric"):
         raise ValueError("method must be 'auto' or 'numeric'")
     if obs.p == 2 and method == "auto":
-        return ccmle_p2(obs, spec)
+        return ccmle_p2(obs)
 
     # shifting and scaling by sigma > 0 keep the order, so std.x lines up with obs.x
     std = ObservedSample((obs.x - obs.xbar) / obs.sigma, 1.0)
-    nu = taylor_start(std, spec)
+    nu = std.x
     kkt = math.inf
     iterations = 0
-    while kkt > opt.kkt_tol and iterations < opt.max_iterations:
+    while kkt > KKT_TOL and iterations < MAX_ITERATIONS:
         iterations += 1
-        grad = grad_log_ordering_probability(MeanConfig(tuple(nu), 1.0), spec)
+        grad = grad_log_ordering_probability(MeanConfig(tuple(nu), 1.0))
         nu_next = project_monotone(std.x - grad)
         kkt = float(np.linalg.norm(nu_next - nu))
         nu = nu_next
-    converged = kkt <= opt.kkt_tol
+    converged = kkt <= KKT_TOL
 
     result = CcmleResult(
         obs.xbar + obs.sigma * nu,
@@ -270,14 +246,14 @@ def ccmle(
         "numeric",
         iterations,
         kkt,
-        conditional_log_likelihood(nu, std, spec),
+        conditional_log_likelihood(nu, std),
         obs.permutation,
         converged,
     )
     if not converged:
         raise MaxIterationsExceeded(
-            f"projected ascent did not reach kkt_tol={opt.kkt_tol} in "
-            f"{opt.max_iterations} iterations (residual {kkt:.3e} sigma)",
+            f"projected ascent did not reach kkt_tol={KKT_TOL} in "
+            f"{MAX_ITERATIONS} iterations (residual {kkt:.3e} sigma)",
             result,
         )
     return result

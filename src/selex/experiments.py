@@ -17,27 +17,19 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .estimator import (
-    CcmleResult,
-    MaxIterationsExceeded,
-    ObservedSample,
-    OptimizerSettings,
-    ccmle,
-)
-from .kernels import QuadratureSpec
+from .estimator import CcmleResult, MaxIterationsExceeded, ObservedSample, ccmle
 
 MAX_RESAMPLE_ATTEMPTS = 10  # draws per bootstrap resample before giving up
 
 
 def worker_count() -> int:
-    """Worker cap from SELEX_THREADS (0 = all cores; unset = 1)."""
+    """Worker cap from SELEX_THREADS (0 = all cores; unset = 1), at most the cores."""
     raw = os.environ.get("SELEX_THREADS", "1").strip() or "1"
     n = int(raw)
-    if n == 0:
-        return os.cpu_count() or 1
     if n < 0:
         raise ValueError("SELEX_THREADS must be >= 0")
-    return n
+    cores = os.cpu_count() or 1
+    return cores if n == 0 else min(n, cores)
 
 
 @dataclass(frozen=True)
@@ -87,9 +79,6 @@ class MseTable:
     rows: list[dict]
     n_failures: int
 
-    def to_rows(self) -> list[dict]:
-        return self.rows
-
 
 @dataclass(frozen=True)
 class BootstrapConfig:
@@ -128,23 +117,14 @@ class IntervalSet:
     n_failures: int
     rows: list[dict] = field(default_factory=list)
 
-    def to_rows(self) -> list[dict]:
-        return self.rows
 
-
-def score_draw(
-    mu_true,
-    draw,
-    sigma: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-    opt: OptimizerSettings = OptimizerSettings(),
-) -> ExperimentRecord:
+def score_draw(mu_true, draw, sigma: float) -> ExperimentRecord:
     """Score one drawn sample: naive MLE and CCMLE errors per rank."""
     mu_true = np.asarray(mu_true, dtype=float)
     obs = ObservedSample(np.asarray(draw, dtype=float), sigma)
     selected = obs.permutation
     true_selected = mu_true[selected]
-    result = ccmle(obs, spec, opt)
+    result = ccmle(obs)
     return ExperimentRecord(
         draw=np.asarray(draw, dtype=float),
         selected_labels=selected,
@@ -182,7 +162,7 @@ def run_mse(cfg: MseConfig, workers: int | None = None) -> MseTable:
     bounds = np.linspace(0, cfg.n_reps, n_chunks + 1).astype(int)
     jobs = [(cfg, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             parts = list(pool.map(_mse_chunk, jobs))
     else:
         parts = [_mse_chunk(job) for job in jobs]
@@ -223,10 +203,7 @@ def _bc_interval(boots: np.ndarray, point: float, level: float) -> tuple[float, 
 
 
 def run_bootstrap_ci(
-    cfg: BootstrapConfig,
-    spec: QuadratureSpec = QuadratureSpec(),
-    opt: OptimizerSettings = OptimizerSettings(),
-    data: np.ndarray | None = None,
+    cfg: BootstrapConfig, data: np.ndarray | None = None
 ) -> IntervalSet:
     """Stratified bootstrap CIs for the means of rank-selected populations.
 
@@ -249,7 +226,7 @@ def run_bootstrap_ci(
     means = data.mean(axis=1)
 
     def solve(xs: np.ndarray) -> CcmleResult:
-        return ccmle(ObservedSample(xs, sigma_eff), spec, opt)
+        return ccmle(ObservedSample(xs, sigma_eff))
 
     point_ccmle = solve(means).mu_hat
     point_trad = np.sort(means)[::-1]
@@ -299,13 +276,12 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def export_results(table, format: str, path) -> None:
-    """Write a result table as CSV or JSON with bit-stable formatting.
+def export_results(rows: list[dict], format: str, path) -> None:
+    """Write result rows as CSV or JSON with bit-stable formatting.
 
     CSV: header row, declared column order, floats at 10 significant digits,
     '\\n' line endings. JSON mirrors the CSV columns as an array of objects.
     """
-    rows = table.to_rows() if hasattr(table, "to_rows") else list(table)
     if not rows:
         raise ValueError("refusing to export an empty table")
     if format not in ("csv", "json"):

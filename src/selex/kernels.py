@@ -1,4 +1,4 @@
-"""Scalar numeric primitives: normal density, inverse Mills ratio, quadrature spec.
+"""Scalar numeric primitives: normal density and inverse Mills ratio.
 
 These are the shared building blocks for the ordering-probability and
 estimation modules. All functions are pure and safe to call concurrently.
@@ -7,7 +7,6 @@ estimation modules. All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy.special import erfcx
 
@@ -23,21 +22,6 @@ class ConvergenceFailure(RuntimeError):
         super().__init__(message)
         self.value = value
         self.err_est = err_est
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and truncation window of the ordering-probability quadrature."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    truncation_radius: float = 8.0  # half-width in standard deviations
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("abs_tol and rel_tol must be positive")
-        if self.truncation_radius < 6:
-            raise ValueError("truncation_radius must be >= 6")
 
 
 def std_normal_pdf(z: float) -> float:

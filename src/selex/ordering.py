@@ -38,9 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .kernels import INV_SQRT_2PI, SQRT_2, QuadratureSpec, inverse_mills
+from .kernels import INV_SQRT_2PI, SQRT_2, inverse_mills
 
+# 4k + 1 points, so the grid and its half-resolution grid[::2] both have the
+# odd point count the Simpson kernels need
 DEFAULT_GRID_POINTS = 2049
+TRUNCATION_RADIUS = 8.0  # grid margin beyond the extreme means, in sigma
 _UNDERFLOW_FLOOR = 1e-300
 
 
@@ -133,11 +136,10 @@ def _integrands(
     return combine(combine(f, below[0]), below[1, ::-1, ::-1])
 
 
-def _grid(mu: np.ndarray, sigma: float, spec: QuadratureSpec, m: int) -> np.ndarray:
+def _grid(mu: np.ndarray, sigma: float) -> np.ndarray:
     """Uniform grid over the means, widened by the truncation radius."""
-    r = spec.truncation_radius * sigma
-    m += (1 - m) % 4  # 4k + 1 points: grid and grid[::2] both fit the Simpson kernels
-    return np.linspace(mu.min() - r, mu.max() + r, m)
+    r = TRUNCATION_RADIUS * sigma
+    return np.linspace(mu.min() - r, mu.max() + r, DEFAULT_GRID_POINTS)
 
 
 def _grid_recursion(
@@ -170,11 +172,7 @@ def _grid_recursion(
     return value, log_value, moment / (mass * sigma**2)
 
 
-def ordering_probability(
-    cfg: MeanConfig,
-    spec: QuadratureSpec = QuadratureSpec(),
-    grid_points: int = DEFAULT_GRID_POINTS,
-) -> OrderingProb:
+def ordering_probability(cfg: MeanConfig) -> OrderingProb:
     """P(X_1 > X_2 > ... > X_p) for independent X_i ~ N(mu_i, sigma^2).
 
     Closed form for p = 2; grid recursion (see module docstring) otherwise.
@@ -190,7 +188,7 @@ def ordering_probability(
             warnings.warn("ordering probability underflowed", UnderflowWarning)
         return OrderingProb(value, log_value, "closed_form_p2", 1e-16)
 
-    grid = _grid(mu, cfg.sigma, spec, grid_points)
+    grid = _grid(mu, cfg.sigma)
     value, log_value, _ = _grid_recursion(mu, cfg.sigma, grid)
     value_h, _, _ = _grid_recursion(mu, cfg.sigma, grid[::2])
     err = abs(value - value_h) / 15.0 + np.finfo(float).eps * value
@@ -224,12 +222,7 @@ def mc_ordering_probability(cfg: MeanConfig, n_draws: int, seed: int) -> Orderin
     return OrderingProb(p_hat, log_value, "monte_carlo", se, degenerate=degenerate)
 
 
-def grad_log_ordering_probability(
-    cfg: MeanConfig,
-    spec: QuadratureSpec = QuadratureSpec(),
-    *,
-    grid_points: int = DEFAULT_GRID_POINTS,
-) -> np.ndarray:
+def grad_log_ordering_probability(cfg: MeanConfig) -> np.ndarray:
     """Gradient of log P(X_1 > ... > X_p) with respect to the means.
 
     Analytic for p = 2 (inverse Mills ratio of the scaled mean gap). For
@@ -247,5 +240,5 @@ def grad_log_ordering_probability(
         g = inverse_mills(u) / (cfg.sigma * SQRT_2)
         return np.array([g, -g])
 
-    grid = _grid(mu, cfg.sigma, spec, grid_points)
+    grid = _grid(mu, cfg.sigma)
     return _grid_recursion(mu, cfg.sigma, grid, gradient=True)[2]

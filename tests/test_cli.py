@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import selex
 from selex import experiments
 from selex.cli import main
 from selex.estimator import MaxIterationsExceeded
@@ -110,6 +113,20 @@ class TestSimulateMse:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize(
+        "text", ["[1, 2]", '["mu_true"]', "3", '{"mu_true": 5}'],
+        ids=["list", "list-of-names", "number", "scalar-means"],
+    )
+    def test_config_file_malformed(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, _, err = run(
+            capsys,
+            ["simulate-mse", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
+        )
+        assert code == 2
+        assert "config" in err
+
     def test_config_file_roundtrip(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -162,10 +179,10 @@ class TestBootstrapCi:
         real = experiments.ccmle
         calls = []
 
-        def fail_resamples(obs, spec, opt):
+        def fail_resamples(obs):
             calls.append(obs)
             if len(calls) == 1:  # the point estimate
-                return real(obs, spec, opt)
+                return real(obs)
             if len(calls) > 100:
                 raise RuntimeError("retries are not bounded")
             raise MaxIterationsExceeded("forced failure", None)
@@ -193,7 +210,10 @@ class TestHelp:
 def test_cli_import_skips_scipy_integrate():
     # set-up time: the quadrature kernels are selex's own
     probe = "import sys, selex.cli; print('scipy.integrate' in sys.modules)"
+    # the fresh interpreter imports the same selex sources as this one
+    env = dict(os.environ, PYTHONPATH=str(Path(selex.__file__).parent.parent))
     out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "False"

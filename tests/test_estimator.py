@@ -6,22 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selex import estimator
 from selex.estimator import (
+    KKT_TOL,
     POOLING_THRESHOLD,
     CcmleResult,
     MaxIterationsExceeded,
     ObservedSample,
-    OptimizerSettings,
     ccmle,
     ccmle_p2,
     conditional_log_likelihood,
     project_monotone,
-    taylor_start,
 )
-from selex.kernels import QuadratureSpec
 from selex.ordering import MeanConfig, ordering_probability
-
-SPEC = QuadratureSpec()
 
 
 def brute_force_projection(v: np.ndarray) -> np.ndarray:
@@ -41,6 +38,17 @@ def brute_force_projection(v: np.ndarray) -> np.ndarray:
             if dist < best_dist:
                 best, best_dist = out, dist
     return best
+
+
+def first_step(obs: ObservedSample, monkeypatch) -> CcmleResult:
+    """The general path capped at one step: the Taylor step from the observations."""
+    monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)
+    try:
+        res = ccmle(obs, method="numeric")
+    except MaxIterationsExceeded as exc:
+        res = exc.result
+    assert res.iterations == 1
+    return res
 
 
 class TestObservedSample:
@@ -141,13 +149,13 @@ class TestLogLikelihood:
         x1, x2, sigma = 1.4, 0.3, 0.9
         obs = ObservedSample(np.array([x1, x2]), sigma)
         xbar = (x1 + x2) / 2
-        val = conditional_log_likelihood(np.array([xbar, xbar]), obs, SPEC)
+        val = conditional_log_likelihood(np.array([xbar, xbar]), obs)
         expected = -((x1 - x2) ** 2) / (4 * sigma**2) + math.log(2)
         assert val == pytest.approx(expected, abs=1e-8)
 
     def test_well_separated_at_observation(self):
         obs = ObservedSample(np.array([10.0, 0.0]), 1.0)
-        assert conditional_log_likelihood(obs.x, obs, SPEC) == pytest.approx(0.0, abs=1e-6)
+        assert conditional_log_likelihood(obs.x, obs) == pytest.approx(0.0, abs=1e-6)
 
     def test_unbounded_direction(self):
         # pushing mu_1 down makes the -log P penalty grow without bound
@@ -157,18 +165,20 @@ class TestLogLikelihood:
 
 
 class TestTaylorStart:
-    def test_moderate_gap(self):
-        start = taylor_start(ObservedSample(np.array([1.0, 0.0]), 1.0))
+    """The first iteration is the Taylor step from the observations."""
+
+    def test_moderate_gap(self, monkeypatch):
+        start = first_step(ObservedSample(np.array([1.0, 0.0]), 1.0), monkeypatch)
         g = 0.2889781813726  # analytic gradient magnitude at this config
-        assert np.allclose(start, [1.0 - g, g], atol=1e-9)
+        assert np.allclose(start.mu_hat, [1.0 - g, g], atol=1e-9)
 
-    def test_wide_gap_keeps_observations(self):
-        start = taylor_start(ObservedSample(np.array([10.0, 0.0]), 1.0))
-        assert np.allclose(start, [10.0, 0.0], atol=1e-6)
+    def test_wide_gap_keeps_observations(self, monkeypatch):
+        start = first_step(ObservedSample(np.array([10.0, 0.0]), 1.0), monkeypatch)
+        assert np.allclose(start.mu_hat, [10.0, 0.0], atol=1e-6)
 
-    def test_small_gap_projected_to_pool(self):
-        start = taylor_start(ObservedSample(np.array([0.1, 0.0]), 1.0))
-        assert np.allclose(start, [0.05, 0.05], atol=1e-9)
+    def test_small_gap_projected_to_pool(self, monkeypatch):
+        start = first_step(ObservedSample(np.array([0.1, 0.0]), 1.0), monkeypatch)
+        assert np.allclose(start.mu_hat, [0.05, 0.05], atol=1e-9)
 
 
 TABLE_CONFIGS = [
@@ -250,30 +260,46 @@ class TestCcmleGeneral:
             numeric = ccmle(obs, method="numeric").mu_hat
             assert np.allclose(numeric, exact, atol=1e-4)
 
-    def test_ascends_from_start(self):
+    def test_ascends_from_start(self, monkeypatch):
         obs = ObservedSample(np.array([10.0, 9.0, 8.0, 0.0]), 1.0)
-        opt = OptimizerSettings()
-        res = ccmle(obs, SPEC, opt)
-        start_ll = conditional_log_likelihood(taylor_start(obs, SPEC), obs, SPEC)
-        assert res.log_likelihood >= start_ll - opt.kkt_tol
+        res = ccmle(obs)
+        start = first_step(obs, monkeypatch)
+        assert not start.converged
+        assert res.log_likelihood >= start.log_likelihood - KKT_TOL
 
     @pytest.mark.parametrize(
         "x", [[10.0, 9.0, 8.0, 0.0], [2.0, 1.6, 1.5, 0.2, 0.1, -0.4]], ids=["p4", "p6"]
     )
-    def test_every_step_ascends(self, x):
+    def test_every_step_ascends(self, x, monkeypatch):
         """The unit step needs no line search: stopping after k steps, for
         each k, gives a nondecreasing log-likelihood (up to quadrature noise),
         and the capped solve reports its last iterate."""
         obs = ObservedSample(np.array(x), 0.7)
         lls = []
         for k in range(1, 16):
+            monkeypatch.setattr(estimator, "MAX_ITERATIONS", k)
             try:
-                res = ccmle(obs, opt=OptimizerSettings(max_iterations=k))
+                res = ccmle(obs)
             except MaxIterationsExceeded as exc:
                 res = exc.result
                 assert not res.converged and res.iterations == k
             lls.append(res.log_likelihood)
         assert np.all(np.diff(lls) >= -1e-9)
+
+    @pytest.mark.parametrize(
+        "x", [[3.0, 2.5, 1.0], [2.0, 1.6, 1.5, 0.2, 0.1, -0.4]], ids=["p3", "p6"]
+    )
+    def test_iterations_count_gradient_calls(self, x, monkeypatch):
+        real = estimator.grad_log_ordering_probability
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(estimator, "grad_log_ordering_probability", counted)
+        res = ccmle(ObservedSample(np.array(x), 0.7))
+        assert res.converged and res.iterations == len(calls) > 1
 
     def test_labels_restored(self):
         res = ccmle(ObservedSample(np.array([0.0, 10.0]), 1.0))

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from selex.experiments import (
     run_bootstrap_ci,
     run_mse,
     score_draw,
+    worker_count,
 )
 
 
@@ -93,6 +95,33 @@ class TestRunMse:
         mse = {(r["rank"], r["estimator"]): r["mse"] for r in table.rows}
         assert mse[(1, "ccmle")] < mse[(1, "mle")]
 
+    def test_pool_is_bounded(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Records the pool size and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setenv("SELEX_THREADS", "5000")
+        assert worker_count() == 2
+        cfg = MseConfig((0.5, 0.0), 1.0, 100, seed=13)
+        rows = run_mse(cfg, workers=8).rows
+        assert sizes == [4]  # one worker per chunk
+        assert rows == run_mse(cfg, workers=1).rows
+
 
 class TestRunBootstrap:
     def test_interval_shape_and_order(self):
@@ -133,10 +162,10 @@ class TestRunBootstrap:
         real = experiments.ccmle
         calls = []
 
-        def fail_resamples(obs, spec, opt):
+        def fail_resamples(obs):
             calls.append(obs)
             if len(calls) == 1:  # the point estimate
-                return real(obs, spec, opt)
+                return real(obs)
             if len(calls) > MAX_RESAMPLE_ATTEMPTS + 1:
                 raise RuntimeError("retries are not bounded")
             raise MaxIterationsExceeded("forced failure", None)
@@ -169,15 +198,15 @@ class TestExport:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = MseConfig((0.5, 0.0), 1.0, 150, seed=23)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_results(run_mse(cfg, workers=1), "csv", p1)
-        export_results(run_mse(cfg, workers=1), "csv", p2)
+        export_results(run_mse(cfg, workers=1).rows, "csv", p1)
+        export_results(run_mse(cfg, workers=1).rows, "csv", p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_json_round_trip(self, tmp_path):
         cfg = MseConfig((0.5, 0.0), 1.0, 150, seed=23, ranks=(1,))
         table = run_mse(cfg, workers=1)
         path = tmp_path / "out.json"
-        export_results(table, "json", path)
+        export_results(table.rows, "json", path)
         loaded = json.loads(path.read_text())
         assert len(loaded) == len(table.rows)
         for got, want in zip(loaded, table.rows):

@@ -3,11 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from selex.kernels import (
-    QuadratureSpec,
-    inverse_mills,
-    std_normal_pdf,
-)
+from selex.kernels import inverse_mills, std_normal_pdf
 
 
 class TestPdf:
@@ -62,22 +58,4 @@ class TestInverseMills:
         h = 1e-5
         num = (inverse_mills(h) - inverse_mills(-h)) / (2 * h)
         assert num == pytest.approx(2.0 / math.pi, abs=1e-6)
-
-
-class TestQuadratureSpec:
-    def test_defaults_valid(self):
-        spec = QuadratureSpec()
-        assert spec.abs_tol == 1e-10 and spec.rel_tol == 1e-8
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"abs_tol": 0.0},
-            {"rel_tol": -1.0},
-            {"truncation_radius": 5.0},
-        ],
-    )
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            QuadratureSpec(**kwargs)
 

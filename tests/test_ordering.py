@@ -6,9 +6,8 @@ import pytest
 from scipy.integrate import cumulative_simpson, simpson
 
 from selex import ordering
-from selex.kernels import QuadratureSpec, inverse_mills
+from selex.kernels import inverse_mills
 from selex.ordering import (
-    DEFAULT_GRID_POINTS,
     MeanConfig,
     UnderflowWarning,
     _cumulative_simpson,
@@ -20,8 +19,6 @@ from selex.ordering import (
     ordering_probability,
 )
 
-SPEC = QuadratureSpec()
-
 
 def fd_grad(cfg: MeanConfig) -> np.ndarray:
     """Reference gradient: central differences of log P, step 1e-5 sigma.
@@ -31,7 +28,7 @@ def fd_grad(cfg: MeanConfig) -> np.ndarray:
     """
     mu = np.asarray(cfg.mu, dtype=float)
     h = 1e-5 * cfg.sigma
-    grid = _grid(mu, cfg.sigma, SPEC, DEFAULT_GRID_POINTS)
+    grid = _grid(mu, cfg.sigma)
     out = np.empty(cfg.p)
     for i in range(cfg.p):
         step = np.zeros(cfg.p)
@@ -151,20 +148,13 @@ class TestOrderingProbability:
         assert np.abs(grad_stable - grad_direct).max() <= 1e-3
 
     @pytest.mark.parametrize("p", [10, 20])
-    def test_err_est_tracks_fine_grid_error(self, p):
+    def test_err_est_tracks_fine_grid_error(self, p, monkeypatch):
         rng = np.random.default_rng(p)
         cfg = MeanConfig(tuple(rng.normal(0.0, 2.0, p)), 1.0)
         prob = ordering_probability(cfg)
-        error = abs(prob.value - ordering_probability(cfg, grid_points=16385).value)
+        monkeypatch.setattr(ordering, "DEFAULT_GRID_POINTS", 16385)
+        error = abs(prob.value - ordering_probability(cfg).value)
         assert error / 2 <= prob.err_est <= 2 * error
-
-    @pytest.mark.parametrize("grid_points", [2046, 2047, 2048])
-    def test_grid_points_round_up_to_simpson_grid(self, grid_points):
-        # 4k + 1 points, so the half-resolution grid is odd as well
-        cfg = MeanConfig((1.0, 0.2, -0.5), 1.0)
-        assert ordering_probability(cfg, grid_points=grid_points) == (
-            ordering_probability(cfg)
-        )
 
 
 class TestSimpsonKernels:
