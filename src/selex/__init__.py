@@ -12,24 +12,19 @@ from .estimator import (
 )
 from .experiments import (
     BootstrapConfig,
-    ExperimentRecord,
-    IntervalSet,
     MseConfig,
+    ResultTable,
     export_results,
     run_bootstrap_ci,
     run_mse,
-    score_draw,
-)
-from .kernels import (
-    ConvergenceFailure,
-    inverse_mills,
-    std_normal_pdf,
 )
 from .ordering import (
+    ConvergenceFailure,
     MeanConfig,
     OrderingProb,
     UnderflowWarning,
     grad_log_ordering_probability,
+    inverse_mills,
     mc_ordering_probability,
     ordering_probability,
 )
@@ -40,13 +35,12 @@ __all__ = [
     "BootstrapConfig",
     "CcmleResult",
     "ConvergenceFailure",
-    "ExperimentRecord",
-    "IntervalSet",
     "MaxIterationsExceeded",
     "MeanConfig",
     "MseConfig",
     "ObservedSample",
     "OrderingProb",
+    "ResultTable",
     "RootBracketFailure",
     "UnderflowWarning",
     "ccmle",
@@ -60,6 +54,4 @@ __all__ = [
     "project_monotone",
     "run_bootstrap_ci",
     "run_mse",
-    "score_draw",
-    "std_normal_pdf",
 ]

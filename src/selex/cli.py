@@ -26,8 +26,12 @@ from .experiments import (
     run_bootstrap_ci,
     run_mse,
 )
-from .kernels import ConvergenceFailure
-from .ordering import MeanConfig, mc_ordering_probability, ordering_probability
+from .ordering import (
+    ConvergenceFailure,
+    MeanConfig,
+    mc_ordering_probability,
+    ordering_probability,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -148,12 +152,7 @@ def _load_config(path: str, cls, flag_values: dict):
             raise CliError(f"unknown config field(s): {', '.join(sorted(unknown))}")
         flag_values = raw
     try:
-        cleaned = {
-            k: tuple(v) if k in ("mu_true", "ranks") else v
-            for k, v in flag_values.items()
-            if v is not None
-        }
-        return cls(**cleaned)
+        return cls(**{k: v for k, v in flag_values.items() if v is not None})
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid config: {exc}")
 
@@ -178,7 +177,7 @@ def cmd_simulate_mse(args) -> int:
     export_results(table.rows, _infer_format(args), args.out)
     print(
         f"simulate-mse: {len(table.rows)} rows written to {args.out} "
-        f"({table.n_failures} replicate failures)"
+        f"({table.n_failures} redrawn replicates)"
     )
     if args.strict and table.n_failures > 0:
         print("ERROR: replicate failures in strict mode", file=sys.stderr)
@@ -254,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--format", choices=["csv", "json"],
                    help="output format (default from extension)")
     m.add_argument("--strict", action="store_true",
-                   help="exit 5 if any replicate hard-fails")
+                   help="exit 5 if any replicate had to be redrawn")
     m.set_defaults(fn=cmd_simulate_mse)
 
     b = sub.add_parser("bootstrap-ci", help="stratified bootstrap intervals")

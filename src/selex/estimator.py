@@ -34,10 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .kernels import SQRT_2, inverse_mills
 from .ordering import (
+    SQRT_2,
     MeanConfig,
     grad_log_ordering_probability,
+    inverse_mills,
     ordering_probability,
 )
 
@@ -60,6 +61,10 @@ class MaxIterationsExceeded(RuntimeError):
     def __init__(self, message: str, result: "CcmleResult"):
         super().__init__(message)
         self.result = result
+
+    # pickles every field, so a pool worker's error reaches the parent intact
+    def __reduce__(self):
+        return type(self), (str(self), self.result)
 
 
 @dataclass

@@ -1,10 +1,16 @@
 """Simulation studies: selection-respecting MSE comparison and bootstrap CIs.
 
+Both studies run on one replicate engine. Replicate b is drawn from its own
+random stream, keyed by (seed, b) and the attempt number, ranked, and solved
+by the CCMLE. A replicate whose solve fails is redrawn from the stream of its
+next attempt; after MAX_RESAMPLE_ATTEMPTS draws its last failure is raised,
+naming (seed, b). The replicates are split into chunks over up to
+SELEX_THREADS worker processes, so summaries are identical for any worker
+count.
+
 Errors always reference the true mean of the population that actually
 occupied a given sample rank (the population *selected* as max/mid/min),
-never the population with the truly extreme mean. Replicates draw their
-random stream from (seed, replicate index), so summaries are identical for
-any worker count.
+never the population with the truly extreme mean.
 """
 
 from __future__ import annotations
@@ -12,14 +18,15 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .estimator import CcmleResult, MaxIterationsExceeded, ObservedSample, ccmle
+from .estimator import MaxIterationsExceeded, ObservedSample, ccmle
 
-MAX_RESAMPLE_ATTEMPTS = 10  # draws per bootstrap resample before giving up
+MAX_RESAMPLE_ATTEMPTS = 10  # draws per replicate before giving up
 
 
 def worker_count() -> int:
@@ -32,6 +39,13 @@ def worker_count() -> int:
     return cores if n == 0 else min(n, cores)
 
 
+def _tuple_of(kind, values, name: str) -> tuple:
+    """A sequence config field as a tuple; a string is not a sequence of numbers."""
+    if isinstance(values, str):
+        raise ValueError(f"{name} must be a list, not a string")
+    return tuple(kind(v) for v in values)
+
+
 @dataclass(frozen=True)
 class MseConfig:
     mu_true: tuple[float, ...]
@@ -42,9 +56,9 @@ class MseConfig:
     config_id: str = "0"
 
     def __post_init__(self):
-        object.__setattr__(self, "mu_true", tuple(float(m) for m in self.mu_true))
+        object.__setattr__(self, "mu_true", _tuple_of(float, self.mu_true, "mu_true"))
         if self.ranks is not None:
-            object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+            object.__setattr__(self, "ranks", _tuple_of(int, self.ranks, "ranks"))
         if len(self.mu_true) < 2:
             raise ValueError("mu_true needs at least 2 populations")
         if not self.sigma > 0:
@@ -64,22 +78,6 @@ class MseConfig:
         return self.ranks if self.ranks is not None else tuple(range(1, self.p + 1))
 
 
-@dataclass
-class ExperimentRecord:
-    """One simulation replicate, scored against the selected populations."""
-
-    draw: np.ndarray
-    selected_labels: np.ndarray  # original population index per rank
-    errors_mle: np.ndarray  # per rank, true mean of selected pop - estimate
-    errors_ccmle: np.ndarray
-
-
-@dataclass
-class MseTable:
-    rows: list[dict]
-    n_failures: int
-
-
 @dataclass(frozen=True)
 class BootstrapConfig:
     mu_true: tuple[float, ...]
@@ -90,7 +88,7 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "mu_true", tuple(float(m) for m in self.mu_true))
+        object.__setattr__(self, "mu_true", _tuple_of(float, self.mu_true, "mu_true"))
         if len(self.mu_true) < 2:
             raise ValueError("mu_true needs at least 2 populations")
         if self.n_per_group < 2:
@@ -108,74 +106,71 @@ class BootstrapConfig:
 
 
 @dataclass
-class IntervalSet:
-    """Per-rank intervals for the CCMLE (bias-corrected percentile) and the
-    traditional percentile method, plus point estimates."""
+class ResultTable:
+    """Result rows of an experiment and the number of redrawn replicates."""
 
-    level: float
-    n_boot: int
+    rows: list[dict]
     n_failures: int
-    rows: list[dict] = field(default_factory=list)
 
 
-def score_draw(mu_true, draw, sigma: float) -> ExperimentRecord:
-    """Score one drawn sample: naive MLE and CCMLE errors per rank."""
-    mu_true = np.asarray(mu_true, dtype=float)
-    obs = ObservedSample(np.asarray(draw, dtype=float), sigma)
-    selected = obs.permutation
-    true_selected = mu_true[selected]
-    result = ccmle(obs)
-    return ExperimentRecord(
-        draw=np.asarray(draw, dtype=float),
-        selected_labels=selected,
-        errors_mle=true_selected - obs.x,
-        errors_ccmle=true_selected - result.mu_hat,
-    )
+def _solve_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Solve replicates start..stop-1: sorted samples, estimates, labels, redraws."""
+    draw, sigma, seed, start, stop = args
+    samples, estimates, labels = [], [], []
+    redraws = 0
+    for b in range(start, stop):
+        for attempt in range(MAX_RESAMPLE_ATTEMPTS):
+            obs = ObservedSample(draw(b, attempt), sigma)
+            try:
+                estimates.append(ccmle(obs).mu_hat)
+                break
+            except MaxIterationsExceeded as exc:
+                redraws += 1
+                if attempt + 1 == MAX_RESAMPLE_ATTEMPTS:
+                    msg = f"replicate (seed={seed}, b={b}): {exc}"
+                    raise MaxIterationsExceeded(msg, exc.result) from exc
+        samples.append(obs.x)
+        labels.append(obs.permutation)
+    return np.array(samples), np.array(estimates), np.array(labels), redraws
 
 
-def _mse_chunk(args) -> tuple[np.ndarray, np.ndarray, int]:
-    cfg, start, stop = args
-    mu_true = np.asarray(cfg.mu_true, dtype=float)
-    errs_mle = np.zeros((stop - start, cfg.p))
-    errs_ccmle = np.zeros((stop - start, cfg.p))
-    failures = 0
-    keep = np.ones(stop - start, dtype=bool)
-    for j, i in enumerate(range(start, stop)):
-        rng = np.random.default_rng([cfg.seed, i])
-        draw = rng.normal(mu_true, cfg.sigma)
-        try:
-            rec = score_draw(mu_true, draw, cfg.sigma)
-        except MaxIterationsExceeded:
-            failures += 1
-            keep[j] = False
-            continue
-        errs_mle[j] = rec.errors_mle
-        errs_ccmle[j] = rec.errors_ccmle
-    return errs_mle[keep], errs_ccmle[keep], failures
+def _replicates(draw, sigma: float, seed: int, count: int):
+    """Solve replicates 0..count-1 of ``draw(b, attempt)`` with the CCMLE.
 
-
-def run_mse(cfg: MseConfig, workers: int | None = None) -> MseTable:
-    """Per-rank MSE for the naive MLE and the CCMLE, with Monte Carlo SEs."""
-    if workers is None:
-        workers = worker_count()
-    n_chunks = max(1, min(workers * 4, cfg.n_reps // 25)) if workers > 1 else 1
-    bounds = np.linspace(0, cfg.n_reps, n_chunks + 1).astype(int)
-    jobs = [(cfg, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    ``draw`` must pickle (a module-level function or a partial of one).
+    Returns the sorted samples, the estimates and the selected labels, each
+    (count, p) in rank order and replicate order, and the number of redraws.
+    """
+    workers = worker_count()
+    n_chunks = max(1, min(workers * 4, count // 25)) if workers > 1 else 1
+    bounds = np.linspace(0, count, n_chunks + 1).astype(int)
+    jobs = [(draw, sigma, seed, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            parts = list(pool.map(_mse_chunk, jobs))
+            parts = list(pool.map(_solve_chunk, jobs))
     else:
-        parts = [_mse_chunk(job) for job in jobs]
+        parts = [_solve_chunk(job) for job in jobs]
+    x, mu_hat, labels = (np.concatenate([part[k] for part in parts]) for k in range(3))
+    return x, mu_hat, labels, sum(part[3] for part in parts)
 
-    errs_mle = np.concatenate([p[0] for p in parts])
-    errs_ccmle = np.concatenate([p[1] for p in parts])
-    n_failures = sum(p[2] for p in parts)
+
+def _mse_draw(mu_true, sigma, seed, b, attempt):
+    """Replicate b from stream [seed, b]; a redraw from [seed, b, attempt]."""
+    key = [seed, b, attempt] if attempt else [seed, b]
+    return np.random.default_rng(key).normal(mu_true, sigma)
+
+
+def run_mse(cfg: MseConfig) -> ResultTable:
+    """Per-rank MSE for the naive MLE and the CCMLE, with Monte Carlo SEs."""
+    mu_true = np.asarray(cfg.mu_true, dtype=float)
+    draw = partial(_mse_draw, mu_true, cfg.sigma, cfg.seed)
+    x, mu_hat, labels, redraws = _replicates(draw, cfg.sigma, cfg.seed, cfg.n_reps)
+    truth = mu_true[labels]  # true mean of the population selected at each rank
 
     rows = []
-    n = errs_mle.shape[0]
     for rank in cfg.rank_list():
-        for name, errs in (("mle", errs_mle), ("ccmle", errs_ccmle)):
-            sq = errs[:, rank - 1] ** 2
+        for name, est in (("mle", x), ("ccmle", mu_hat)):
+            sq = (truth[:, rank - 1] - est[:, rank - 1]) ** 2
             row = {"config_id": cfg.config_id}
             for i, m in enumerate(cfg.mu_true):
                 row[f"mu_true_{i + 1}"] = m
@@ -183,11 +178,11 @@ def run_mse(cfg: MseConfig, workers: int | None = None) -> MseTable:
                 rank=rank,
                 estimator=name,
                 mse=float(sq.mean()),
-                se=float(sq.std(ddof=1) / math.sqrt(n)),
-                n_reps=n,
+                se=float(sq.std(ddof=1) / math.sqrt(cfg.n_reps)),
+                n_reps=cfg.n_reps,
             )
             rows.append(row)
-    return MseTable(rows, n_failures)
+    return ResultTable(rows, redraws)
 
 
 def _bc_interval(boots: np.ndarray, point: float, level: float) -> tuple[float, float]:
@@ -202,72 +197,53 @@ def _bc_interval(boots: np.ndarray, point: float, level: float) -> tuple[float, 
     return float(np.quantile(boots, a1)), float(np.quantile(boots, a2))
 
 
-def run_bootstrap_ci(
-    cfg: BootstrapConfig, data: np.ndarray | None = None
-) -> IntervalSet:
+def _resample_draw(data, seed, b, attempt):
+    """Group means of stratified resample b, from stream [seed, 1, b, attempt]."""
+    rng = np.random.default_rng([seed, 1, b, attempt])
+    idx = rng.integers(0, data.shape[1], size=data.shape)
+    return np.take_along_axis(data, idx, axis=1).mean(axis=1)
+
+
+def run_bootstrap_ci(cfg: BootstrapConfig, data: np.ndarray | None = None) -> ResultTable:
     """Stratified bootstrap CIs for the means of rank-selected populations.
 
     Draws one dataset of ``n_per_group`` observations per population,
     resamples within each group, re-ranks the group means each time and
     recomputes the CCMLE with effective sigma = obs_sd / sqrt(n_per_group).
-    A resample whose solve fails is rejected and redrawn (counted); after
-    MAX_RESAMPLE_ATTEMPTS draws its last failure is raised, naming (seed, b).
+    Each rank gets the CCMLE's bias-corrected percentile interval and the
+    traditional percentile interval of the ranked means, with both points.
     """
     p = cfg.p
     n = cfg.n_per_group
     sigma_eff = cfg.obs_sd / math.sqrt(n)
-    mu_true = np.asarray(cfg.mu_true, dtype=float)
 
     if data is None:
         rng_data = np.random.default_rng([cfg.seed, 0])
-        data = rng_data.normal(mu_true[:, None], cfg.obs_sd, size=(p, n))
+        data = rng_data.normal(np.asarray(cfg.mu_true)[:, None], cfg.obs_sd, size=(p, n))
     elif data.shape != (p, n):
         raise ValueError(f"data must have shape {(p, n)}")
-    means = data.mean(axis=1)
+    obs = ObservedSample(data.mean(axis=1), sigma_eff)
+    point_ccmle, point_trad = ccmle(obs).mu_hat, obs.x
 
-    def solve(xs: np.ndarray) -> CcmleResult:
-        return ccmle(ObservedSample(xs, sigma_eff))
+    draw = partial(_resample_draw, data, cfg.seed)
+    boots_trad, boots_ccmle, _, redraws = _replicates(draw, sigma_eff, cfg.seed, cfg.n_boot)
 
-    point_ccmle = solve(means).mu_hat
-    point_trad = np.sort(means)[::-1]
-
-    boots_ccmle = np.empty((cfg.n_boot, p))
-    boots_trad = np.empty((cfg.n_boot, p))
-    failures = 0
-    for b in range(cfg.n_boot):
-        for attempt in range(MAX_RESAMPLE_ATTEMPTS):
-            rng = np.random.default_rng([cfg.seed, 1, b, attempt])
-            idx = rng.integers(0, n, size=(p, n))
-            bmeans = np.take_along_axis(data, idx, axis=1).mean(axis=1)
-            try:
-                res = solve(bmeans)
-                break
-            except MaxIterationsExceeded as exc:
-                failures += 1
-                if attempt + 1 == MAX_RESAMPLE_ATTEMPTS:
-                    msg = f"bootstrap resample (seed={cfg.seed}, b={b}): {exc}"
-                    raise MaxIterationsExceeded(msg, exc.result) from exc
-        boots_ccmle[b] = res.mu_hat
-        boots_trad[b] = np.sort(bmeans)[::-1]
-
-    out = IntervalSet(cfg.level, cfg.n_boot, failures)
+    rows = []
+    alpha = 1.0 - cfg.level
     for r in range(p):
         lo, hi = _bc_interval(boots_ccmle[:, r], float(point_ccmle[r]), cfg.level)
-        alpha = 1.0 - cfg.level
-        tlo = float(np.quantile(boots_trad[:, r], alpha / 2.0))
-        thi = float(np.quantile(boots_trad[:, r], 1.0 - alpha / 2.0))
-        out.rows.append(
+        rows.append(
             {
                 "rank": r + 1,
                 "ccmle_point": float(point_ccmle[r]),
                 "ccmle_lower": lo,
                 "ccmle_upper": hi,
                 "trad_point": float(point_trad[r]),
-                "trad_lower": tlo,
-                "trad_upper": thi,
+                "trad_lower": float(np.quantile(boots_trad[:, r], alpha / 2.0)),
+                "trad_upper": float(np.quantile(boots_trad[:, r], 1.0 - alpha / 2.0)),
             }
         )
-    return out
+    return ResultTable(rows, redraws)
 
 
 def _format_value(v) -> str:

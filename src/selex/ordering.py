@@ -36,10 +36,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+from scipy.special import erfcx, log_ndtr, ndtr
 
-from .kernels import INV_SQRT_2PI, SQRT_2, inverse_mills
-
+INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+SQRT_2 = math.sqrt(2.0)
 # 4k + 1 points, so the grid and its half-resolution grid[::2] both have the
 # odd point count the Simpson kernels need
 DEFAULT_GRID_POINTS = 2049
@@ -49,6 +49,31 @@ _UNDERFLOW_FLOOR = 1e-300
 
 class UnderflowWarning(UserWarning):
     """The ordering probability underflowed; only log_value is reliable."""
+
+
+class ConvergenceFailure(RuntimeError):
+    """Quadrature failed to meet tolerance; carries the best estimate found."""
+
+    def __init__(self, message: str, value: float, err_est: float):
+        super().__init__(message)
+        self.value = value
+        self.err_est = err_est
+
+    # pickles every field, so a pool worker's error reaches the parent intact
+    def __reduce__(self):
+        return type(self), (str(self), self.value, self.err_est)
+
+
+def inverse_mills(z: float) -> float:
+    """Inverse Mills ratio g(z) = phi(z) / (1 - Phi(z)).
+
+    For z >= 0 uses the scaled complementary error function, which is exact
+    and stable far into the right tail (g(z) ~ z + 1/z for large z). For
+    z < 0 the denominator is close to 1 and the naive form is safe.
+    """
+    if z >= 0:
+        return math.sqrt(2.0 / math.pi) / erfcx(z / SQRT_2)
+    return INV_SQRT_2PI * math.exp(-0.5 * z * z) / (0.5 * math.erfc(z / SQRT_2))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import selex
-from selex import experiments
+from selex import estimator, experiments
 from selex.cli import main
 from selex.estimator import MaxIterationsExceeded
 
@@ -114,8 +114,15 @@ class TestSimulateMse:
         assert "bogus" in err
 
     @pytest.mark.parametrize(
-        "text", ["[1, 2]", '["mu_true"]', "3", '{"mu_true": 5}'],
-        ids=["list", "list-of-names", "number", "scalar-means"],
+        "text",
+        [
+            "[1, 2]", '["mu_true"]', "3", '{"mu_true": 5}', '{"mu_true": "12"}',
+            '{"mu_true": [0, 0], "ranks": "1"}',
+        ],
+        ids=[
+            "list", "list-of-names", "number", "scalar-means", "string-means",
+            "string-ranks",
+        ],
     )
     def test_config_file_malformed(self, capsys, tmp_path, text):
         cfg = tmp_path / "cfg.json"
@@ -152,6 +159,18 @@ class TestSimulateMse:
             assert code == 0
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_failing_replicate_exits_optimizer(self, capsys, monkeypatch, tmp_path):
+        # every p = 3 solve stops after one step; pool workers inherit the cap
+        monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)
+        monkeypatch.setenv("SELEX_THREADS", "2")
+        code, _, err = run(
+            capsys,
+            ["simulate-mse", "--mu", "1,0.5,0", "--reps", "100", "--seed", "1",
+             "--out", str(tmp_path / "x.csv")],
+        )
+        assert code == 4
+        assert "(seed=1, b=" in err
 
 
 class TestBootstrapCi:

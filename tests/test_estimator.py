@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from selex.estimator import (
     conditional_log_likelihood,
     project_monotone,
 )
-from selex.ordering import MeanConfig, ordering_probability
+from selex.ordering import ConvergenceFailure, MeanConfig, ordering_probability
 
 
 def brute_force_projection(v: np.ndarray) -> np.ndarray:
@@ -320,3 +321,15 @@ class TestCcmleGeneral:
     def test_bad_method_rejected(self):
         with pytest.raises(ValueError):
             ccmle(ObservedSample(np.array([1.0, 0.0]), 1.0), method="newton")
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [MaxIterationsExceeded("cap", None), ConvergenceFailure("tolerance", 0.25, 1e-3)],
+    ids=["max-iterations", "convergence"],
+)
+def test_solver_errors_pickle(exc):
+    # an error raised in a pool worker reaches the parent process pickled
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc) and str(back) == str(exc)
+    assert vars(back) == vars(exc)

@@ -14,9 +14,14 @@ from selex.experiments import (
     export_results,
     run_bootstrap_ci,
     run_mse,
-    score_draw,
     worker_count,
 )
+
+
+@pytest.fixture(autouse=True)
+def serial(monkeypatch):
+    """Run in this process unless a test sets SELEX_THREADS itself."""
+    monkeypatch.setenv("SELEX_THREADS", "1")
 
 
 class TestConfigs:
@@ -52,34 +57,46 @@ class TestConfigs:
             BootstrapConfig(**kwargs)
 
 
+def worked_example():
+    """Errors of the paper's worked example, scored as run_mse scores them:
+    true means (3, 2, 1), one replicate drawn as (2.1, 2.2, 1.8)."""
+    x, mu_hat, labels, _ = experiments._replicates(
+        lambda b, attempt: np.array([2.1, 2.2, 1.8]), 1.0, 0, 1
+    )
+    truth = np.array([3.0, 2.0, 1.0])[labels[0]]
+    return labels[0], truth - x[0], truth - mu_hat[0], mu_hat[0]
+
+
 class TestSelectionAccounting:
     def test_paper_worked_example(self):
-        # true means (3, 2, 1), draws (2.1, 2.2, 1.8): the max rank is taken
-        # by the second population, so its error is 2 - 2.2 = -0.2
-        rec = score_draw((3.0, 2.0, 1.0), (2.1, 2.2, 1.8), 1.0)
-        assert list(rec.selected_labels) == [1, 0, 2]
-        assert rec.errors_mle[0] == pytest.approx(-0.2)
-        assert rec.errors_mle[1] == pytest.approx(3.0 - 2.1)
-        assert rec.errors_mle[2] == pytest.approx(1.0 - 1.8)
+        # the max rank is taken by the second population, so its error is
+        # 2 - 2.2 = -0.2
+        labels, errors_mle, _, _ = worked_example()
+        assert list(labels) == [1, 0, 2]
+        assert errors_mle[0] == pytest.approx(-0.2)
+        assert errors_mle[1] == pytest.approx(3.0 - 2.1)
+        assert errors_mle[2] == pytest.approx(1.0 - 1.8)
 
     def test_ccmle_errors_use_selected_truth(self):
-        rec = score_draw((3.0, 2.0, 1.0), (2.1, 2.2, 1.8), 1.0)
+        _, errors_mle, errors_ccmle, mu_hat = worked_example()
         # both error vectors reference the same selected true means
-        truth_mle = rec.errors_mle + np.array([2.2, 2.1, 1.8])
+        truth_mle = errors_mle + np.array([2.2, 2.1, 1.8])
         assert np.allclose(truth_mle, [2.0, 3.0, 1.0])
+        assert np.allclose(errors_ccmle + mu_hat, [2.0, 3.0, 1.0])
 
 
 class TestRunMse:
-    def test_deterministic_and_worker_independent(self):
+    def test_deterministic_and_worker_independent(self, monkeypatch):
         cfg = MseConfig((0.5, 0.0), 1.0, 200, seed=13)
-        a = run_mse(cfg, workers=1)
-        b = run_mse(cfg, workers=1)
-        c = run_mse(cfg, workers=2)
+        a = run_mse(cfg)
+        b = run_mse(cfg)
+        monkeypatch.setenv("SELEX_THREADS", "2")
+        c = run_mse(cfg)
         assert a.rows == b.rows == c.rows
 
     def test_row_schema(self):
         cfg = MseConfig((0.5, 0.0), 1.0, 150, seed=3, ranks=(1,), config_id="g7")
-        table = run_mse(cfg, workers=1)
+        table = run_mse(cfg)
         assert len(table.rows) == 2  # one rank, two estimators
         row = table.rows[0]
         assert list(row.keys()) == [
@@ -91,7 +108,7 @@ class TestRunMse:
 
     def test_ccmle_beats_mle_at_equal_means(self):
         cfg = MseConfig((0.0, 0.0), 1.0, 2000, seed=17)
-        table = run_mse(cfg, workers=1)
+        table = run_mse(cfg)
         mse = {(r["rank"], r["estimator"]): r["mse"] for r in table.rows}
         assert mse[(1, "ccmle")] < mse[(1, "mle")]
 
@@ -113,14 +130,46 @@ class TestRunMse:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setenv("SELEX_THREADS", "5000")
-        assert worker_count() == 2
+        assert worker_count() == 8
         cfg = MseConfig((0.5, 0.0), 1.0, 100, seed=13)
-        rows = run_mse(cfg, workers=8).rows
+        rows = run_mse(cfg).rows
         assert sizes == [4]  # one worker per chunk
-        assert rows == run_mse(cfg, workers=1).rows
+        monkeypatch.setenv("SELEX_THREADS", "1")
+        assert rows == run_mse(cfg).rows
+
+    def test_failed_replicate_is_redrawn(self, monkeypatch):
+        real = experiments.ccmle
+        calls = []
+
+        def fail_once(obs):
+            calls.append(obs)
+            if len(calls) == 5:  # replicate 4, first attempt
+                raise MaxIterationsExceeded("forced failure", None)
+            return real(obs)
+
+        monkeypatch.setattr(experiments, "ccmle", fail_once)
+        cfg = MseConfig((0.5, 0.0), 1.0, 100, seed=13)
+        table = run_mse(cfg)
+        assert table.n_failures == 1
+        assert all(row["n_reps"] == cfg.n_reps for row in table.rows)
+        assert len(calls) == cfg.n_reps + 1
+        assert not np.array_equal(calls[4].x, calls[5].x)  # a fresh draw
+
+    def test_retries_are_bounded(self, monkeypatch):
+        calls = []
+
+        def fail_all(obs):
+            calls.append(obs)
+            raise MaxIterationsExceeded("forced failure", None)
+
+        monkeypatch.setattr(experiments, "ccmle", fail_all)
+        cfg = MseConfig((0.5, 0.0), 1.0, 100, seed=13)
+        with pytest.raises(MaxIterationsExceeded, match=r"\(seed=13, b=0\)"):
+            run_mse(cfg)
+        assert len(calls) == MAX_RESAMPLE_ATTEMPTS
 
 
 class TestRunBootstrap:
@@ -133,10 +182,14 @@ class TestRunBootstrap:
             assert row["ccmle_lower"] <= row["ccmle_upper"]
             assert row["trad_lower"] <= row["trad_point"] <= row["trad_upper"]
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
         cfg = BootstrapConfig((1.0, 0.0), n_per_group=15, obs_sd=1.0,
                               n_boot=999, seed=8)
-        assert run_bootstrap_ci(cfg).rows == run_bootstrap_ci(cfg).rows
+        runs = []
+        for threads in ("1", "1", "2"):
+            monkeypatch.setenv("SELEX_THREADS", threads)
+            runs.append(run_bootstrap_ci(cfg).rows)
+        assert runs[0] == runs[1] == runs[2]
 
     def test_level_nesting(self):
         wide = BootstrapConfig((1.0, 0.0), n_per_group=20, obs_sd=1.0,
@@ -198,13 +251,13 @@ class TestExport:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = MseConfig((0.5, 0.0), 1.0, 150, seed=23)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_results(run_mse(cfg, workers=1).rows, "csv", p1)
-        export_results(run_mse(cfg, workers=1).rows, "csv", p2)
+        export_results(run_mse(cfg).rows, "csv", p1)
+        export_results(run_mse(cfg).rows, "csv", p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_json_round_trip(self, tmp_path):
         cfg = MseConfig((0.5, 0.0), 1.0, 150, seed=23, ranks=(1,))
-        table = run_mse(cfg, workers=1)
+        table = run_mse(cfg)
         path = tmp_path / "out.json"
         export_results(table.rows, "json", path)
         loaded = json.loads(path.read_text())

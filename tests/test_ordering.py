@@ -6,7 +6,6 @@ import pytest
 from scipy.integrate import cumulative_simpson, simpson
 
 from selex import ordering
-from selex.kernels import inverse_mills
 from selex.ordering import (
     MeanConfig,
     UnderflowWarning,
@@ -15,6 +14,7 @@ from selex.ordering import (
     _grid_recursion,
     _simpson,
     grad_log_ordering_probability,
+    inverse_mills,
     mc_ordering_probability,
     ordering_probability,
 )
