@@ -25,6 +25,7 @@ from .ordering import (
     UnderflowWarning,
     grad_log_ordering_probability,
     inverse_mills,
+    log_ordering_probability,
     mc_ordering_probability,
     ordering_probability,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "export_results",
     "grad_log_ordering_probability",
     "inverse_mills",
+    "log_ordering_probability",
     "mc_ordering_probability",
     "ordering_probability",
     "project_monotone",

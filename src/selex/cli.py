@@ -78,6 +78,7 @@ def cmd_prob(args) -> int:
         "log_value": prob.log_value,
         "method": prob.method,
         "err_est": prob.err_est,
+        "log_err_est": prob.log_err_est,
         "degenerate": prob.degenerate,
     }
     _emit(
@@ -88,6 +89,7 @@ def cmd_prob(args) -> int:
             f"log P            = {prob.log_value:.10g}",
             f"method           = {prob.method}",
             f"err_est          = {prob.err_est:.3g}",
+            f"log_err_est      = {prob.log_err_est:.3g}",
         ],
     )
     return EXIT_OK

@@ -10,6 +10,7 @@ import selex
 from selex import estimator, experiments
 from selex.cli import main
 from selex.estimator import MaxIterationsExceeded
+from selex.ordering import UnderflowWarning
 
 
 def run(capsys, argv):
@@ -43,6 +44,24 @@ class TestProb:
         payload = json.loads(out)
         assert payload["method"] == "monte_carlo"
         assert payload["value"] == pytest.approx(0.76, abs=0.01)
+
+    def test_underflow_reports_log_error(self, capsys):
+        argv = ["prob", "--means", "0,0,60", "--sigma", "1"]
+        with pytest.warns(UnderflowWarning):
+            code, out, _ = run(capsys, argv + ["--json"])
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["value"] == 0.0
+        assert payload["log_value"] == pytest.approx(-1209.074285, abs=1e-3)
+        assert payload["log_err_est"] > 0.0
+        with pytest.warns(UnderflowWarning):
+            assert "log_err_est" in run(capsys, argv)[1]
+
+    def test_quadrature_failure_exits_3(self, capsys):
+        # off the cone, the gap to 1e6 needs ~1e7 nodes: over the cap
+        code, _, err = run(capsys, ["prob", "--means", "0,0,1e6", "--sigma", "1"])
+        assert code == 3
+        assert "quadrature failure" in err
 
     def test_single_mean_rejected(self, capsys):
         code, _, err = run(capsys, ["prob", "--means", "1", "--sigma", "1"])

@@ -322,6 +322,15 @@ class TestCcmleGeneral:
         with pytest.raises(ValueError):
             ccmle(ObservedSample(np.array([1.0, 0.0]), 1.0), method="newton")
 
+    def test_far_outlier_leaves_block_alone(self):
+        # one observation 1e3 sigma above a p = 5 block: the gap between them
+        # holds no nodes, so the block is solved as finely as on its own
+        block = np.array([0.9, 0.4, -0.3, -1.2, -1.5]) * 0.7
+        res = ccmle(ObservedSample(np.append(block, 700.0), 0.7))
+        alone = ccmle(ObservedSample(block, 0.7)).mu_hat
+        assert res.converged
+        assert np.abs(res.mu_hat[1:] - alone).max() / 0.7 <= 1e-4
+
 
 @pytest.mark.parametrize(
     "exc",

@@ -3,16 +3,20 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_simpson, simpson
 
 from selex import ordering
 from selex.ordering import (
+    PANEL_NODES,
+    PANEL_WIDTH,
+    ConvergenceFailure,
     MeanConfig,
     UnderflowWarning,
-    _cumulative_simpson,
-    _grid,
+    _cumulative,
+    _integral,
     _grid_recursion,
-    _simpson,
+    _layout,
+    _nodes,
+    _refine,
     grad_log_ordering_probability,
     inverse_mills,
     mc_ordering_probability,
@@ -23,18 +27,18 @@ from selex.ordering import (
 def fd_grad(cfg: MeanConfig) -> np.ndarray:
     """Reference gradient: central differences of log P, step 1e-5 sigma.
 
-    All 2p perturbed mean vectors share the grid of the unperturbed ones, so
-    the differences see no change of discretization.
+    All 2p perturbed mean vectors share the panels of the unperturbed ones,
+    so the differences see no change of discretization.
     """
     mu = np.asarray(cfg.mu, dtype=float)
     h = 1e-5 * cfg.sigma
-    grid = _grid(mu, cfg.sigma)
+    panels = _layout(mu, cfg.sigma)
     out = np.empty(cfg.p)
     for i in range(cfg.p):
         step = np.zeros(cfg.p)
         step[i] = h
-        up = _grid_recursion(mu + step, cfg.sigma, grid)[1]
-        dn = _grid_recursion(mu - step, cfg.sigma, grid)[1]
+        up = _grid_recursion(mu + step, cfg.sigma, *panels)[1]
+        dn = _grid_recursion(mu - step, cfg.sigma, *panels)[1]
         out[i] = (up - dn) / (2.0 * h)
     return out
 
@@ -134,6 +138,32 @@ class TestOrderingProbability:
         assert prob.value == 0.0
         assert math.isfinite(prob.log_value) and prob.log_value < -500
 
+    @pytest.mark.parametrize(
+        "mu,log_p",
+        [((-40.0, 0.0, 40.0), -1609.765982), ((0.0, 0.0, 60.0), -1209.074285)],
+    )
+    def test_underflow_log_value_matches_mpmath(self, mu, log_p):
+        # references: mpmath at 40 digits of log integral phi(s - mu_2)
+        # Phi(mu_1 - s) Phi(s - mu_3) ds; the ordered sample of (0, 0, 60)
+        # sits near t = 20, between the windows
+        with pytest.warns(UnderflowWarning):
+            prob = ordering_probability(MeanConfig(mu, 1.0))
+        assert prob.log_value == pytest.approx(log_p, abs=1e-3)
+        assert prob.log_err_est > 0.0
+
+    def test_far_leader_on_the_cone(self):
+        # the skipped gap keeps the nodes on the windows: P equals the p = 2
+        # value P(X_2 > X_3) for means (1, 0)
+        prob = ordering_probability(MeanConfig((1e4, 1.0, 0.0), 1.0))
+        assert prob.value == pytest.approx(0.7602499389, abs=1e-10)
+
+    def test_missed_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(ordering, "QUADRATURE_RTOL", 0.0)
+        with pytest.raises(ConvergenceFailure) as info:
+            ordering_probability(MeanConfig((2.0, 1.0, 0.0), 1.0))
+        assert info.value.value == pytest.approx(0.5361516, abs=1e-7)
+        assert info.value.err_est > 0.0
+
     def test_log_pass_matches_direct(self, monkeypatch):
         # force the log-space sweeps where the direct value is still
         # representable, so both paths can be compared
@@ -148,34 +178,54 @@ class TestOrderingProbability:
         assert np.abs(grad_stable - grad_direct).max() <= 1e-3
 
     @pytest.mark.parametrize("p", [10, 20])
-    def test_err_est_tracks_fine_grid_error(self, p, monkeypatch):
+    def test_err_est_tracks_fine_grid_error(self, p):
         rng = np.random.default_rng(p)
-        cfg = MeanConfig(tuple(rng.normal(0.0, 2.0, p)), 1.0)
-        prob = ordering_probability(cfg)
-        monkeypatch.setattr(ordering, "DEFAULT_GRID_POINTS", 16385)
-        error = abs(prob.value - ordering_probability(cfg).value)
+        mu = rng.normal(0.0, 2.0, p)
+        prob = ordering_probability(MeanConfig(tuple(mu), 1.0))
+        fine = _refine(*_layout(mu, 1.0), 8)  # 1/8-width panels
+        error = abs(prob.value - _grid_recursion(mu, 1.0, *fine)[0])
         assert error / 2 <= prob.err_est <= 2 * error
 
 
-class TestSimpsonKernels:
-    """scipy.integrate is the oracle for selex's own Simpson kernels."""
+class TestPanelKernels:
+    """The running integral of selex's panel Gauss-Legendre rule (sigma = 1)."""
 
-    @pytest.mark.parametrize("n", [3, 5, 1025, 2049])
-    @pytest.mark.parametrize("rows", [1, 2])
-    def test_cumulative_matches_scipy_bitwise(self, n, rows):
-        rng = np.random.default_rng(n + rows)
-        y = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-3, 3)
-        dx = rng.uniform(1e-3, 1.0)
-        expected = cumulative_simpson(y, dx=dx, axis=-1, initial=0.0)
-        assert np.array_equal(_cumulative_simpson(y, dx), expected)
+    @pytest.mark.parametrize("degree", range(PANEL_NODES))
+    def test_exact_for_polynomials(self, degree):
+        a = 1.3
+        t = _nodes(np.array([a]), PANEL_WIDTH)
+        got = _cumulative(t**degree, PANEL_WIDTH)
+        expected = (t ** (degree + 1) - a ** (degree + 1)) / (degree + 1)
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-15)
 
-    @pytest.mark.parametrize("n", [3, 5, 1025, 2049])
-    def test_simpson_matches_scipy(self, n):
-        rng = np.random.default_rng(n)
-        y = rng.uniform(0.0, 1.0, size=(2, n))
-        dx = rng.uniform(1e-3, 1.0)
-        expected = simpson(y, dx=dx, axis=-1)
-        np.testing.assert_allclose(_simpson(y, dx), expected, rtol=1e-14, atol=0)
+    def test_constant_across_skipped_gap(self):
+        # on the cone the gap (9, 32) between the windows of 1 and 40 is
+        # skipped, so the running integral of t^3 leaves its integral out
+        edges = _layout(np.array([40.0, 1.0, 0.0]), 1.0)[0]
+        assert edges[0] == -8.0 and edges[-1] + PANEL_WIDTH == 48.0
+        assert not np.any((edges > 9.0 - PANEL_WIDTH) & (edges < 32.0))
+        t = _nodes(edges, PANEL_WIDTH)
+        expected = (t**4 - edges[0] ** 4) / 4
+        expected[t > 32.0] -= (32.0**4 - 9.0**4) / 4
+        got = _cumulative(t**3, PANEL_WIDTH)
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    def test_mirrored_sweep_is_complement(self):
+        edges = _layout(np.array([40.0, 1.0, 0.0]), 1.0)[0]
+        t = _nodes(edges, PANEL_WIDTH)
+        y = np.exp(-0.5 * (t - 0.3) ** 2) + np.exp(-0.5 * (t - 39.0) ** 2)
+        below = _cumulative(y, PANEL_WIDTH)
+        above = _cumulative(y[::-1], PANEL_WIDTH)[::-1]
+        total = _integral(y, PANEL_WIDTH)
+        np.testing.assert_allclose(below + above, total, rtol=1e-14)
+
+    def test_covers_gap_off_the_cone(self):
+        # the ordered sample of (0, 0, 60) passes through the gap near t = 20
+        edges = _layout(np.array([0.0, 0.0, 60.0]), 1.0)[0]
+        np.testing.assert_allclose(np.diff(edges), PANEL_WIDTH)
+        assert edges[0] == -8.0 and edges[-1] + PANEL_WIDTH == 68.0
+        # on the cone the same means leave it out
+        assert _layout(np.array([60.0, 0.0, 0.0]), 1.0)[0].size == 2 * 16
 
 
 class TestMonteCarlo:
