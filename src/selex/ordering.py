@@ -42,10 +42,14 @@ symmetric within equal panels, so reversing the node array gives the
 layout of the mirrored problem and one kernel runs both sweeps.
 
 Accuracy. The rule's error falls as PANEL_WIDTH^(2 PANEL_NODES), so the
-same rule on halved panels estimates it: ``ordering_probability`` reports
-|P_h - P_{h/2}| and |log P_h - log P_{h/2}|, and raises ConvergenceFailure
-when the latter exceeds QUADRATURE_RTOL or a sweep would need more than
-MAX_NODES nodes. Where P underflows, both sweeps run in log space on panels
+same rule on halved panels estimates it: ``ordering_probability`` halves
+the panels until |log P_h - log P_{h/2}| is within QUADRATURE_RTOL, reports
+that and |P_h - P_{h/2}| for the coarser rule, and raises
+ConvergenceFailure when a sweep would need more than MAX_NODES nodes first.
+Off the cone the mass can sit in the far tails, where one PANEL_WIDTH
+panel spans many e-folds of the integrand: (0, 0, 20) needs two halvings.
+``grid_ordering_probability``, a uniform Simpson grid over the whole span,
+is an oracle for the layout that shares none of it. Where P underflows, both sweeps run in log space on panels
 LOG_SPACE_SPLIT times narrower, with a per-panel max shift. On the cone
 P >= 1/p!, so the solver never takes that path.
 """
@@ -294,8 +298,9 @@ def ordering_probability(cfg: MeanConfig) -> OrderingProb:
     Closed form for p = 2; panel quadrature (module docstring) otherwise.
     The quadrature's error estimates compare the rule with itself on halved
     panels, |P_h - P_{h/2}| and |log P_h - log P_{h/2}|, with floors of
-    eps * P and eps. Raises ConvergenceFailure when the log estimate exceeds
-    QUADRATURE_RTOL or the nodes would exceed MAX_NODES.
+    eps * P and eps; the panels are halved until the log estimate is within
+    QUADRATURE_RTOL. Raises ConvergenceFailure, with the last estimate, when
+    the nodes would exceed MAX_NODES first.
     """
     mu = np.asarray(cfg.mu, dtype=float)
     if cfg.p == 2:
@@ -307,18 +312,23 @@ def ordering_probability(cfg: MeanConfig) -> OrderingProb:
     eps = np.finfo(float).eps
     edges, width = _layout(mu, cfg.sigma)
     value, log_value, _ = _grid_recursion(mu, cfg.sigma, edges, width)
-    value_h, log_value_h, _ = _grid_recursion(
-        mu, cfg.sigma, *_refine(edges, width, 2)
-    )
-    err = abs(value - value_h) + eps * value
-    log_err = abs(log_value - log_value_h) + eps
-    if not log_err <= QUADRATURE_RTOL:
-        raise ConvergenceFailure(
-            f"quadrature error estimate {log_err:.3g} of log P exceeds "
-            f"{QUADRATURE_RTOL:g}",
-            value,
-            err,
-        )
+    err = log_err = math.inf
+    while True:  # halve the panels until two successive rules agree
+        try:
+            edges, width = _refine(edges, width, 2)
+            value_h, log_value_h, _ = _grid_recursion(mu, cfg.sigma, edges, width)
+        except ConvergenceFailure as exc:
+            raise ConvergenceFailure(
+                f"quadrature error estimate {log_err:.3g} of log P exceeds "
+                f"{QUADRATURE_RTOL:g} ({exc})",
+                value,
+                err,
+            ) from None
+        err = abs(value - value_h) + eps * value
+        log_err = abs(log_value - log_value_h) + eps
+        if log_err <= QUADRATURE_RTOL:
+            break
+        value, log_value = value_h, log_value_h
     if value < _UNDERFLOW_FLOOR:
         warnings.warn("ordering probability underflowed", UnderflowWarning)
     return OrderingProb(value, log_value, "quadrature", err, log_err)
@@ -351,6 +361,46 @@ def mc_ordering_probability(cfg: MeanConfig, n_draws: int, seed: int) -> Orderin
     return OrderingProb(
         p_hat, log_value, "monte_carlo", se, log_se, degenerate=degenerate
     )
+
+
+def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Running Simpson integral of y along the last axis, zero at the first point.
+
+    Even intervals take scipy's rule dx/3 (5 f0/4 + 2 f1 - f2/4) on the triple
+    they start, odd ones on the mirrored triple they end. Odd point count only.
+    """
+    a, b, c = y[..., :-2:2], y[..., 1::2], y[..., 2::2]
+    out = np.zeros_like(y)
+    out[..., 1::2] = dx / 3 * (5 * a / 4 + 2 * b - c / 4)
+    out[..., 2::2] = dx / 3 * (5 * c / 4 + 2 * b - a / 4)
+    return np.cumsum(out, axis=-1, out=out)
+
+
+def _simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Composite Simpson integral of y along the last axis (odd point count)."""
+    weights = np.r_[1.0, np.tile([4.0, 2.0], y.shape[-1] // 2 - 1), 4.0, 1.0]
+    return y @ weights * (dx / 3)
+
+
+def grid_ordering_probability(cfg: MeanConfig, points: int) -> float:
+    """Uniform-grid oracle: P by composite Simpson on ``points`` (odd) equally
+    spaced nodes from min(mu) - R sigma to max(mu) + R sigma.
+
+    It skips no gap and shares no code with the panel layout, so it checks
+    the gap rule, which the halving error estimate cannot: both of its rules
+    use the same layout. Linear space only; slow, for tests and checks.
+    """
+    if points < 3 or points % 2 == 0:
+        raise ValueError("points must be odd and at least 3")
+    mu = np.asarray(cfg.mu, dtype=float)
+    r = TRUNCATION_RADIUS * cfg.sigma
+    t, dx = np.linspace(mu.min() - r, mu.max() + r, points, retstep=True)
+    z = (t[None, :] - mu[:, None]) / cfg.sigma
+    f = np.exp(-0.5 * z * z) * (INV_SQRT_2PI / cfg.sigma)
+    below = np.ones_like(t)
+    for k in range(cfg.p - 1, 0, -1):
+        below = _cumulative_simpson(f[k] * below, dx)
+    return float(_simpson(f[0] * below, dx))
 
 
 def grad_log_ordering_probability(cfg: MeanConfig) -> np.ndarray:

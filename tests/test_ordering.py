@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson, simpson
 
 from selex import ordering
 from selex.ordering import (
@@ -12,12 +13,15 @@ from selex.ordering import (
     MeanConfig,
     UnderflowWarning,
     _cumulative,
+    _cumulative_simpson,
     _integral,
     _grid_recursion,
     _layout,
     _nodes,
     _refine,
+    _simpson,
     grad_log_ordering_probability,
+    grid_ordering_probability,
     inverse_mills,
     mc_ordering_probability,
     ordering_probability,
@@ -186,6 +190,23 @@ class TestOrderingProbability:
         error = abs(prob.value - _grid_recursion(mu, 1.0, *fine)[0])
         assert error / 2 <= prob.err_est <= 2 * error
 
+    @pytest.mark.parametrize(
+        "mu",
+        [
+            (0.0, 0.0, 20.0),
+            (0.0, 30.0, -30.0),
+            (0.0, 20.0, 0.0, -20.0),
+            (30.0, 0.0, -30.0),
+            (25.0, 0.0, -2.0, -30.0),
+        ],
+    )
+    def test_matches_uniform_grid_oracle(self, mu):
+        # the oracle covers every gap; off the cone the mass sits in the
+        # windows' far tails, where 1-sigma panels need halving
+        cfg = MeanConfig(mu, 1.0)
+        expected = grid_ordering_probability(cfg, 16385)
+        assert ordering_probability(cfg).value == pytest.approx(expected, rel=1e-6)
+
 
 class TestPanelKernels:
     """The running integral of selex's panel Gauss-Legendre rule (sigma = 1)."""
@@ -226,6 +247,27 @@ class TestPanelKernels:
         assert edges[0] == -8.0 and edges[-1] + PANEL_WIDTH == 68.0
         # on the cone the same means leave it out
         assert _layout(np.array([60.0, 0.0, 0.0]), 1.0)[0].size == 2 * 16
+
+
+class TestSimpsonKernels:
+    """scipy.integrate is the oracle for the grid oracle's Simpson kernels."""
+
+    @pytest.mark.parametrize("n", [3, 5, 1025, 2049])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_cumulative_matches_scipy_bitwise(self, n, rows):
+        rng = np.random.default_rng(n + rows)
+        y = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-3, 3)
+        dx = rng.uniform(1e-3, 1.0)
+        expected = cumulative_simpson(y, dx=dx, axis=-1, initial=0.0)
+        assert np.array_equal(_cumulative_simpson(y, dx), expected)
+
+    @pytest.mark.parametrize("n", [3, 5, 1025, 2049])
+    def test_simpson_matches_scipy(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.uniform(0.0, 1.0, size=(2, n))
+        dx = rng.uniform(1e-3, 1.0)
+        expected = simpson(y, dx=dx, axis=-1)
+        np.testing.assert_allclose(_simpson(y, dx), expected, rtol=1e-14, atol=0)
 
 
 class TestMonteCarlo:
