@@ -25,7 +25,6 @@ from .ordering import (
     UnderflowWarning,
     grad_log_ordering_probability,
     inverse_mills,
-    log_ordering_probability,
     mc_ordering_probability,
     ordering_probability,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "export_results",
     "grad_log_ordering_probability",
     "inverse_mills",
-    "log_ordering_probability",
     "mc_ordering_probability",
     "ordering_probability",
     "project_monotone",

@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract for scripting:
   0 success, 2 usage/config error, 3 quadrature failure,
-  4 optimizer non-convergence, 5 experiment replicate hard-failure
+  4 optimizer non-convergence, 5 an experiment replicate was redrawn
   (with --strict).
 """
 
@@ -18,6 +18,7 @@ from .estimator import (
     MaxIterationsExceeded,
     ObservedSample,
     ccmle,
+    conditional_log_likelihood,
 )
 from .experiments import (
     BootstrapConfig,
@@ -109,11 +110,12 @@ def cmd_estimate(args) -> int:
         result = exc.result
         flagged = True
     estimates = result.in_original_order()
+    log_likelihood = conditional_log_likelihood(result.mu_hat, obs)
     payload = {
         "estimates": [float(v) for v in estimates],
         "groups": result.groups,
         "path": result.path,
-        "log_likelihood": result.log_likelihood,
+        "log_likelihood": log_likelihood,
         "converged": result.converged,
     }
     lines = [
@@ -121,7 +123,7 @@ def cmd_estimate(args) -> int:
         + ", ".join(f"{v:.6g}" for v in estimates),
         f"tie groups (rank order): {result.groups}",
         f"path = {result.path}",
-        f"log-likelihood = {result.log_likelihood:.10g}",
+        f"log-likelihood = {log_likelihood:.10g}",
     ]
     if args.diagnostics:
         payload.update(
@@ -165,6 +167,15 @@ def _infer_format(args) -> str:
     return "json" if str(args.out).endswith(".json") else "csv"
 
 
+def _finish(args, summary: str, redrawn: int, what: str) -> int:
+    """Print an experiment's summary line; with --strict any redraw exits 5."""
+    print(f"{summary} ({redrawn} redrawn {what})")
+    if args.strict and redrawn > 0:
+        print(f"ERROR: {what} redrawn in strict mode", file=sys.stderr)
+        return EXIT_REPLICATE
+    return EXIT_OK
+
+
 def cmd_simulate_mse(args) -> int:
     flags = {
         "mu_true": _parse_reals(args.mu, "--mu") if args.mu else None,
@@ -177,14 +188,8 @@ def cmd_simulate_mse(args) -> int:
     cfg = _load_config(args.config, MseConfig, flags)
     table = run_mse(cfg)
     export_results(table.rows, _infer_format(args), args.out)
-    print(
-        f"simulate-mse: {len(table.rows)} rows written to {args.out} "
-        f"({table.n_failures} redrawn replicates)"
-    )
-    if args.strict and table.n_failures > 0:
-        print("ERROR: replicate failures in strict mode", file=sys.stderr)
-        return EXIT_REPLICATE
-    return EXIT_OK
+    summary = f"simulate-mse: {len(table.rows)} rows written to {args.out}"
+    return _finish(args, summary, table.n_failures, "replicates")
 
 
 def cmd_bootstrap_ci(args) -> int:
@@ -199,14 +204,8 @@ def cmd_bootstrap_ci(args) -> int:
     cfg = _load_config(args.config, BootstrapConfig, flags)
     intervals = run_bootstrap_ci(cfg)
     export_results(intervals.rows, _infer_format(args), args.out)
-    print(
-        f"bootstrap-ci: {len(intervals.rows)} ranks written to {args.out} "
-        f"({intervals.n_failures} rejected resamples)"
-    )
-    if args.strict and intervals.n_failures > 0:
-        print("ERROR: replicate failures in strict mode", file=sys.stderr)
-        return EXIT_REPLICATE
-    return EXIT_OK
+    summary = f"bootstrap-ci: {len(intervals.rows)} ranks written to {args.out}"
+    return _finish(args, summary, intervals.n_failures, "resamples")
 
 
 def _parse_ranks(text: str) -> tuple[int, ...]:
@@ -271,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--format", choices=["csv", "json"],
                    help="output format (default from extension)")
     b.add_argument("--strict", action="store_true",
-                   help="exit 5 if any resample hard-fails")
+                   help="exit 5 if any resample had to be redrawn")
     b.set_defaults(fn=cmd_bootstrap_ci)
 
     return parser

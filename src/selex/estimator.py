@@ -16,8 +16,8 @@ input therefore leaves the solve unchanged. The objective is concave with
 Hessian -Cov(X | order)/sigma^4, and a normal conditioned on the convex
 order cone has Cov(X | order) <= sigma^2 I (Brascamp-Lieb). So the
 gradient is 1/sigma^2-Lipschitz, and the projected step of length sigma^2
-(unit length in nu) ascends from any point: no line search is needed. In
-nu the step is
+(unit length in nu) ascends from any point: neither a line search nor the
+objective's value is needed. In nu the step is
 
     nu+ = project_monotone(z - grad log P_1(nu)),
 
@@ -39,8 +39,7 @@ from .ordering import (
     MeanConfig,
     grad_log_ordering_probability,
     inverse_mills,
-    log_ordering_probability,
-    ordering_probability,  # noqa: F401  only the benchmark's tracer looks it up here
+    ordering_probability,
 )
 
 POOLING_THRESHOLD = 2.0 / math.sqrt(math.pi)  # times sigma
@@ -116,7 +115,6 @@ class CcmleResult:
     path: str  # closed_form_pooled | closed_form_interior | numeric
     iterations: int
     kkt_residual: float
-    log_likelihood: float
     permutation: np.ndarray
     converged: bool = True
 
@@ -127,10 +125,13 @@ class CcmleResult:
 
 
 def conditional_log_likelihood(mu: np.ndarray, obs: ObservedSample) -> float:
-    """Selection-conditioned log-likelihood, constant term dropped."""
-    mu = np.asarray(mu, dtype=float)
-    quad = -0.5 * float(np.sum((obs.x - mu) ** 2)) / (obs.sigma**2)
-    return quad - log_ordering_probability(MeanConfig(tuple(mu), obs.sigma))
+    """Selection-conditioned log-likelihood, constant term dropped, in the
+    standardized coordinates of ``ccmle``; log P comes from the checked
+    ``ordering_probability``, which raises ConvergenceFailure off tolerance."""
+    nu = (np.asarray(mu, dtype=float) - obs.xbar) / obs.sigma
+    z = (obs.x - obs.xbar) / obs.sigma
+    log_p = ordering_probability(MeanConfig(tuple(nu), 1.0)).log_value
+    return -0.5 * float(np.sum((z - nu) ** 2)) - log_p
 
 
 def project_monotone(v: np.ndarray) -> np.ndarray:
@@ -173,9 +174,8 @@ def ccmle_p2(obs: ObservedSample) -> CcmleResult:
 
     if gap <= POOLING_THRESHOLD * sigma:
         mu_hat = np.array([xbar, xbar])
-        ll = conditional_log_likelihood(mu_hat, obs)
         return CcmleResult(
-            mu_hat, [[0, 1]], "closed_form_pooled", 0, 0.0, ll, obs.permutation
+            mu_hat, [[0, 1]], "closed_form_pooled", 0, 0.0, obs.permutation
         )
 
     scale = SQRT_2 / sigma
@@ -190,14 +190,12 @@ def ccmle_p2(obs: ObservedSample) -> CcmleResult:
         )
     m1 = brentq(stationarity, lo, hi, xtol=1e-15, rtol=8.9e-16)
     mu_hat = np.array([m1, x1 + x2 - m1])
-    ll = conditional_log_likelihood(mu_hat, obs)
     return CcmleResult(
         mu_hat,
         [[0], [1]],
         "closed_form_interior",
         0,
         abs(stationarity(m1)),
-        ll,
         obs.permutation,
     )
 
@@ -222,25 +220,25 @@ def ccmle(obs: ObservedSample, method: str = "auto") -> CcmleResult:
     the module docstring, the first of which is the Taylor step, until the
     step is shorter than ``KKT_TOL`` (in sigma units, reported as
     ``kkt_residual``). Each step ascends, by the Brascamp-Lieb bound
-    Cov(X | order) <= sigma^2 I. Tie groups are the blocks that
-    pool-adjacent-violators set to one value. Raises MaxIterationsExceeded,
-    carrying the last iterate, if the tolerance is not reached within
-    ``MAX_ITERATIONS`` steps.
+    Cov(X | order) <= sigma^2 I, so a step costs one gradient evaluation and
+    no objective value (``conditional_log_likelihood`` gives it on request).
+    Tie groups are the blocks that pool-adjacent-violators set to one value.
+    Raises MaxIterationsExceeded, carrying the last iterate, if the
+    tolerance is not reached within ``MAX_ITERATIONS`` steps.
     """
     if method not in ("auto", "numeric"):
         raise ValueError("method must be 'auto' or 'numeric'")
     if obs.p == 2 and method == "auto":
         return ccmle_p2(obs)
 
-    # shifting and scaling by sigma > 0 keep the order, so std.x lines up with obs.x
-    std = ObservedSample((obs.x - obs.xbar) / obs.sigma, 1.0)
-    nu = std.x
+    z = (obs.x - obs.xbar) / obs.sigma  # still in descending order
+    nu = z
     kkt = math.inf
     iterations = 0
     while kkt > KKT_TOL and iterations < MAX_ITERATIONS:
         iterations += 1
         grad = grad_log_ordering_probability(MeanConfig(tuple(nu), 1.0))
-        nu_next = project_monotone(std.x - grad)
+        nu_next = project_monotone(z - grad)
         kkt = float(np.linalg.norm(nu_next - nu))
         nu = nu_next
     converged = kkt <= KKT_TOL
@@ -251,7 +249,6 @@ def ccmle(obs: ObservedSample, method: str = "auto") -> CcmleResult:
         "numeric",
         iterations,
         kkt,
-        conditional_log_likelihood(nu, std),
         obs.permutation,
         converged,
     )

@@ -48,10 +48,11 @@ that and |P_h - P_{h/2}| for the coarser rule, and raises
 ConvergenceFailure when a sweep would need more than MAX_NODES nodes first.
 Off the cone the mass can sit in the far tails, where one PANEL_WIDTH
 panel spans many e-folds of the integrand: (0, 0, 20) needs two halvings.
-``grid_ordering_probability``, a uniform Simpson grid over the whole span,
-is an oracle for the layout that shares none of it. Where P underflows, both sweeps run in log space on panels
-LOG_SPACE_SPLIT times narrower, with a per-panel max shift. On the cone
-P >= 1/p!, so the solver never takes that path.
+The gradient takes the same loop off the cone. On the cone, the only place
+the solver evaluates it, the first halving converges, so it takes the
+unhalved rule with no error pass. Where P underflows, both sweeps run in
+log space on panels LOG_SPACE_SPLIT times narrower, with a per-panel max
+shift; on the cone P >= 1/p!, so the solver never takes that path.
 """
 
 from __future__ import annotations
@@ -283,22 +284,39 @@ def _closed_form_p2(mu: np.ndarray, sigma: float) -> tuple[float, float]:
     return float(ndtr(-u)), float(log_ndtr(-u))
 
 
-def log_ordering_probability(cfg: MeanConfig) -> float:
-    """log P(X_1 > ... > X_p): the value of ``ordering_probability`` without
-    its error pass, which the solver's objective does not need."""
-    mu = np.asarray(cfg.mu, dtype=float)
-    if cfg.p == 2:
-        return _closed_form_p2(mu, cfg.sigma)[1]
-    return _grid_recursion(mu, cfg.sigma, *_layout(mu, cfg.sigma))[1]
+def _converged(mu: np.ndarray, sigma: float, gradient: bool = False) -> tuple:
+    """((P, log P, gradient or None), err, log_err) of ``_grid_recursion`` on
+    the panels of ``_layout``, halved until log P_h and log P_{h/2} agree
+    within QUADRATURE_RTOL: the coarser rule, |P_h - P_{h/2}| + eps P and
+    |log P_h - log P_{h/2}| + eps. Raises ConvergenceFailure, with the last
+    estimate, when the nodes would exceed MAX_NODES first."""
+    eps = np.finfo(float).eps
+    edges, width = _layout(mu, sigma)
+    coarse = _grid_recursion(mu, sigma, edges, width, gradient)
+    err = log_err = math.inf
+    while True:
+        try:
+            edges, width = _refine(edges, width, 2)
+            fine = _grid_recursion(mu, sigma, edges, width, gradient)
+        except ConvergenceFailure as exc:
+            raise ConvergenceFailure(
+                f"quadrature error estimate {log_err:.3g} of log P exceeds "
+                f"{QUADRATURE_RTOL:g} ({exc})",
+                coarse[0],
+                err,
+            ) from None
+        err = abs(coarse[0] - fine[0]) + eps * coarse[0]
+        log_err = abs(coarse[1] - fine[1]) + eps
+        if log_err <= QUADRATURE_RTOL:
+            return coarse, err, log_err
+        coarse = fine
 
 
 def ordering_probability(cfg: MeanConfig) -> OrderingProb:
     """P(X_1 > X_2 > ... > X_p) for independent X_i ~ N(mu_i, sigma^2).
 
-    Closed form for p = 2; panel quadrature (module docstring) otherwise.
-    The quadrature's error estimates compare the rule with itself on halved
-    panels, |P_h - P_{h/2}| and |log P_h - log P_{h/2}|, with floors of
-    eps * P and eps; the panels are halved until the log estimate is within
+    Closed form for p = 2; panel quadrature (module docstring) otherwise,
+    with the panels halved until the error estimate of log P is within
     QUADRATURE_RTOL. Raises ConvergenceFailure, with the last estimate, when
     the nodes would exceed MAX_NODES first.
     """
@@ -309,26 +327,7 @@ def ordering_probability(cfg: MeanConfig) -> OrderingProb:
             warnings.warn("ordering probability underflowed", UnderflowWarning)
         return OrderingProb(value, log_value, "closed_form_p2", 1e-16, 1e-16)
 
-    eps = np.finfo(float).eps
-    edges, width = _layout(mu, cfg.sigma)
-    value, log_value, _ = _grid_recursion(mu, cfg.sigma, edges, width)
-    err = log_err = math.inf
-    while True:  # halve the panels until two successive rules agree
-        try:
-            edges, width = _refine(edges, width, 2)
-            value_h, log_value_h, _ = _grid_recursion(mu, cfg.sigma, edges, width)
-        except ConvergenceFailure as exc:
-            raise ConvergenceFailure(
-                f"quadrature error estimate {log_err:.3g} of log P exceeds "
-                f"{QUADRATURE_RTOL:g} ({exc})",
-                value,
-                err,
-            ) from None
-        err = abs(value - value_h) + eps * value
-        log_err = abs(log_value - log_value_h) + eps
-        if log_err <= QUADRATURE_RTOL:
-            break
-        value, log_value = value_h, log_value_h
+    (value, log_value, _), err, log_err = _converged(mu, cfg.sigma)
     if value < _UNDERFLOW_FLOOR:
         warnings.warn("ordering probability underflowed", UnderflowWarning)
     return OrderingProb(value, log_value, "quadrature", err, log_err)
@@ -363,46 +362,6 @@ def mc_ordering_probability(cfg: MeanConfig, n_draws: int, seed: int) -> Orderin
     )
 
 
-def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
-    """Running Simpson integral of y along the last axis, zero at the first point.
-
-    Even intervals take scipy's rule dx/3 (5 f0/4 + 2 f1 - f2/4) on the triple
-    they start, odd ones on the mirrored triple they end. Odd point count only.
-    """
-    a, b, c = y[..., :-2:2], y[..., 1::2], y[..., 2::2]
-    out = np.zeros_like(y)
-    out[..., 1::2] = dx / 3 * (5 * a / 4 + 2 * b - c / 4)
-    out[..., 2::2] = dx / 3 * (5 * c / 4 + 2 * b - a / 4)
-    return np.cumsum(out, axis=-1, out=out)
-
-
-def _simpson(y: np.ndarray, dx: float) -> np.ndarray:
-    """Composite Simpson integral of y along the last axis (odd point count)."""
-    weights = np.r_[1.0, np.tile([4.0, 2.0], y.shape[-1] // 2 - 1), 4.0, 1.0]
-    return y @ weights * (dx / 3)
-
-
-def grid_ordering_probability(cfg: MeanConfig, points: int) -> float:
-    """Uniform-grid oracle: P by composite Simpson on ``points`` (odd) equally
-    spaced nodes from min(mu) - R sigma to max(mu) + R sigma.
-
-    It skips no gap and shares no code with the panel layout, so it checks
-    the gap rule, which the halving error estimate cannot: both of its rules
-    use the same layout. Linear space only; slow, for tests and checks.
-    """
-    if points < 3 or points % 2 == 0:
-        raise ValueError("points must be odd and at least 3")
-    mu = np.asarray(cfg.mu, dtype=float)
-    r = TRUNCATION_RADIUS * cfg.sigma
-    t, dx = np.linspace(mu.min() - r, mu.max() + r, points, retstep=True)
-    z = (t[None, :] - mu[:, None]) / cfg.sigma
-    f = np.exp(-0.5 * z * z) * (INV_SQRT_2PI / cfg.sigma)
-    below = np.ones_like(t)
-    for k in range(cfg.p - 1, 0, -1):
-        below = _cumulative_simpson(f[k] * below, dx)
-    return float(_simpson(f[0] * below, dx))
-
-
 def grad_log_ordering_probability(cfg: MeanConfig) -> np.ndarray:
     """Gradient of log P(X_1 > ... > X_p) with respect to the means.
 
@@ -412,13 +371,16 @@ def grad_log_ordering_probability(cfg: MeanConfig) -> np.ndarray:
         d log P / d mu_k = (E[X_k | order] - mu_k) / sigma^2,
 
     with the truncated mean taken from one "below t" and one "above t"
-    sweep on the panels of ``ordering_probability`` (module docstring). When
-    P underflows both sweeps run in log space, so the gradient stays finite.
+    sweep (module docstring), on the panels ``ordering_probability``
+    converges on; on the cone, where the solver steps, those of ``_layout``
+    with no error pass. When P underflows both sweeps run in log space, so
+    the gradient stays finite.
     """
     mu = np.asarray(cfg.mu, dtype=float)
     if cfg.p == 2:
         u = (mu[1] - mu[0]) / (cfg.sigma * SQRT_2)
         g = inverse_mills(u) / (cfg.sigma * SQRT_2)
         return np.array([g, -g])
-
+    if list(cfg.mu) != sorted(cfg.mu, reverse=True):  # off the cone
+        return _converged(mu, cfg.sigma, gradient=True)[0][2]
     return _grid_recursion(mu, cfg.sigma, *_layout(mu, cfg.sigma), gradient=True)[2]

@@ -19,6 +19,21 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def fail_once(monkeypatch, call: int) -> None:
+    """Serial experiments whose ``call``-th solve (1-based) fails, once."""
+    monkeypatch.setenv("SELEX_THREADS", "1")
+    real = experiments.ccmle
+    calls = []
+
+    def flaky(obs):
+        calls.append(obs)
+        if len(calls) == call:
+            raise MaxIterationsExceeded("forced failure", None)
+        return real(obs)
+
+    monkeypatch.setattr(experiments, "ccmle", flaky)
+
+
 class TestProb:
     def test_symmetric_pair(self, capsys):
         code, out, _ = run(capsys, ["prob", "--means", "0,0", "--sigma", "1"])
@@ -91,6 +106,16 @@ class TestEstimate:
         code, out, _ = run(capsys, ["estimate", "--obs", "1,0.5", "--sigma", "1", "--json"])
         est = json.loads(out)["estimates"]
         assert est == pytest.approx([0.75, 0.75], abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "obs,sigma,expected",
+        [("10,9.5,9,0", "1", 1.541759469255781), ("3,2.2,1", "0.5", 0.2266134887859721)],
+    )
+    def test_log_likelihood(self, capsys, obs, sigma, expected):
+        # the CLI evaluates the objective once, at the reported estimate
+        code, out, _ = run(capsys, ["estimate", "--obs", obs, "--sigma", sigma, "--json"])
+        assert code == 0
+        assert json.loads(out)["log_likelihood"] == pytest.approx(expected, abs=1e-14)
 
     def test_diagnostics(self, capsys):
         code, out, _ = run(
@@ -191,6 +216,20 @@ class TestSimulateMse:
         assert code == 4
         assert "(seed=1, b=" in err
 
+    @pytest.mark.parametrize("strict,expected", [(False, 0), (True, 5)])
+    def test_strict_exits_5_on_a_redraw(
+        self, capsys, monkeypatch, tmp_path, strict, expected
+    ):
+        fail_once(monkeypatch, 5)
+        code, out, err = run(
+            capsys,
+            ["simulate-mse", "--mu", "0.5,0", "--reps", "100", "--seed", "1",
+             "--out", str(tmp_path / "x.csv")] + ["--strict"] * strict,
+        )
+        assert code == expected
+        assert "(1 redrawn replicates)" in out
+        assert ("redrawn in strict mode" in err) == strict
+
 
 class TestBootstrapCi:
     def test_writes_output(self, capsys, tmp_path):
@@ -233,6 +272,21 @@ class TestBootstrapCi:
         )
         assert code == 4
         assert "(seed=3, b=0)" in err
+
+    @pytest.mark.parametrize("strict,expected", [(False, 0), (True, 5)])
+    def test_strict_exits_5_on_a_redraw(
+        self, capsys, monkeypatch, tmp_path, strict, expected
+    ):
+        fail_once(monkeypatch, 2)  # resample 0; the first solve is the point estimate
+        code, out, err = run(
+            capsys,
+            ["bootstrap-ci", "--mu", "1,0", "--n-per-group", "15", "--obs-sd", "1",
+             "--n-boot", "999", "--seed", "2", "--out", str(tmp_path / "ci.csv")]
+            + ["--strict"] * strict,
+        )
+        assert code == expected
+        assert "(1 redrawn resamples)" in out
+        assert ("redrawn in strict mode" in err) == strict
 
 
 class TestHelp:

@@ -7,25 +7,64 @@ from scipy.integrate import cumulative_simpson, simpson
 
 from selex import ordering
 from selex.ordering import (
+    INV_SQRT_2PI,
     PANEL_NODES,
     PANEL_WIDTH,
+    TRUNCATION_RADIUS,
     ConvergenceFailure,
     MeanConfig,
     UnderflowWarning,
     _cumulative,
-    _cumulative_simpson,
     _integral,
     _grid_recursion,
     _layout,
     _nodes,
     _refine,
-    _simpson,
     grad_log_ordering_probability,
-    grid_ordering_probability,
     inverse_mills,
     mc_ordering_probability,
     ordering_probability,
 )
+
+
+def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Running Simpson integral of y along the last axis, zero at the first point.
+
+    Even intervals take scipy's rule dx/3 (5 f0/4 + 2 f1 - f2/4) on the triple
+    they start, odd ones on the mirrored triple they end. Odd point count only.
+    """
+    a, b, c = y[..., :-2:2], y[..., 1::2], y[..., 2::2]
+    out = np.zeros_like(y)
+    out[..., 1::2] = dx / 3 * (5 * a / 4 + 2 * b - c / 4)
+    out[..., 2::2] = dx / 3 * (5 * c / 4 + 2 * b - a / 4)
+    return np.cumsum(out, axis=-1, out=out)
+
+
+def _simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Composite Simpson integral of y along the last axis (odd point count)."""
+    weights = np.r_[1.0, np.tile([4.0, 2.0], y.shape[-1] // 2 - 1), 4.0, 1.0]
+    return y @ weights * (dx / 3)
+
+
+def grid_ordering_probability(cfg: MeanConfig, points: int) -> float:
+    """Uniform-grid oracle: P by composite Simpson on ``points`` (odd) equally
+    spaced nodes from min(mu) - R sigma to max(mu) + R sigma.
+
+    It skips no gap and shares no code with the panel layout, so it checks
+    the gap rule, which the halving error estimate cannot: both of its rules
+    use the same layout. Linear space only; slow, for tests and checks.
+    """
+    if points < 3 or points % 2 == 0:
+        raise ValueError("points must be odd and at least 3")
+    mu = np.asarray(cfg.mu, dtype=float)
+    r = TRUNCATION_RADIUS * cfg.sigma
+    t, dx = np.linspace(mu.min() - r, mu.max() + r, points, retstep=True)
+    z = (t[None, :] - mu[:, None]) / cfg.sigma
+    f = np.exp(-0.5 * z * z) * (INV_SQRT_2PI / cfg.sigma)
+    below = np.ones_like(t)
+    for k in range(cfg.p - 1, 0, -1):
+        below = _cumulative_simpson(f[k] * below, dx)
+    return float(_simpson(f[0] * below, dx))
 
 
 def fd_grad(cfg: MeanConfig) -> np.ndarray:
@@ -340,6 +379,29 @@ class TestGradient:
             moved = MeanConfig(tuple(m + c for m in cfg.mu), cfg.sigma)
             shifted = grad_log_ordering_probability(moved)
             assert np.abs(shifted - base).max() * cfg.sigma <= 1e-10
+
+    def test_off_cone_matches_refined_panels(self):
+        # the mass of (0, 30, -30) sits in the windows' far tails: the rule on
+        # 1-sigma panels reads 15.194 for the first entry, 15.033 refined
+        mu = np.array([0.0, 30.0, -30.0])
+        fine = _refine(*_layout(mu, 1.0), 8)
+        expected = _grid_recursion(mu, 1.0, *fine, gradient=True)[2]
+        grad = grad_log_ordering_probability(MeanConfig(tuple(mu), 1.0))
+        assert np.abs(grad - expected).max() <= 1e-6
+
+    def test_cone_takes_one_rule(self):
+        # on the cone, where the solver steps, the gradient is the rule on the
+        # panels of _layout, with no error pass, and that rule is the one
+        # ordering_probability converges on
+        rng = np.random.default_rng(13)
+        for p in (3, 4, 6, 10, 20):
+            cfg = random_means(rng, p, on_cone=True)
+            mu = np.asarray(cfg.mu)
+            panels = _layout(mu, cfg.sigma)
+            grad = _grid_recursion(mu, cfg.sigma, *panels, gradient=True)[2]
+            assert np.array_equal(grad_log_ordering_probability(cfg), grad)
+            log_value = _grid_recursion(mu, cfg.sigma, *panels)[1]
+            assert ordering_probability(cfg).log_value == log_value
 
     def test_underflow_stays_finite(self):
         cfg = MeanConfig((0.0, 0.0, 60.0), 1.0)  # log P about -1209
