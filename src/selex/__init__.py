@@ -4,7 +4,6 @@ from .estimator import (
     CcmleResult,
     MaxIterationsExceeded,
     ObservedSample,
-    RootBracketFailure,
     ccmle,
     ccmle_p2,
     conditional_log_likelihood,
@@ -41,7 +40,6 @@ __all__ = [
     "ObservedSample",
     "OrderingProb",
     "ResultTable",
-    "RootBracketFailure",
     "UnderflowWarning",
     "ccmle",
     "ccmle_p2",

@@ -67,8 +67,6 @@ def cmd_prob(args) -> int:
     means = _parse_reals(args.means, "--means")
     if len(means) < 2:
         raise CliError("--means needs at least 2 values")
-    if not args.sigma > 0:
-        raise CliError("--sigma must be positive")
     cfg = MeanConfig(means, args.sigma)
     if args.mc is not None:
         prob = mc_ordering_probability(cfg, args.mc, args.seed)
@@ -100,8 +98,6 @@ def cmd_estimate(args) -> int:
     obs_values = _parse_reals(args.obs, "--obs")
     if len(obs_values) < 2:
         raise CliError("--obs needs at least 2 values")
-    if not args.sigma > 0:
-        raise CliError("--sigma must be positive")
     obs = ObservedSample(np.array(obs_values), args.sigma)
     flagged = False
     try:

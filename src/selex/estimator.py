@@ -7,7 +7,7 @@ The estimate maximizes the selection-conditioned log-likelihood
 over the monotone cone {mu : mu_1 >= mu_2 >= ... >= mu_p}. Two populations
 admit an exact solution: observations closer than 2 sigma / sqrt(pi) pool at
 the grand mean, wider gaps shrink toward each other through a single
-transcendental root.
+transcendental root, which ``ccmle_p2_rows`` finds for many samples at once.
 
 The general case solves in standardized coordinates z = (x - xbar)/sigma,
 nu = (mu - xbar)/sigma, where the objective is the same function with
@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .ordering import (
     SQRT_2,
@@ -45,10 +44,8 @@ from .ordering import (
 POOLING_THRESHOLD = 2.0 / math.sqrt(math.pi)  # times sigma
 KKT_TOL = 1e-7  # bound on the last unit step ||mu+ - mu|| / sigma
 MAX_ITERATIONS = 500  # steps, one gradient evaluation each
-
-
-class RootBracketFailure(RuntimeError):
-    """The p=2 stationarity equation lost its bracket; internal error."""
+P2_XTOL = 1e-12  # last Newton step of the p = 2 root, relative to max(1, nu)
+P2_MAX_STEPS = 100  # Newton steps of one p = 2 root
 
 
 class MaxIterationsExceeded(RuntimeError):
@@ -158,46 +155,48 @@ def project_monotone(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def ccmle_p2(obs: ObservedSample) -> CcmleResult:
-    """Exact two-population solution.
+def ccmle_p2_rows(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact p = 2 estimates of the descending rows of ``x``, and each |f(nu_1)|.
 
-    Pools at the grand mean when the gap is at most 2 sigma / sqrt(pi);
-    otherwise solves g(sqrt(2)/sigma (xbar - m1)) = sqrt(2)/sigma (x1 - m1)
-    for the unique interior stationary point.
+    Rows with gap <= POOLING_THRESHOLD sigma pool at their mean xbar; others
+    take mu = xbar + sigma (nu_1, -nu_1), nu_1 the root in [0, d = (x_1 - xbar)
+    / sigma] of the increasing, convex f below (g' = g (g - u) is in (0, 1)):
+    Newton's method from d, each row on its own steps, descends onto it.
     """
+
+    def stationarity(nu, d):  # f(nu) = g(-sqrt(2) nu) - sqrt(2) (d - nu), and g
+        g = inverse_mills(-SQRT_2 * nu)
+        return g - SQRT_2 * (d - nu), g
+
+    if not np.all(np.isfinite(x)):
+        raise ValueError("observations must be finite")
+    xbar = x.mean(axis=1)
+    with np.errstate(over="ignore"):  # an overflow is caught here
+        d = (x[:, 0] - xbar) / sigma
+        if not np.all(np.isfinite(SQRT_2 * d)):
+            raise ValueError("observations too far apart for sigma to standardize")
+    interior = x[:, 0] - x[:, 1] > POOLING_THRESHOLD * sigma
+    nu = np.where(interior, d, 0.0)
+    todo = np.flatnonzero(interior)
+    for _ in range(P2_MAX_STEPS):
+        v = nu[todo]
+        f, g = stationarity(v, d[todo])
+        nu[todo] = np.clip(v - f / (SQRT_2 * (1.0 - g * (g + SQRT_2 * v))), 0.0, d[todo])
+        todo = todo[~(np.abs(nu[todo] - v) <= P2_XTOL * np.maximum(1.0, v))]  # NaN stays
+        if todo.size == 0:
+            residual = np.where(interior, np.abs(stationarity(nu, d)[0]), 0.0)
+            return xbar[:, None] + sigma * np.column_stack((nu, -nu)), residual
+    raise RuntimeError(f"p = 2 root unconverged after {P2_MAX_STEPS} steps, d = {d[todo]}")
+
+
+def ccmle_p2(obs: ObservedSample) -> CcmleResult:
+    """``ccmle_p2_rows`` on one sample, its |f(nu_1)| as ``kkt_residual``."""
     if obs.p != 2:
         raise ValueError("ccmle_p2 requires exactly 2 observations")
-    x1, x2 = float(obs.x[0]), float(obs.x[1])
-    sigma = obs.sigma
-    xbar = 0.5 * (x1 + x2)
-    gap = x1 - x2
-
-    if gap <= POOLING_THRESHOLD * sigma:
-        mu_hat = np.array([xbar, xbar])
-        return CcmleResult(
-            mu_hat, [[0, 1]], "closed_form_pooled", 0, 0.0, obs.permutation
-        )
-
-    scale = SQRT_2 / sigma
-
-    def stationarity(m1: float) -> float:
-        return inverse_mills(scale * (xbar - m1)) - scale * (x1 - m1)
-
-    lo, hi = xbar, x1
-    if not (stationarity(lo) < 0 < stationarity(hi)):
-        raise RootBracketFailure(
-            f"no sign change on [{lo}, {hi}] for gap {gap}, sigma {sigma}"
-        )
-    m1 = brentq(stationarity, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    mu_hat = np.array([m1, x1 + x2 - m1])
-    return CcmleResult(
-        mu_hat,
-        [[0], [1]],
-        "closed_form_interior",
-        0,
-        abs(stationarity(m1)),
-        obs.permutation,
-    )
+    mu_hat, residual = ccmle_p2_rows(obs.x[None, :], obs.sigma)
+    groups = _tie_groups(mu_hat[0])
+    path = "closed_form_pooled" if len(groups) == 1 else "closed_form_interior"
+    return CcmleResult(mu_hat[0], groups, path, 0, float(residual[0]), obs.permutation)
 
 
 def _tie_groups(nu: np.ndarray) -> list[list[int]]:

@@ -107,16 +107,17 @@ class ConvergenceFailure(RuntimeError):
         return type(self), (str(self), self.value, self.err_est)
 
 
-def inverse_mills(z: float) -> float:
-    """Inverse Mills ratio g(z) = phi(z) / (1 - Phi(z)).
+def inverse_mills(z):
+    """Inverse Mills ratio g(z) = phi(z) / (1 - Phi(z)) of a scalar or array.
 
-    For z >= 0 uses the scaled complementary error function, which is exact
-    and stable far into the right tail (g(z) ~ z + 1/z for large z). For
-    z < 0 the denominator is close to 1 and the naive form is safe.
+    erfcx keeps z >= 0 exact far into the right tail (g(z) ~ z + 1/z). For
+    z < 0 the naive form is safe; z is clipped at -40, where phi underflows.
     """
-    if z >= 0:
-        return math.sqrt(2.0 / math.pi) / erfcx(z / SQRT_2)
-    return INV_SQRT_2PI * math.exp(-0.5 * z * z) / (0.5 * math.erfc(z / SQRT_2))
+    z = np.asarray(z, dtype=float)
+    right = math.sqrt(2.0 / math.pi) / erfcx(np.maximum(z, 0.0) / SQRT_2)
+    left_z = np.clip(z, -40.0, 0.0)
+    left = INV_SQRT_2PI * np.exp(-0.5 * left_z * left_z) / ndtr(-left_z)
+    return np.where(z >= 0, right, left)[()]  # a scalar for a scalar
 
 
 @dataclass(frozen=True)

@@ -161,11 +161,11 @@ class TestSimulateMse:
         "text",
         [
             "[1, 2]", '["mu_true"]', "3", '{"mu_true": 5}', '{"mu_true": "12"}',
-            '{"mu_true": [0, 0], "ranks": "1"}',
+            '{"mu_true": [0, 0], "ranks": "1"}', '{"mu_true": [0, 0], "sigma": Infinity}',
         ],
         ids=[
             "list", "list-of-names", "number", "scalar-means", "string-means",
-            "string-ranks",
+            "string-ranks", "infinite-sigma",
         ],
     )
     def test_config_file_malformed(self, capsys, tmp_path, text):
@@ -223,7 +223,7 @@ class TestSimulateMse:
         fail_once(monkeypatch, 5)
         code, out, err = run(
             capsys,
-            ["simulate-mse", "--mu", "0.5,0", "--reps", "100", "--seed", "1",
+            ["simulate-mse", "--mu", "1,0.5,0", "--reps", "100", "--seed", "1",
              "--out", str(tmp_path / "x.csv")] + ["--strict"] * strict,
         )
         assert code == expected
@@ -267,7 +267,7 @@ class TestBootstrapCi:
         monkeypatch.setattr(experiments, "ccmle", fail_resamples)
         code, _, err = run(
             capsys,
-            ["bootstrap-ci", "--mu", "1,0", "--n-boot", "999", "--seed", "3",
+            ["bootstrap-ci", "--mu", "1,0.5,0", "--n-boot", "999", "--seed", "3",
              "--out", str(tmp_path / "ci.csv")],
         )
         assert code == 4
@@ -280,7 +280,7 @@ class TestBootstrapCi:
         fail_once(monkeypatch, 2)  # resample 0; the first solve is the point estimate
         code, out, err = run(
             capsys,
-            ["bootstrap-ci", "--mu", "1,0", "--n-per-group", "15", "--obs-sd", "1",
+            ["bootstrap-ci", "--mu", "1,0.5,0", "--n-per-group", "15", "--obs-sd", "1",
              "--n-boot", "999", "--seed", "2", "--out", str(tmp_path / "ci.csv")]
             + ["--strict"] * strict,
         )
@@ -299,9 +299,10 @@ class TestHelp:
         assert "--help" in out or "usage" in out
 
 
-def test_cli_import_skips_scipy_integrate():
-    # set-up time: the quadrature kernels are selex's own
-    probe = "import sys, selex.cli; print('scipy.integrate' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize"])
+def test_cli_import_skips_scipy_integrate(module):
+    # set-up time and memory: the quadrature kernels and the p = 2 root are selex's own
+    probe = f"import sys, selex.cli; print({module!r} in sys.modules)"
     # the fresh interpreter imports the same selex sources as this one
     env = dict(os.environ, PYTHONPATH=str(Path(selex.__file__).parent.parent))
     out = subprocess.run(

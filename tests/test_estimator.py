@@ -16,6 +16,7 @@ from selex.estimator import (
     ObservedSample,
     ccmle,
     ccmle_p2,
+    ccmle_p2_rows,
     conditional_log_likelihood,
     project_monotone,
 )
@@ -143,6 +144,37 @@ class TestCcmleP2:
     def test_rejects_wrong_p(self):
         with pytest.raises(ValueError):
             ccmle_p2(ObservedSample(np.array([3.0, 2.0, 1.0]), 1.0))
+
+    @pytest.mark.parametrize(
+        "x,sigma", [((5.0, 0.0), 1e-200), ((1e300, -1e300), 1.0)], ids=["tiny-sigma", "huge-x"]
+    )
+    def test_extreme_scales_keep_the_bracket(self, x, sigma):
+        # the shrinkage g(-sqrt(2) d) / sqrt(2) underflows: the estimate is x
+        res = ccmle_p2(ObservedSample(np.array(x), sigma))
+        assert res.path == "closed_form_interior"
+        assert np.all(np.abs(res.mu_hat - x) <= 4 * np.spacing(max(x)))
+
+    def test_gap_beyond_float_range_in_sigma_units_is_rejected(self):
+        with pytest.raises(ValueError, match="too far apart"):
+            ccmle_p2(ObservedSample(np.array([1e300, 0.0]), 1e-10))
+
+    @pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0, 2.0, 3.0])
+    def test_rows_match_single_solves(self, sigma):
+        # criterion 2's gaps, the threshold +-1e-3 and at it, and wide gaps
+        units = np.concatenate([
+            np.random.default_rng(2024).uniform(0.0, 4.0, 200),
+            POOLING_THRESHOLD * np.array([1 - 1e-3, 1.0, 1 + 1e-3]),
+            np.linspace(4.0, 40.0, 13),
+        ])
+        x = np.column_stack((units * sigma, np.zeros_like(units)))
+        rows, residual = ccmle_p2_rows(x, sigma)
+        for sample, est in zip(x, rows):
+            single = ccmle_p2(ObservedSample(sample, sigma)).mu_hat
+            assert np.all(np.abs(est - single) <= 1e-14 * sigma)
+        assert np.all(residual <= 1e-10)
+        pooled = rows[:, 0] == rows[:, 1]
+        assert np.array_equal(pooled, units <= POOLING_THRESHOLD)
+        assert pooled[200 + 1] and not pooled[200 + 2]
 
 
 class TestLogLikelihood:

@@ -38,6 +38,7 @@ class TestConfigs:
             {"mu_true": (0.0, 0.0), "n_reps": 0},
             {"mu_true": (0.0, 0.0), "ranks": (0,)},
             {"mu_true": (0.0, 0.0), "ranks": (3,)},
+            {"mu_true": (0.0, 0.0), "sigma": math.inf},
         ],
     )
     def test_mse_invalid(self, kwargs):
@@ -50,6 +51,7 @@ class TestConfigs:
             {"mu_true": (0.0, 0.0), "n_boot": 100},
             {"mu_true": (0.0, 0.0), "level": 1.2},
             {"mu_true": (0.0, 0.0), "obs_sd": -1.0},
+            {"mu_true": (0.0, 0.0), "obs_sd": math.inf},
         ],
     )
     def test_bootstrap_invalid(self, kwargs):
@@ -86,6 +88,15 @@ class TestSelectionAccounting:
 
 
 class TestRunMse:
+    @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
+    def test_draw_matches_generator_normal(self, sigma):
+        mu_true = np.array([0.5, 0.0, -2.0])
+        for b, attempt in ((0, 0), (7, 0), (7, 3)):
+            key = [11, b, attempt] if attempt else [11, b]
+            expected = np.random.default_rng(key).normal(mu_true, sigma)
+            drawn = experiments._mse_draw(mu_true, sigma, 11, b, attempt)
+            assert np.array_equal(drawn, expected)
+
     def test_deterministic_and_worker_independent(self, monkeypatch):
         cfg = MseConfig((0.5, 0.0), 1.0, 200, seed=13)
         a = run_mse(cfg)
@@ -151,7 +162,7 @@ class TestRunMse:
             return real(obs)
 
         monkeypatch.setattr(experiments, "ccmle", fail_once)
-        cfg = MseConfig((0.5, 0.0), 1.0, 100, seed=13)
+        cfg = MseConfig((1.0, 0.5, 0.0), 1.0, 100, seed=13)
         table = run_mse(cfg)
         assert table.n_failures == 1
         assert all(row["n_reps"] == cfg.n_reps for row in table.rows)
@@ -166,7 +177,7 @@ class TestRunMse:
             raise MaxIterationsExceeded("forced failure", None)
 
         monkeypatch.setattr(experiments, "ccmle", fail_all)
-        cfg = MseConfig((0.5, 0.0), 1.0, 100, seed=13)
+        cfg = MseConfig((1.0, 0.5, 0.0), 1.0, 100, seed=13)
         with pytest.raises(MaxIterationsExceeded, match=r"\(seed=13, b=0\)"):
             run_mse(cfg)
         assert len(calls) == MAX_RESAMPLE_ATTEMPTS
@@ -224,7 +235,7 @@ class TestRunBootstrap:
             raise MaxIterationsExceeded("forced failure", None)
 
         monkeypatch.setattr(experiments, "ccmle", fail_resamples)
-        cfg = BootstrapConfig((1.0, 0.0), n_per_group=10, obs_sd=1.0,
+        cfg = BootstrapConfig((1.0, 0.5, 0.0), n_per_group=10, obs_sd=1.0,
                               n_boot=999, seed=7)
         with pytest.raises(MaxIterationsExceeded, match=r"seed=7, b=0\)"):
             run_bootstrap_ci(cfg)
