@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -41,18 +42,17 @@ EXIT_OPTIMIZER = 4
 EXIT_REPLICATE = 5
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Argument/config problem surfaced with exit code 2."""
 
 
-def _parse_reals(text: str, flag: str) -> tuple[float, ...]:
+def _parse_reals(text: str, flag: str, kind=float) -> tuple:
+    """A comma-separated flag value as a tuple of ``kind``. Finiteness is left
+    to the config or sample that takes the values."""
     try:
-        values = tuple(float(t) for t in text.split(",") if t.strip() != "")
+        return tuple(kind(t) for t in text.split(",") if t.strip() != "")
     except ValueError:
-        raise CliError(f"{flag} must be a comma-separated list of numbers")
-    if any(not np.isfinite(v) for v in values):
-        raise CliError(f"{flag} values must be finite")
-    return values
+        raise CliError(f"{flag} must be a comma-separated list of {kind.__name__}s")
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
@@ -72,16 +72,8 @@ def cmd_prob(args) -> int:
         prob = mc_ordering_probability(cfg, args.mc, args.seed)
     else:
         prob = ordering_probability(cfg)
-    payload = {
-        "value": prob.value,
-        "log_value": prob.log_value,
-        "method": prob.method,
-        "err_est": prob.err_est,
-        "log_err_est": prob.log_err_est,
-        "degenerate": prob.degenerate,
-    }
     _emit(
-        payload,
+        asdict(prob),
         args.json,
         [
             f"P(X1 > ... > Xp) = {prob.value:.10g}",
@@ -138,7 +130,6 @@ def cmd_estimate(args) -> int:
 
 def _load_config(path: str, cls, flag_values: dict):
     """Build an experiment config from a JSON file or from CLI flags."""
-    names = set(cls.__dataclass_fields__)
     if path is not None:
         try:
             with open(path) as fh:
@@ -147,26 +138,27 @@ def _load_config(path: str, cls, flag_values: dict):
             raise CliError(f"cannot read config {path}: {exc}")
         if not isinstance(raw, dict):
             raise CliError(f"config {path} must be a JSON object")
-        unknown = set(raw) - names
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise CliError(f"unknown config field(s): {', '.join(sorted(unknown))}")
         flag_values = raw
     try:
         return cls(**{k: v for k, v in flag_values.items() if v is not None})
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise CliError(f"invalid config: {exc}")
 
 
-def _infer_format(args) -> str:
-    if args.format:
-        return args.format
-    return "json" if str(args.out).endswith(".json") else "csv"
-
-
-def _finish(args, summary: str, redrawn: int, what: str) -> int:
-    """Print an experiment's summary line; with --strict any redraw exits 5."""
-    print(f"{summary} ({redrawn} redrawn {what})")
-    if args.strict and redrawn > 0:
+def _run_experiment(args, cls, run, flags: dict, rows: str, what: str) -> int:
+    """The flow of both experiment commands: config from --config or the
+    flags, run, export, print the summary; with --strict any redraw exits 5."""
+    table = run(_load_config(args.config, cls, flags))
+    fmt = args.format or ("json" if str(args.out).endswith(".json") else "csv")
+    export_results(table.rows, fmt, args.out)
+    print(
+        f"{args.command}: {len(table.rows)} {rows} written to {args.out} "
+        f"({table.n_failures} redrawn {what})"
+    )
+    if args.strict and table.n_failures > 0:
         print(f"ERROR: {what} redrawn in strict mode", file=sys.stderr)
         return EXIT_REPLICATE
     return EXIT_OK
@@ -178,14 +170,10 @@ def cmd_simulate_mse(args) -> int:
         "sigma": args.sigma,
         "n_reps": args.reps,
         "seed": args.seed,
-        "ranks": _parse_ranks(args.ranks) if args.ranks else None,
+        "ranks": _parse_reals(args.ranks, "--ranks", int) if args.ranks else None,
         "config_id": args.config_id,
     }
-    cfg = _load_config(args.config, MseConfig, flags)
-    table = run_mse(cfg)
-    export_results(table.rows, _infer_format(args), args.out)
-    summary = f"simulate-mse: {len(table.rows)} rows written to {args.out}"
-    return _finish(args, summary, table.n_failures, "replicates")
+    return _run_experiment(args, MseConfig, run_mse, flags, "rows", "replicates")
 
 
 def cmd_bootstrap_ci(args) -> int:
@@ -197,18 +185,9 @@ def cmd_bootstrap_ci(args) -> int:
         "level": args.level,
         "seed": args.seed,
     }
-    cfg = _load_config(args.config, BootstrapConfig, flags)
-    intervals = run_bootstrap_ci(cfg)
-    export_results(intervals.rows, _infer_format(args), args.out)
-    summary = f"bootstrap-ci: {len(intervals.rows)} ranks written to {args.out}"
-    return _finish(args, summary, intervals.n_failures, "resamples")
-
-
-def _parse_ranks(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in text.split(",") if t.strip() != "")
-    except ValueError:
-        raise CliError("--ranks must be a comma-separated list of integers")
+    return _run_experiment(
+        args, BootstrapConfig, run_bootstrap_ci, flags, "ranks", "resamples"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,12 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--seed", type=int, help="replicate seed (default 0)")
     m.add_argument("--ranks", help="comma-separated 1-based ranks (default all)")
     m.add_argument("--config-id", default="0", help="config_id column value")
-    m.add_argument("--config", help="JSON config file (exact MseConfig fields)")
-    m.add_argument("--out", required=True, help="output file path")
-    m.add_argument("--format", choices=["csv", "json"],
-                   help="output format (default from extension)")
-    m.add_argument("--strict", action="store_true",
-                   help="exit 5 if any replicate had to be redrawn")
     m.set_defaults(fn=cmd_simulate_mse)
 
     b = sub.add_parser("bootstrap-ci", help="stratified bootstrap intervals")
@@ -261,13 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n-boot", type=int, help="bootstrap resamples (default 9999)")
     b.add_argument("--level", type=float, help="confidence level (default 0.95)")
     b.add_argument("--seed", type=int, help="seed (default 0)")
-    b.add_argument("--config", help="JSON config file (exact BootstrapConfig fields)")
-    b.add_argument("--out", required=True, help="output file path")
-    b.add_argument("--format", choices=["csv", "json"],
-                   help="output format (default from extension)")
-    b.add_argument("--strict", action="store_true",
-                   help="exit 5 if any resample had to be redrawn")
     b.set_defaults(fn=cmd_bootstrap_ci)
+
+    for sp, cls, what in ((m, "MseConfig", "replicate"), (b, "BootstrapConfig", "resample")):
+        sp.add_argument("--config", help=f"JSON config file (exact {cls} fields)")
+        sp.add_argument("--out", required=True, help="output file path")
+        sp.add_argument("--format", choices=["csv", "json"],
+                        help="output format (default from extension)")
+        sp.add_argument("--strict", action="store_true",
+                        help=f"exit 5 if any {what} had to be redrawn")
 
     return parser
 
@@ -277,9 +252,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

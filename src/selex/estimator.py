@@ -158,10 +158,11 @@ def project_monotone(v: np.ndarray) -> np.ndarray:
 def ccmle_p2_rows(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact p = 2 estimates of the descending rows of ``x``, and each |f(nu_1)|.
 
-    Rows with gap <= POOLING_THRESHOLD sigma pool at their mean xbar; others
-    take mu = xbar + sigma (nu_1, -nu_1), nu_1 the root in [0, d = (x_1 - xbar)
-    / sigma] of the increasing, convex f below (g' = g (g - u) is in (0, 1)):
-    Newton's method from d, each row on its own steps, descends onto it.
+    Rows with gap <= POOLING_THRESHOLD sigma pool at their mean xbar. Others
+    take x -+ sigma s, exactly x where the shrinkage s = d - nu_1 = g(-sqrt(2)
+    nu_1) / sqrt(2) underflows; nu_1 is the root in [0, d = (x_1 - xbar) / sigma]
+    of the increasing, convex f below (g' = g (g - u) is in (0, 1)): Newton's
+    method from d, each row on its own steps, descends onto it.
     """
 
     def stationarity(nu, d):  # f(nu) = g(-sqrt(2) nu) - sqrt(2) (d - nu), and g
@@ -184,8 +185,10 @@ def ccmle_p2_rows(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
         nu[todo] = np.clip(v - f / (SQRT_2 * (1.0 - g * (g + SQRT_2 * v))), 0.0, d[todo])
         todo = todo[~(np.abs(nu[todo] - v) <= P2_XTOL * np.maximum(1.0, v))]  # NaN stays
         if todo.size == 0:
-            residual = np.where(interior, np.abs(stationarity(nu, d)[0]), 0.0)
-            return xbar[:, None] + sigma * np.column_stack((nu, -nu)), residual
+            f, g = stationarity(nu, d)
+            shrunk = x + sigma * (g / SQRT_2)[:, None] * np.array([-1.0, 1.0])
+            mu_hat = np.where(interior[:, None], shrunk, xbar[:, None])
+            return mu_hat, np.where(interior, np.abs(f), 0.0)
     raise RuntimeError(f"p = 2 root unconverged after {P2_MAX_STEPS} steps, d = {d[todo]}")
 
 

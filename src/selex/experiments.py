@@ -40,10 +40,13 @@ def worker_count() -> int:
 
 
 def _tuple_of(kind, values, name: str) -> tuple:
-    """A sequence config field as a tuple; a string is not a sequence of numbers."""
+    """A sequence config field as a tuple of finite numbers; a string is not one."""
     if isinstance(values, str):
         raise ValueError(f"{name} must be a list, not a string")
-    return tuple(kind(v) for v in values)
+    out = tuple(kind(v) for v in values)
+    if not all(math.isfinite(v) for v in out):
+        raise ValueError(f"{name} must be finite")
+    return out
 
 
 @dataclass(frozen=True)

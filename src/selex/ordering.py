@@ -24,8 +24,8 @@ integrands give the exact gradient
     d log P / d mu_k = integral (t - mu_k) f_k U_{k-1} H_{k+1} dt / (sigma^2 P)
                      = (E[X_k | order] - mu_k) / sigma^2.
 
-The value takes the H sweep alone (k = 1); the gradient takes both sweeps,
-U being the H sweep on the reversed nodes with the populations reversed.
+Every rule runs both sweeps, U being the H sweep on the reversed nodes with
+the populations reversed: the k = 1 integrand gives P, all k the gradient.
 
 Layout. Each mean has a window [mu_k - R sigma, mu_k + R sigma]
 (R = TRUNCATION_RADIUS); overlapping windows merge. A gap between merged
@@ -45,7 +45,9 @@ Accuracy. The rule's error falls as PANEL_WIDTH^(2 PANEL_NODES), so the
 same rule on halved panels estimates it: ``ordering_probability`` halves
 the panels until |log P_h - log P_{h/2}| is within QUADRATURE_RTOL, reports
 that and |P_h - P_{h/2}| for the coarser rule, and raises
-ConvergenceFailure when a sweep would need more than MAX_NODES nodes first.
+ConvergenceFailure when a sweep would need more than MAX_NODES nodes first,
+or when nodes sit so far from 0 (past about 2^40 sigma) that rounding moves
+them by more than _EDGE_ULP_LIMIT of a panel, which the estimate misses.
 Off the cone the mass can sit in the far tails, where one PANEL_WIDTH
 panel spans many e-folds of the integrand: (0, 0, 20) needs two halvings.
 The gradient takes the same loop off the cone. On the cone, the only place
@@ -76,6 +78,7 @@ LOG_SPACE_SPLIT = 8  # log-space sweeps run on panels this many times narrower
 MAX_NODES = 2**16  # nodes of one sweep; more raise ConvergenceFailure
 QUADRATURE_RTOL = 1e-6  # bound on the error estimate of log P
 _UNDERFLOW_FLOOR = 1e-300
+_EDGE_ULP_LIMIT = 2.0**-13  # ulp of the outermost panel edge, in panel widths
 
 
 def _spectral_rule(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -95,9 +98,10 @@ class UnderflowWarning(UserWarning):
 
 
 class ConvergenceFailure(RuntimeError):
-    """Quadrature failed to meet tolerance; carries the best estimate found."""
+    """Quadrature failed to meet tolerance; carries the best estimate found,
+    if any (nan, with err_est inf, when none was computed)."""
 
-    def __init__(self, message: str, value: float, err_est: float):
+    def __init__(self, message: str, value: float = math.nan, err_est: float = math.inf):
         super().__init__(message)
         self.value = value
         self.err_est = err_est
@@ -156,20 +160,21 @@ class OrderingProb:
 def _check_size(panels: int) -> None:
     if panels * PANEL_NODES > MAX_NODES:
         raise ConvergenceFailure(
-            f"quadrature needs {panels * PANEL_NODES} nodes, over the cap of "
-            f"{MAX_NODES}",
-            math.nan,
-            math.inf,
+            f"quadrature needs {panels * PANEL_NODES} nodes, over the cap of {MAX_NODES}"
         )
 
 
 def _layout(mu: np.ndarray, sigma: float) -> tuple[np.ndarray, float]:
     """Left edges and width of the PANEL_WIDTH sigma panels (module
-    docstring, Layout)."""
+    docstring, Layout); raises ConvergenceFailure past _EDGE_ULP_LIMIT."""
     r = TRUNCATION_RADIUS * sigma
     width = PANEL_WIDTH * sigma
     s = np.sort(mu)
     lo, hi = [s[0] - r], []
+    edge = max(-lo[0], s[-1] + r)  # nodes there round by up to its ulp
+    if math.ulp(edge) > _EDGE_ULP_LIMIT * width:
+        msg = f"panel edge {edge:.3g} is too far from 0 for panels {width:.3g} wide"
+        raise ConvergenceFailure(msg)
     for i in np.flatnonzero(np.diff(s) > 2.0 * r):
         above = mu > s[i]
         if not np.any(above[1:] & ~above[:-1]):  # those above are 1..j: skip
@@ -225,14 +230,14 @@ def _cumulative_log(logy: np.ndarray, width: float) -> np.ndarray:
 
 
 def _integrands(
-    mu: np.ndarray, sigma: float, nodes: np.ndarray, width: float,
-    gradient: bool, log_space: bool,
+    mu: np.ndarray, sigma: float, nodes: np.ndarray, width: float, log_space: bool
 ) -> np.ndarray:
-    """Integrands f_k U_{k-1} H_{k+1} of P (module docstring), or their logs.
+    """Integrands f_k U_{k-1} H_{k+1} of P (module docstring), one row per
+    population, or their logs.
 
-    One row per population with ``gradient``, else the k = 1 row alone. The
-    "above t" recursion U is the "below t" one on the mirrored problem: nodes
-    and population order both reversed, so one loop runs both sweeps.
+    The "above t" recursion U is the "below t" one on the mirrored problem:
+    nodes and population order both reversed, so one loop runs both sweeps.
+    Row 0 is f_1 H_2 times U_0 = 1 exactly, the value sweep alone.
     """
     z = (nodes[None, :] - mu[:, None]) / sigma
     logpdf = -0.5 * z * z - math.log(sigma) + math.log(INV_SQRT_2PI)
@@ -240,65 +245,62 @@ def _integrands(
         f, unit, combine, cumulate = logpdf, 0.0, np.add, _cumulative_log
     else:
         f, unit, combine, cumulate = np.exp(logpdf), 1.0, np.multiply, _cumulative
-    rows = np.stack((f, f[::-1, ::-1])) if gradient else f[None]
+    rows = np.stack((f, f[::-1, ::-1]))
     below = np.empty_like(rows)  # below[:, k] is H_{k+2}, 0-based k
     below[:, -1] = unit
     for k in range(rows.shape[1] - 1, 0, -1):
         below[:, k - 1] = cumulate(combine(rows[:, k], below[:, k]), width)
-    if not gradient:
-        return combine(f[:1], below[0, :1])
     return combine(combine(f, below[0]), below[1, ::-1, ::-1])
 
 
 def _grid_recursion(
-    mu: np.ndarray, sigma: float, edges: np.ndarray, width: float,
-    gradient: bool = False,
-) -> tuple[float, float, np.ndarray | None]:
-    """(P, log P, gradient of log P or None) on the panels at ``edges``.
+    mu: np.ndarray, sigma: float, edges: np.ndarray, width: float
+) -> tuple[float, float, np.ndarray]:
+    """(P, log P, gradient of log P) on the panels at ``edges``.
 
     P is the linear-space value; when it falls below the underflow floor,
     log P and the gradient come from log-space sweeps on the same stretches
     cut into panels LOG_SPACE_SPLIT times narrower.
     """
     nodes = _nodes(edges, width)
-    w = _integrands(mu, sigma, nodes, width, gradient, log_space=False)
+    w = _integrands(mu, sigma, nodes, width, log_space=False)
     mass = _integral(w, width)
     value = float(mass[0])
     log_shift = 0.0
     if value < _UNDERFLOW_FLOOR:
         edges, width = _refine(edges, width, LOG_SPACE_SPLIT)
         nodes = _nodes(edges, width)
-        logw = _integrands(mu, sigma, nodes, width, gradient, log_space=True)
+        logw = _integrands(mu, sigma, nodes, width, log_space=True)
         shifts = logw.max(axis=-1, keepdims=True)
         w = np.exp(logw - shifts)
         mass = _integral(w, width)
         log_shift = float(shifts[0, 0])
     log_value = log_shift + math.log(mass[0])
-    if not gradient:
-        return value, log_value, None
     moment = _integral((nodes[None, :] - mu[:, None]) * w, width)
     return value, log_value, moment / (mass * sigma**2)
 
 
-def _closed_form_p2(mu: np.ndarray, sigma: float) -> tuple[float, float]:
+def _closed_form_p2(mu: np.ndarray, sigma: float) -> tuple[float, float, np.ndarray]:
+    """(P, log P, gradient of log P) for two populations, in closed form."""
     u = (mu[1] - mu[0]) / (sigma * SQRT_2)
-    return float(ndtr(-u)), float(log_ndtr(-u))
+    g = inverse_mills(u) / (sigma * SQRT_2)
+    return float(ndtr(-u)), float(log_ndtr(-u)), np.array([g, -g])
 
 
-def _converged(mu: np.ndarray, sigma: float, gradient: bool = False) -> tuple:
-    """((P, log P, gradient or None), err, log_err) of ``_grid_recursion`` on
-    the panels of ``_layout``, halved until log P_h and log P_{h/2} agree
-    within QUADRATURE_RTOL: the coarser rule, |P_h - P_{h/2}| + eps P and
+def _converged(mu: np.ndarray, sigma: float) -> tuple:
+    """((P, log P, gradient), err, log_err) of ``_grid_recursion`` on the
+    panels of ``_layout``, halved until log P_h and log P_{h/2} agree within
+    QUADRATURE_RTOL: the coarser rule, |P_h - P_{h/2}| + eps P and
     |log P_h - log P_{h/2}| + eps. Raises ConvergenceFailure, with the last
     estimate, when the nodes would exceed MAX_NODES first."""
     eps = np.finfo(float).eps
     edges, width = _layout(mu, sigma)
-    coarse = _grid_recursion(mu, sigma, edges, width, gradient)
+    coarse = _grid_recursion(mu, sigma, edges, width)
     err = log_err = math.inf
     while True:
         try:
             edges, width = _refine(edges, width, 2)
-            fine = _grid_recursion(mu, sigma, edges, width, gradient)
+            fine = _grid_recursion(mu, sigma, edges, width)
         except ConvergenceFailure as exc:
             raise ConvergenceFailure(
                 f"quadrature error estimate {log_err:.3g} of log P exceeds "
@@ -319,19 +321,18 @@ def ordering_probability(cfg: MeanConfig) -> OrderingProb:
     Closed form for p = 2; panel quadrature (module docstring) otherwise,
     with the panels halved until the error estimate of log P is within
     QUADRATURE_RTOL. Raises ConvergenceFailure, with the last estimate, when
-    the nodes would exceed MAX_NODES first.
+    the nodes would exceed MAX_NODES first, or sit too far from 0 (Accuracy).
     """
     mu = np.asarray(cfg.mu, dtype=float)
     if cfg.p == 2:
-        value, log_value = _closed_form_p2(mu, cfg.sigma)
-        if value < _UNDERFLOW_FLOOR:
-            warnings.warn("ordering probability underflowed", UnderflowWarning)
-        return OrderingProb(value, log_value, "closed_form_p2", 1e-16, 1e-16)
-
-    (value, log_value, _), err, log_err = _converged(mu, cfg.sigma)
+        rule, err, log_err = _closed_form_p2(mu, cfg.sigma), 1e-16, 1e-16
+    else:
+        rule, err, log_err = _converged(mu, cfg.sigma)
+    value, log_value, _ = rule
     if value < _UNDERFLOW_FLOOR:
         warnings.warn("ordering probability underflowed", UnderflowWarning)
-    return OrderingProb(value, log_value, "quadrature", err, log_err)
+    method = "closed_form_p2" if cfg.p == 2 else "quadrature"
+    return OrderingProb(value, log_value, method, err, log_err)
 
 
 def mc_ordering_probability(cfg: MeanConfig, n_draws: int, seed: int) -> OrderingProb:
@@ -379,9 +380,7 @@ def grad_log_ordering_probability(cfg: MeanConfig) -> np.ndarray:
     """
     mu = np.asarray(cfg.mu, dtype=float)
     if cfg.p == 2:
-        u = (mu[1] - mu[0]) / (cfg.sigma * SQRT_2)
-        g = inverse_mills(u) / (cfg.sigma * SQRT_2)
-        return np.array([g, -g])
+        return _closed_form_p2(mu, cfg.sigma)[2]
     if list(cfg.mu) != sorted(cfg.mu, reverse=True):  # off the cone
-        return _converged(mu, cfg.sigma, gradient=True)[0][2]
-    return _grid_recursion(mu, cfg.sigma, *_layout(mu, cfg.sigma), gradient=True)[2]
+        return _converged(mu, cfg.sigma)[0][2]
+    return _grid_recursion(mu, cfg.sigma, *_layout(mu, cfg.sigma))[2]

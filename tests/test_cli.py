@@ -78,6 +78,23 @@ class TestProb:
         assert code == 3
         assert "quadrature failure" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prob", "--means", "1e16,0,-1e16", "--sigma", "1"],
+            ["prob", "--means", "1e17,0,-1e17", "--sigma", "1"],
+            ["estimate", "--obs", "1e17,0,-1e17", "--sigma", "1"],
+            ["estimate", "--obs", "5,0,-5", "--sigma", "1e-200"],
+        ],
+        ids=["prob-1e16", "prob-1e17", "estimate-1e17", "estimate-tiny-sigma"],
+    )
+    def test_nodes_too_far_from_zero_exit_3(self, capsys, argv):
+        # nodes there round by more than the quadrature's error estimate can see
+        code, _, err = run(capsys, argv)
+        assert code == 3
+        assert "too far from 0" in err
+
     def test_single_mean_rejected(self, capsys):
         code, _, err = run(capsys, ["prob", "--means", "1", "--sigma", "1"])
         assert code == 2
@@ -162,10 +179,13 @@ class TestSimulateMse:
         [
             "[1, 2]", '["mu_true"]', "3", '{"mu_true": 5}', '{"mu_true": "12"}',
             '{"mu_true": [0, 0], "ranks": "1"}', '{"mu_true": [0, 0], "sigma": Infinity}',
+            '{"mu_true": [NaN, 0], "n_reps": 200}', '{"mu_true": [Infinity, 0]}',
+            '{"mu_true": [0, 0], "ranks": [Infinity]}',
         ],
         ids=[
             "list", "list-of-names", "number", "scalar-means", "string-means",
-            "string-ranks", "infinite-sigma",
+            "string-ranks", "infinite-sigma", "nan-means", "infinite-means",
+            "infinite-ranks",
         ],
     )
     def test_config_file_malformed(self, capsys, tmp_path, text):

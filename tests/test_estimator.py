@@ -154,6 +154,28 @@ class TestCcmleP2:
         assert res.path == "closed_form_interior"
         assert np.all(np.abs(res.mu_hat - x) <= 4 * np.spacing(max(x)))
 
+    def test_sigma_below_data_ulp_returns_the_observations(self):
+        # the shrinkage underflows, so the estimate is the observations exactly
+        obs = ObservedSample(np.array([5.0, 0.1]), 1e-15)
+        res = ccmle_p2(obs)
+        assert res.mu_hat.tolist() == [5.0, 0.1]
+        assert conditional_log_likelihood(res.mu_hat, obs) == 0.0
+
+    def test_pooled_pairs_stay_tied_at_their_mean(self):
+        rng = np.random.default_rng(41)
+        sigma = np.exp(rng.uniform(-5.0, 5.0, 20_000))
+        gap = POOLING_THRESHOLD * sigma * rng.uniform(0.0, 2.0, sigma.size)
+        low = sigma * rng.uniform(-1e3, 1e3, sigma.size)
+        pooled = 0
+        for x, s in zip(np.column_stack((low + gap, low)), sigma):
+            if x[0] - x[1] <= POOLING_THRESHOLD * s:
+                obs = ObservedSample(x, s)
+                res = ccmle_p2(obs)
+                assert res.groups == [[0, 1]]
+                assert res.mu_hat.tolist() == [obs.xbar, obs.xbar]
+                pooled += 1
+        assert pooled >= 9_000
+
     def test_gap_beyond_float_range_in_sigma_units_is_rejected(self):
         with pytest.raises(ValueError, match="too far apart"):
             ccmle_p2(ObservedSample(np.array([1e300, 0.0]), 1e-10))

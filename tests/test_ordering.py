@@ -200,6 +200,18 @@ class TestOrderingProbability:
         prob = ordering_probability(MeanConfig((1e4, 1.0, 0.0), 1.0))
         assert prob.value == pytest.approx(0.7602499389, abs=1e-10)
 
+    def test_far_from_zero_meets_tolerance_or_raises(self):
+        # (1, 0.3, -1) moved 1e12 sigma from 0 still meets the tolerance; at
+        # 1e13 sigma, nodes round by 1/512 of a panel, where moved blocks read
+        # log P up to 1.6e-5 off with log_err_est 3.3e-7, so it raises
+        block = np.array([1.0, 0.3, -1.0])
+        moved = block + 1e12
+        near = ordering_probability(MeanConfig(tuple(moved - 1e12), 1.0))
+        far = ordering_probability(MeanConfig(tuple(moved), 1.0))
+        assert abs(far.log_value - near.log_value) <= ordering.QUADRATURE_RTOL
+        with pytest.raises(ConvergenceFailure, match="too far from 0"):
+            ordering_probability(MeanConfig(tuple(block + 1e13), 1.0))
+
     def test_missed_tolerance_raises(self, monkeypatch):
         monkeypatch.setattr(ordering, "QUADRATURE_RTOL", 0.0)
         with pytest.raises(ConvergenceFailure) as info:
@@ -385,7 +397,7 @@ class TestGradient:
         # 1-sigma panels reads 15.194 for the first entry, 15.033 refined
         mu = np.array([0.0, 30.0, -30.0])
         fine = _refine(*_layout(mu, 1.0), 8)
-        expected = _grid_recursion(mu, 1.0, *fine, gradient=True)[2]
+        expected = _grid_recursion(mu, 1.0, *fine)[2]
         grad = grad_log_ordering_probability(MeanConfig(tuple(mu), 1.0))
         assert np.abs(grad - expected).max() <= 1e-6
 
@@ -398,9 +410,8 @@ class TestGradient:
             cfg = random_means(rng, p, on_cone=True)
             mu = np.asarray(cfg.mu)
             panels = _layout(mu, cfg.sigma)
-            grad = _grid_recursion(mu, cfg.sigma, *panels, gradient=True)[2]
+            _, log_value, grad = _grid_recursion(mu, cfg.sigma, *panels)
             assert np.array_equal(grad_log_ordering_probability(cfg), grad)
-            log_value = _grid_recursion(mu, cfg.sigma, *panels)[1]
             assert ordering_probability(cfg).log_value == log_value
 
     def test_underflow_stays_finite(self):
