@@ -91,12 +91,10 @@ def cmd_estimate(args) -> int:
     if len(obs_values) < 2:
         raise CliError("--obs needs at least 2 values")
     obs = ObservedSample(np.array(obs_values), args.sigma)
-    flagged = False
     try:
         result = ccmle(obs)
     except MaxIterationsExceeded as exc:
         result = exc.result
-        flagged = True
     estimates = result.in_original_order()
     log_likelihood = conditional_log_likelihood(result.mu_hat, obs)
     payload = {
@@ -120,12 +118,12 @@ def cmd_estimate(args) -> int:
         lines.append(
             f"iterations = {result.iterations}, kkt_residual = {result.kkt_residual:.3g}"
         )
-    if flagged:
+    if not result.converged:
         warning = "optimizer did not converge; last (and best) iterate shown"
         payload["warning"] = warning
         lines.append(f"WARNING: {warning}")
     _emit(payload, args.json, lines)
-    return EXIT_OPTIMIZER if flagged else EXIT_OK
+    return EXIT_OK if result.converged else EXIT_OPTIMIZER
 
 
 def _load_config(path: str, cls, flag_values: dict):
@@ -144,7 +142,7 @@ def _load_config(path: str, cls, flag_values: dict):
         flag_values = raw
     try:
         return cls(**{k: v for k, v in flag_values.items() if v is not None})
-    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+    except (TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
         raise CliError(f"invalid config: {exc}")
 
 
@@ -223,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--reps", type=int, help="number of replicates (default 1000)")
     m.add_argument("--seed", type=int, help="replicate seed (default 0)")
     m.add_argument("--ranks", help="comma-separated 1-based ranks (default all)")
-    m.add_argument("--config-id", default="0", help="config_id column value")
+    m.add_argument("--config-id", help="config_id column value (default 0)")
     m.set_defaults(fn=cmd_simulate_mse)
 
     b = sub.add_parser("bootstrap-ci", help="stratified bootstrap intervals")

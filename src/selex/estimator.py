@@ -52,16 +52,13 @@ class MaxIterationsExceeded(RuntimeError):
     """Ascent hit the iteration cap.
 
     Carries the result at the last iterate. Every step ascends, so it is
-    also the best iterate found.
+    also the best iterate found. ``result`` has a default because unpickling
+    calls the class with the message alone and then restores the fields.
     """
 
-    def __init__(self, message: str, result: "CcmleResult"):
+    def __init__(self, message: str, result: "CcmleResult | None" = None):
         super().__init__(message)
         self.result = result
-
-    # pickles every field, so a pool worker's error reaches the parent intact
-    def __reduce__(self):
-        return type(self), (str(self), self.result)
 
 
 @dataclass

@@ -2,11 +2,12 @@
 
 Both studies run on one replicate engine. Replicate b is drawn from its own
 random stream, keyed by (seed, b) and the attempt number, ranked, and solved
-by the CCMLE. A replicate whose solve fails is redrawn from the stream of its
-next attempt; after MAX_RESAMPLE_ATTEMPTS draws its last failure is raised,
-naming (seed, b). The replicates are split into chunks over up to
-SELEX_THREADS worker processes, so summaries are identical for any worker
-count.
+by the CCMLE. A replicate whose solve fails (ConvergenceFailure in the
+quadrature, MaxIterationsExceeded in the optimizer) is redrawn from the stream
+of its next attempt; after MAX_RESAMPLE_ATTEMPTS draws its last failure is
+re-raised as itself, its message prefixed with (seed=..., b=...). The
+replicates are split into chunks over up to SELEX_THREADS worker processes,
+so summaries are identical for any worker count.
 
 Errors always reference the true mean of the population that actually
 occupied a given sample rank (the population *selected* as max/mid/min),
@@ -16,6 +17,7 @@ never the population with the truly extreme mean.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,6 +27,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .estimator import MaxIterationsExceeded, ObservedSample, ccmle, ccmle_p2_rows
+from .ordering import ConvergenceFailure
 
 MAX_RESAMPLE_ATTEMPTS = 10  # draws per replicate before giving up
 
@@ -39,14 +42,23 @@ def worker_count() -> int:
     return cores if n == 0 else min(n, cores)
 
 
-def _tuple_of(kind, values, name: str) -> tuple:
-    """A sequence config field as a tuple of finite numbers; a string is not one."""
+def _tuple_of(values, name: str) -> tuple[float, ...]:
+    """A sequence config field as a tuple of finite floats; a string is not one."""
     if isinstance(values, str):
         raise ValueError(f"{name} must be a list, not a string")
-    out = tuple(kind(v) for v in values)
+    out = tuple(float(v) for v in values)
     if not all(math.isfinite(v) for v in out):
         raise ValueError(f"{name} must be finite")
     return out
+
+
+def _integer(value, name: str, least: int) -> int:
+    """An integer config field, at least ``least``: a Python or numpy int, no bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -59,26 +71,21 @@ class MseConfig:
     config_id: str = "0"
 
     def __post_init__(self):
-        object.__setattr__(self, "mu_true", _tuple_of(float, self.mu_true, "mu_true"))
-        if self.ranks is not None:
-            object.__setattr__(self, "ranks", _tuple_of(int, self.ranks, "ranks"))
+        object.__setattr__(self, "mu_true", _tuple_of(self.mu_true, "mu_true"))
         if len(self.mu_true) < 2:
             raise ValueError("mu_true needs at least 2 populations")
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError("sigma must be positive and finite")
-        if self.n_reps < 100:
-            raise ValueError("n_reps must be at least 100")
-        if self.ranks is not None:
-            p = len(self.mu_true)
-            if not all(1 <= r <= p for r in self.ranks):
-                raise ValueError(f"ranks must lie in 1..{p}")
+        object.__setattr__(self, "n_reps", _integer(self.n_reps, "n_reps", 100))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
+        ranks = range(1, self.p + 1) if self.ranks is None else self.ranks
+        object.__setattr__(self, "ranks", tuple(_integer(r, "ranks", 1) for r in ranks))
+        if not self.ranks or max(self.ranks) > self.p:  # before any replicate is drawn
+            raise ValueError(f"ranks must be a non-empty list from 1..{self.p}")
 
     @property
     def p(self) -> int:
         return len(self.mu_true)
-
-    def rank_list(self) -> tuple[int, ...]:
-        return self.ranks if self.ranks is not None else tuple(range(1, self.p + 1))
 
 
 @dataclass(frozen=True)
@@ -91,17 +98,16 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "mu_true", _tuple_of(float, self.mu_true, "mu_true"))
+        object.__setattr__(self, "mu_true", _tuple_of(self.mu_true, "mu_true"))
         if len(self.mu_true) < 2:
             raise ValueError("mu_true needs at least 2 populations")
-        if self.n_per_group < 2:
-            raise ValueError("n_per_group must be at least 2")
+        object.__setattr__(self, "n_per_group", _integer(self.n_per_group, "n_per_group", 2))
         if not (self.obs_sd > 0 and math.isfinite(self.obs_sd)):
             raise ValueError("obs_sd must be positive and finite")
-        if self.n_boot < 999:
-            raise ValueError("n_boot must be at least 999")
+        object.__setattr__(self, "n_boot", _integer(self.n_boot, "n_boot", 999))
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must be in (0, 1)")
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
 
     @property
     def p(self) -> int:
@@ -132,11 +138,11 @@ def _solve_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
             try:
                 estimates.append(ccmle(obs).mu_hat)
                 break
-            except MaxIterationsExceeded as exc:
+            except (ConvergenceFailure, MaxIterationsExceeded) as exc:
                 redraws += 1
                 if attempt + 1 == MAX_RESAMPLE_ATTEMPTS:
-                    msg = f"replicate (seed={seed}, b={b}): {exc}"
-                    raise MaxIterationsExceeded(msg, exc.result) from exc
+                    exc.args = (f"replicate (seed={seed}, b={b}): {exc}",)
+                    raise
         samples.append(obs.x)
         labels.append(obs.permutation)
     return np.array(samples), np.array(estimates), np.array(labels), redraws
@@ -177,7 +183,7 @@ def run_mse(cfg: MseConfig) -> ResultTable:
     truth = mu_true[labels]  # true mean of the population selected at each rank
 
     rows = []
-    for rank in cfg.rank_list():
+    for rank in cfg.ranks:
         for name, est in (("mle", x), ("ccmle", mu_hat)):
             sq = (truth[:, rank - 1] - est[:, rank - 1]) ** 2
             row = {"config_id": cfg.config_id}

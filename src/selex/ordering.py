@@ -106,10 +106,6 @@ class ConvergenceFailure(RuntimeError):
         self.value = value
         self.err_est = err_est
 
-    # pickles every field, so a pool worker's error reaches the parent intact
-    def __reduce__(self):
-        return type(self), (str(self), self.value, self.err_est)
-
 
 def inverse_mills(z):
     """Inverse Mills ratio g(z) = phi(z) / (1 - Phi(z)) of a scalar or array.

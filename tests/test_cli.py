@@ -142,6 +142,20 @@ class TestEstimate:
         payload = json.loads(out)
         assert "kkt_residual" in payload and "iterations" in payload
 
+    def test_unconverged_solve_exits_4_with_last_iterate(self, capsys, monkeypatch):
+        monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)
+        with pytest.raises(MaxIterationsExceeded) as info:
+            estimator.ccmle(estimator.ObservedSample([10.0, 9.5, 9.0, 0.0], 1.0))
+        code, out, _ = run(
+            capsys,
+            ["estimate", "--obs", "10,9.5,9,0", "--sigma", "1", "--json", "--diagnostics"],
+        )
+        payload = json.loads(out)
+        assert code == 4
+        assert payload["converged"] is False and "warning" in payload
+        assert payload["iterations"] == 1
+        assert payload["estimates"] == info.value.result.in_original_order().tolist()
+
 
 class TestSimulateMse:
     def test_writes_csv(self, capsys, tmp_path):
@@ -175,25 +189,27 @@ class TestSimulateMse:
         assert "bogus" in err
 
     @pytest.mark.parametrize(
-        "text",
-        [
+        "command,text",
+        [("simulate-mse", text) for text in (
             "[1, 2]", '["mu_true"]', "3", '{"mu_true": 5}', '{"mu_true": "12"}',
             '{"mu_true": [0, 0], "ranks": "1"}', '{"mu_true": [0, 0], "sigma": Infinity}',
             '{"mu_true": [NaN, 0], "n_reps": 200}', '{"mu_true": [Infinity, 0]}',
             '{"mu_true": [0, 0], "ranks": [Infinity]}',
-        ],
+            '{"mu_true": [0, 0], "n_reps": 150.5}', '{"mu_true": [0, 0], "seed": 1.5}',
+            '{"mu_true": [0, 0], "ranks": [1.7]}',
+        )] + [("bootstrap-ci", '{"mu_true": [0, 0], "n_per_group": Infinity}')],
         ids=[
             "list", "list-of-names", "number", "scalar-means", "string-means",
             "string-ranks", "infinite-sigma", "nan-means", "infinite-means",
-            "infinite-ranks",
+            "infinite-ranks", "fractional-reps", "fractional-seed", "fractional-rank",
+            "infinite-group-size",
         ],
     )
-    def test_config_file_malformed(self, capsys, tmp_path, text):
+    def test_config_file_malformed(self, capsys, tmp_path, command, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         code, _, err = run(
-            capsys,
-            ["simulate-mse", "--config", str(cfg), "--out", str(tmp_path / "x.csv")],
+            capsys, [command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
         assert "config" in err
@@ -235,6 +251,18 @@ class TestSimulateMse:
         )
         assert code == 4
         assert "(seed=1, b=" in err
+
+    def test_failing_replicate_exits_quadrature(self, capsys, monkeypatch, tmp_path):
+        # every p = 3 draw is too far from 0 for the panels; the pool returns
+        # the quadrature error of replicate 0 once its redraws run out
+        monkeypatch.setenv("SELEX_THREADS", "2")
+        code, _, err = run(
+            capsys,
+            ["simulate-mse", "--mu", "2e12,0,-2e12", "--reps", "100",
+             "--out", str(tmp_path / "x.csv")],
+        )
+        assert code == 3
+        assert err.startswith("quadrature failure: replicate (seed=0, b=0): ")
 
     @pytest.mark.parametrize("strict,expected", [(False, 0), (True, 5)])
     def test_strict_exits_5_on_a_redraw(

@@ -16,6 +16,12 @@ from selex.experiments import (
     run_mse,
     worker_count,
 )
+from selex.ordering import ConvergenceFailure
+
+# either solver failure is redrawn, then re-raised as itself
+solver_errors = pytest.mark.parametrize(
+    "error", [MaxIterationsExceeded, ConvergenceFailure], ids=["max-iterations", "convergence"]
+)
 
 
 @pytest.fixture(autouse=True)
@@ -28,7 +34,9 @@ class TestConfigs:
     def test_mse_defaults(self):
         cfg = MseConfig((0.0, 0.0))
         assert cfg.n_reps == 1000 and cfg.sigma == 1.0
-        assert cfg.rank_list() == (1, 2)
+        assert cfg.ranks == (1, 2)
+        numpy_ints = MseConfig((0.0, 0.0), n_reps=np.int64(150), seed=np.uint32(3))
+        assert (numpy_ints.n_reps, numpy_ints.seed) == (150, 3)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -39,6 +47,11 @@ class TestConfigs:
             {"mu_true": (0.0, 0.0), "ranks": (0,)},
             {"mu_true": (0.0, 0.0), "ranks": (3,)},
             {"mu_true": (0.0, 0.0), "sigma": math.inf},
+            {"mu_true": (0.0, 0.0), "n_reps": 150.5},
+            {"mu_true": (0.0, 0.0), "seed": 1.5},
+            {"mu_true": (0.0, 0.0), "seed": True},
+            {"mu_true": (0.0, 0.0), "ranks": (1.7,)},
+            {"mu_true": (0.0, 0.0), "ranks": ()},
         ],
     )
     def test_mse_invalid(self, kwargs):
@@ -52,6 +65,9 @@ class TestConfigs:
             {"mu_true": (0.0, 0.0), "level": 1.2},
             {"mu_true": (0.0, 0.0), "obs_sd": -1.0},
             {"mu_true": (0.0, 0.0), "obs_sd": math.inf},
+            {"mu_true": (0.0, 0.0), "n_per_group": math.inf},
+            {"mu_true": (0.0, 0.0), "n_boot": 999.5},
+            {"mu_true": (0.0, 0.0), "seed": 1.5},
         ],
     )
     def test_bootstrap_invalid(self, kwargs):
@@ -151,14 +167,15 @@ class TestRunMse:
         monkeypatch.setenv("SELEX_THREADS", "1")
         assert rows == run_mse(cfg).rows
 
-    def test_failed_replicate_is_redrawn(self, monkeypatch):
+    @solver_errors
+    def test_failed_replicate_is_redrawn(self, monkeypatch, error):
         real = experiments.ccmle
         calls = []
 
         def fail_once(obs):
             calls.append(obs)
             if len(calls) == 5:  # replicate 4, first attempt
-                raise MaxIterationsExceeded("forced failure", None)
+                raise error("forced failure")
             return real(obs)
 
         monkeypatch.setattr(experiments, "ccmle", fail_once)
@@ -169,18 +186,21 @@ class TestRunMse:
         assert len(calls) == cfg.n_reps + 1
         assert not np.array_equal(calls[4].x, calls[5].x)  # a fresh draw
 
-    def test_retries_are_bounded(self, monkeypatch):
-        calls = []
+    @solver_errors
+    def test_retries_are_bounded(self, monkeypatch, error):
+        calls, raised = [], []
 
         def fail_all(obs):
             calls.append(obs)
-            raise MaxIterationsExceeded("forced failure", None)
+            raised.append(error("forced failure"))
+            raise raised[-1]
 
         monkeypatch.setattr(experiments, "ccmle", fail_all)
         cfg = MseConfig((1.0, 0.5, 0.0), 1.0, 100, seed=13)
-        with pytest.raises(MaxIterationsExceeded, match=r"\(seed=13, b=0\)"):
+        with pytest.raises(error, match=r"\(seed=13, b=0\): forced failure$") as info:
             run_mse(cfg)
         assert len(calls) == MAX_RESAMPLE_ATTEMPTS
+        assert info.value is raised[-1]  # the solver's own error, not a rebuilt one
 
 
 class TestRunBootstrap:
@@ -222,7 +242,8 @@ class TestRunBootstrap:
             assert row["ccmle_lower"] == row["ccmle_upper"] == row["ccmle_point"]
             assert row["trad_lower"] == row["trad_upper"] == row["trad_point"]
 
-    def test_retries_are_bounded(self, monkeypatch):
+    @solver_errors
+    def test_retries_are_bounded(self, monkeypatch, error):
         real = experiments.ccmle
         calls = []
 
@@ -232,13 +253,14 @@ class TestRunBootstrap:
                 return real(obs)
             if len(calls) > MAX_RESAMPLE_ATTEMPTS + 1:
                 raise RuntimeError("retries are not bounded")
-            raise MaxIterationsExceeded("forced failure", None)
+            raise error("forced failure")
 
         monkeypatch.setattr(experiments, "ccmle", fail_resamples)
         cfg = BootstrapConfig((1.0, 0.5, 0.0), n_per_group=10, obs_sd=1.0,
                               n_boot=999, seed=7)
-        with pytest.raises(MaxIterationsExceeded, match=r"seed=7, b=0\)"):
+        with pytest.raises(error, match=r"seed=7, b=0\)") as info:
             run_bootstrap_ci(cfg)
+        assert type(info.value) is error
         assert len(calls) == 1 + MAX_RESAMPLE_ATTEMPTS
 
 
