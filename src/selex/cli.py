@@ -113,10 +113,13 @@ def cmd_estimate(args) -> int:
     ]
     if args.diagnostics:
         payload.update(
-            iterations=result.iterations, kkt_residual=result.kkt_residual
+            iterations=result.iterations,
+            fallbacks=result.fallbacks,
+            kkt_residual=result.kkt_residual,
         )
         lines.append(
-            f"iterations = {result.iterations}, kkt_residual = {result.kkt_residual:.3g}"
+            f"iterations = {result.iterations}, fallbacks = {result.fallbacks}, "
+            f"kkt_residual = {result.kkt_residual:.3g}"
         )
     if not result.converged:
         warning = "optimizer did not converge; last (and best) iterate shown"
@@ -211,8 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--sigma", type=float, required=True, help="common std deviation")
     e.add_argument("--json", action="store_true", help="emit a JSON document")
     e.add_argument("--diagnostics", action="store_true",
-                   help="include iterations and the KKT residual, the length "
-                   "of the last projected step in sigma units")
+                   help="include iterations (quadrature sweeps), Newton "
+                   "fallbacks and the KKT residual, the length of the last "
+                   "projected step in sigma units")
     e.set_defaults(fn=cmd_estimate)
 
     m = sub.add_parser("simulate-mse", help="selection-respecting MSE experiment")

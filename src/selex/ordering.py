@@ -26,6 +26,15 @@ integrands give the exact gradient
 
 Every rule runs both sweeps, U being the H sweep on the reversed nodes with
 the populations reversed: the k = 1 integrand gives P, all k the gradient.
+Differentiating once more gives the Hessian of log P, Cov(X | order) /
+sigma^4 - I / sigma^2. E[(X_k - mu_k)^2; order] integrates (t - mu_k)^2
+against the same integrands, and for j < k
+
+    E[(X_j - mu_j)(X_k - mu_k); order]
+        = integral (t - mu_k) f_k U^(j)_{k-1} H_{k+1} dt,
+
+where U^(j) is the U sweep with f_j weighted by (s - mu_j). The solver's
+rule runs those p - 1 weighted sweeps in the same loop.
 
 Layout. Each mean has a window [mu_k - R sigma, mu_k + R sigma]
 (R = TRUNCATION_RADIUS); overlapping windows merge. A gap between merged
@@ -50,11 +59,12 @@ or when nodes sit so far from 0 (past about 2^40 sigma) that rounding moves
 them by more than _EDGE_ULP_LIMIT of a panel, which the estimate misses.
 Off the cone the mass can sit in the far tails, where one PANEL_WIDTH
 panel spans many e-folds of the integrand: (0, 0, 20) needs two halvings.
-The gradient takes the same loop off the cone. On the cone, the only place
-the solver evaluates it, the first halving converges, so it takes the
-unhalved rule with no error pass. Where P underflows, both sweeps run in
-log space on panels LOG_SPACE_SPLIT times narrower, with a per-panel max
-shift; on the cone P >= 1/p!, so the solver never takes that path.
+The public gradient takes the same loop everywhere. The solver's rule,
+``conditional_moments``, takes the unhalved panels with no error pass: it
+runs only on the cone, where the first halving converges, and the solver
+stops on its own residual. Where P underflows, both sweeps run in log
+space on panels LOG_SPACE_SPLIT times narrower, with a per-panel max shift;
+on the cone P >= 1/p!, so the solver's rule runs in linear space only.
 """
 
 from __future__ import annotations
@@ -226,29 +236,58 @@ def _cumulative_log(logy: np.ndarray, width: float) -> np.ndarray:
 
 
 def _integrands(
-    mu: np.ndarray, sigma: float, nodes: np.ndarray, width: float, log_space: bool
+    mu: np.ndarray,
+    sigma: float,
+    nodes: np.ndarray,
+    width: float,
+    log_space: bool,
+    cross: bool = False,
 ) -> np.ndarray:
     """Integrands f_k U_{k-1} H_{k+1} of P (module docstring), one row per
-    population, or their logs.
+    population, or their logs; with ``cross``, their moments instead.
 
     The "above t" recursion U is the "below t" one on the mirrored problem:
     nodes and population order both reversed, so one loop runs both sweeps.
-    Row 0 is f_1 H_2 times U_0 = 1 exactly, the value sweep alone.
+    Row 0 is f_1 H_2 times U_0 = 1 exactly, the value sweep alone. With
+    ``cross`` (linear space only) the loop also runs the p - 1 mirrored
+    sweeps U^(j), f_j weighted by (s - mu_j); each joins the loop at f_j's
+    row, up to which it equals U. Entry [k, s, r] of the moments is the
+    integral of (t - mu_k)^r f_k H_{k+1} times U_{k-1} for s = 0, and
+    times U^(j)_{k-1} for s = 1 + j (0 for j >= k).
     """
-    z = (nodes[None, :] - mu[:, None]) / sigma
-    logpdf = -0.5 * z * z - math.log(sigma) + math.log(INV_SQRT_2PI)
+    d = nodes[None, :] - mu[:, None]
+    logpdf = -0.5 * np.square(d / sigma) - math.log(sigma) + math.log(INV_SQRT_2PI)
     if log_space:
         f, unit, combine, cumulate = logpdf, 0.0, np.add, _cumulative_log
-    else:
-        f, unit, combine, cumulate = np.exp(logpdf), 1.0, np.multiply, _cumulative
-    rows = np.stack((f, f[::-1, ::-1]))
-    below = np.empty_like(rows)  # below[:, k] is H_{k+2}, 0-based k
-    below[:, -1] = unit
-    for k in range(rows.shape[1] - 1, 0, -1):
-        below[:, k - 1] = cumulate(combine(rows[:, k], below[:, k]), width)
-    return combine(combine(f, below[0]), below[1, ::-1, ::-1])
-
-
+    else:  # in place, so that the density and its log are not both held
+        f, unit, combine = np.exp(logpdf, out=logpdf), 1.0, np.multiply
+        cumulate = _cumulative
+    p, m = f.shape
+    mirrored, dm = f[::-1, ::-1], d[::-1, ::-1]
+    # below[k] is H_{k+2} (0-based k) of the value sweep, the mirrored sweep
+    # and the weighted mirrored sweeps 2 + j, j = 0 .. p - 2, each 0 before
+    # it joins, so that the cross moments read 0 for j >= k
+    below = np.zeros((p, p + 1 if cross else 2, m))
+    below[-1, :2] = unit
+    for k in range(p - 1, 0, -1):
+        n = p + 2 - k if cross else 2  # mirrored row k is f_j, j = p - 1 - k
+        rows = combine(below[k, :n], mirrored[k])
+        rows[0] = combine(below[k, 0], f[k])
+        if cross:
+            rows[-1] = rows[1] * dm[k]
+        below[k - 1, :n] = cumulate(rows, width)
+    fh = combine(f, below[:, 0])
+    if not cross:
+        return combine(fh, below[::-1, 1, ::-1])
+    # (t - mu_k)^r f_k H_{k+1} with the quadrature weights, r = 0, 1, 2, on
+    # the mirrored nodes, meets U_{k-1} and the U^(j)_{k-1} at mirrored row
+    # p - 1 - k: one matrix product per row
+    powers = np.empty((p, m, 3))
+    weighted = fh.reshape(p, -1, PANEL_NODES) * (_WEIGHTS * (0.5 * width))
+    powers[..., 0] = weighted.reshape(p, m)[::-1, ::-1]
+    np.multiply(dm, powers[..., 0], out=powers[..., 1])
+    np.multiply(dm, powers[..., 1], out=powers[..., 2])
+    return (below[:, 1:] @ powers)[::-1]
 def _grid_recursion(
     mu: np.ndarray, sigma: float, edges: np.ndarray, width: float
 ) -> tuple[float, float, np.ndarray]:
@@ -274,6 +313,26 @@ def _grid_recursion(
     log_value = log_shift + math.log(mass[0])
     moment = _integral((nodes[None, :] - mu[:, None]) * w, width)
     return value, log_value, moment / (mass * sigma**2)
+
+
+def conditional_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(log P, gradient of log P, Cov(X | order)) at sigma = 1, for means on
+    the cone: the solver's rule, one linear-space sweep on the panels of
+    ``_layout`` with no error pass (module docstring, Accuracy).
+
+    Every moment of X_k - mu_k comes from the integrand of row k and is
+    divided by the P that this row integrates to; the variance integrates
+    (t - mu_k)^2 against it.
+    """
+    edges, width = _layout(mu, 1.0)
+    nodes = _nodes(edges, width)
+    moments = _integrands(mu, 1.0, nodes, width, log_space=False, cross=True)
+    mass, moment, square = moments[:, 0].T
+    grad = moment / mass
+    upper = np.zeros((mu.size, mu.size))  # E[(X_j - mu_j)(X_k - mu_k) | order]
+    upper[:-1] = moments[:, 1:, 1].T / mass
+    cov = upper + upper.T + np.diag(square / mass) - np.outer(grad, grad)
+    return math.log(mass[0]), grad, cov
 
 
 def _closed_form_p2(mu: np.ndarray, sigma: float) -> tuple[float, float, np.ndarray]:
@@ -370,13 +429,10 @@ def grad_log_ordering_probability(cfg: MeanConfig) -> np.ndarray:
 
     with the truncated mean taken from one "below t" and one "above t"
     sweep (module docstring), on the panels ``ordering_probability``
-    converges on; on the cone, where the solver steps, those of ``_layout``
-    with no error pass. When P underflows both sweeps run in log space, so
-    the gradient stays finite.
+    converges on. When P underflows both sweeps run in log space, so the
+    gradient stays finite.
     """
     mu = np.asarray(cfg.mu, dtype=float)
     if cfg.p == 2:
         return _closed_form_p2(mu, cfg.sigma)[2]
-    if list(cfg.mu) != sorted(cfg.mu, reverse=True):  # off the cone
-        return _converged(mu, cfg.sigma)[0][2]
-    return _grid_recursion(mu, cfg.sigma, *_layout(mu, cfg.sigma))[2]
+    return _converged(mu, cfg.sigma)[0][2]

@@ -141,6 +141,7 @@ class TestEstimate:
         )
         payload = json.loads(out)
         assert "kkt_residual" in payload and "iterations" in payload
+        assert payload["fallbacks"] == 0
 
     def test_unconverged_solve_exits_4_with_last_iterate(self, capsys, monkeypatch):
         monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)

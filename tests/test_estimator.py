@@ -346,14 +346,16 @@ class TestCcmleGeneral:
         "x", [[3.0, 2.5, 1.0], [2.0, 1.6, 1.5, 0.2, 0.1, -0.4]], ids=["p3", "p6"]
     )
     def test_iterations_count_gradient_calls(self, x, monkeypatch):
-        real = estimator.grad_log_ordering_probability
+        """``iterations`` counts evaluations of the solver's rule, each of
+        which gives the gradient."""
+        real = estimator.conditional_moments
         calls = []
 
-        def counted(cfg):
-            calls.append(cfg)
-            return real(cfg)
+        def counted(mu):
+            calls.append(mu)
+            return real(mu)
 
-        monkeypatch.setattr(estimator, "grad_log_ordering_probability", counted)
+        monkeypatch.setattr(estimator, "conditional_moments", counted)
         res = ccmle(ObservedSample(np.array(x), 0.7))
         assert res.converged and res.iterations == len(calls) > 1
 
@@ -361,18 +363,33 @@ class TestCcmleGeneral:
         "x", [[3.0, 2.5, 1.0], [2.0, 1.6, 1.5, 0.2, 0.1, -0.4]], ids=["p3", "p6"]
     )
     def test_one_sweep_per_iteration(self, x, monkeypatch):
-        """The solve evaluates no objective: each step's gradient is the only
-        quadrature, with no error pass on the cone."""
-        real = ordering._grid_recursion
+        """The solve evaluates no checked objective: each iteration's rule is
+        the only quadrature, one sweep with no error pass."""
+        real = ordering._integrands
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(ordering, "_grid_recursion", counted)
+        monkeypatch.setattr(ordering, "_integrands", counted)
         res = ccmle(ObservedSample(np.array(x), 0.7))
         assert res.converged and res.iterations == len(calls) > 1
+
+    def test_clustered_p20_converges_in_few_sweeps(self):
+        # the Hessian -Cov(X | order) is ill-conditioned on this cone: the
+        # unit projected step alone needs 443 sweeps
+        res = ccmle(ObservedSample(-0.3 * np.arange(20.0), 1.0))
+        assert res.converged and res.iterations <= 10
+
+    def test_near_ties_converge_in_few_sweeps(self):
+        rng = np.random.default_rng(2024)
+        worst = 0
+        for _ in range(200):
+            res = ccmle(ObservedSample(rng.normal([10.0, 9.5, 9.0], 1.0), 1.0))
+            assert res.converged
+            worst = max(worst, res.iterations)
+        assert worst <= 8
 
     def test_labels_restored(self):
         res = ccmle(ObservedSample(np.array([0.0, 10.0]), 1.0))

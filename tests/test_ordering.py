@@ -14,12 +14,14 @@ from selex.ordering import (
     ConvergenceFailure,
     MeanConfig,
     UnderflowWarning,
+    _converged,
     _cumulative,
     _integral,
     _grid_recursion,
     _layout,
     _nodes,
     _refine,
+    conditional_moments,
     grad_log_ordering_probability,
     inverse_mills,
     mc_ordering_probability,
@@ -402,17 +404,38 @@ class TestGradient:
         assert np.abs(grad - expected).max() <= 1e-6
 
     def test_cone_takes_one_rule(self):
-        # on the cone, where the solver steps, the gradient is the rule on the
-        # panels of _layout, with no error pass, and that rule is the one
-        # ordering_probability converges on
+        # on the cone, too, the gradient is the checked one, and the rule it
+        # comes from is the one ordering_probability converges on
         rng = np.random.default_rng(13)
         for p in (3, 4, 6, 10, 20):
             cfg = random_means(rng, p, on_cone=True)
             mu = np.asarray(cfg.mu)
-            panels = _layout(mu, cfg.sigma)
-            _, log_value, grad = _grid_recursion(mu, cfg.sigma, *panels)
+            (_, log_value, grad), _, _ = _converged(mu, cfg.sigma)
             assert np.array_equal(grad_log_ordering_probability(cfg), grad)
             assert ordering_probability(cfg).log_value == log_value
+
+    @pytest.mark.parametrize("p", [3, 4, 6, 10, 20])
+    def test_solver_rule_matches_gradient_and_its_differences(self, p):
+        """The solver's rule, at standardized means on the cone: log P and the
+        gradient are those of the plain rule on the same panels, and
+        Cov(X | order) - I is the Jacobian of that gradient, here by central
+        differences of step 1e-5 on the shared panels."""
+        cfg = random_means(np.random.default_rng(100 + p), p, on_cone=True)
+        mu = (np.asarray(cfg.mu) - np.mean(cfg.mu)) / cfg.sigma
+        panels = _layout(mu, 1.0)
+        log_p, grad, cov = conditional_moments(mu)
+        _, log_expected, grad_expected = _grid_recursion(mu, 1.0, *panels)
+        assert abs(log_p - log_expected) <= 1e-12
+        assert np.abs(grad - grad_expected).max() <= 1e-12
+        h = 1e-5
+        jacobian = np.empty((p, p))
+        for i in range(p):
+            step = np.zeros(p)
+            step[i] = h
+            up = _grid_recursion(mu + step, 1.0, *panels)[2]
+            dn = _grid_recursion(mu - step, 1.0, *panels)[2]
+            jacobian[:, i] = (up - dn) / (2.0 * h)
+        assert np.abs(cov - np.eye(p) - jacobian).max() <= 1e-8
 
     def test_underflow_stays_finite(self):
         cfg = MeanConfig((0.0, 0.0, 60.0), 1.0)  # log P about -1209
