@@ -18,8 +18,12 @@ conditioned on the convex order cone (Brascamp-Lieb). So the unit step
 
     nu_pg = project_monotone(z - grad log P_1(nu))
 
-ascends from any point, and ||nu_pg - nu|| is the stopping rule. Where C
-has small eigenvalues, as on clustered cones, that step is slow, so each
+ascends from any point, and ||nu_pg - nu|| is the stopping rule. At nu = 0
+the gradient is e_p, the expected order statistics of p standard normals
+(Harter 1961; e_2 gives the p = 2 threshold), so the grand mean is tested
+with no sweep: the sample pools at xbar iff every top partial sum of z - e_p
+is <= 0 (nu_pg = 0). Else the ascent starts at the observations. Where C has
+small eigenvalues, as on clustered cones, that step is slow, so each
 iteration also takes a Newton step on the face of the cone that nu_pg lies
 on (projected Newton, Bertsekas 1982): with B the tie-group matrix of
 nu_pg, and C and the gradient at nu from one sweep, the candidate is
@@ -36,6 +40,7 @@ value, so tie groups are the runs of exactly equal entries of the estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -152,7 +157,7 @@ def project_monotone(v: np.ndarray) -> np.ndarray:
             s, c = sums.pop(), counts.pop()
             sums[-1] += s
             counts[-1] += c
-    return np.repeat(np.divide(sums, counts), counts)
+    return np.array([s / c for s, c in zip(sums, counts) for _ in range(c)])
 
 
 def ccmle_p2_rows(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -204,7 +209,15 @@ def ccmle_p2(obs: ObservedSample) -> CcmleResult:
 
 def _objective(z: np.ndarray, nu: np.ndarray, log_p: float) -> float:
     """The log-likelihood at ``nu`` in standardized coordinates, given log P."""
-    return -0.5 * float(np.sum((z - nu) ** 2)) - log_p
+    return -0.5 * float((z - nu) @ (z - nu)) - log_p
+
+
+@functools.cache
+def _expected_order_statistics(p: int) -> np.ndarray:
+    """e_p (module docstring) from one sweep of the rule; read-only, as it is shared."""
+    e = conditional_moments(np.zeros(p))[1]
+    e.flags.writeable = False
+    return e
 
 
 def _tie_groups(nu: np.ndarray) -> list[list[int]]:
@@ -222,14 +235,15 @@ def ccmle(obs: ObservedSample, method: str = "auto") -> CcmleResult:
     """Constrained conditional MLE for any number of populations.
 
     Dispatches to the exact path for p = 2 (``method="numeric"`` forces the
-    general optimizer). The general path standardizes the sample, starts at
-    the observations and iterates as the module docstring says, one
-    ``conditional_moments`` sweep per iterate and per Newton candidate
-    (``iterations`` counts sweeps; ``fallbacks`` the candidates not kept).
-    It returns the unit step nu_pg once ||nu_pg - nu|| is within ``KKT_TOL``
-    (in sigma units, ``kkt_residual``), so a solve capped at one sweep gives
-    the Taylor step at the observations. Raises MaxIterationsExceeded,
-    carrying the last unit step, if that takes more than ``MAX_ITERATIONS``.
+    general optimizer). The general path standardizes the sample, tests the
+    grand mean with the cached e_p, and else iterates from the observations
+    as the module docstring says, one ``conditional_moments`` sweep per
+    iterate and per Newton candidate (``iterations`` counts sweeps, 0 for a
+    pooled sample; ``fallbacks`` the candidates not kept). It returns the
+    unit step nu_pg once ||nu_pg - nu|| is within ``KKT_TOL`` (in sigma
+    units, ``kkt_residual``); capped at one sweep, a sample that does not
+    pool gets the Taylor step at the observations. Raises
+    MaxIterationsExceeded, carrying the last unit step, past MAX_ITERATIONS.
     """
     if method not in ("auto", "numeric"):
         raise ValueError("method must be 'auto' or 'numeric'")
@@ -237,12 +251,15 @@ def ccmle(obs: ObservedSample, method: str = "auto") -> CcmleResult:
         return ccmle_p2(obs)
 
     z = (obs.x - obs.xbar) / obs.sigma  # still in descending order
-    nu, rule = z, conditional_moments(z)
-    iterations, fallbacks = 1, 0
-    while True:
+    nu_pg = project_monotone(z - _expected_order_statistics(obs.p))
+    kkt = math.hypot(*nu_pg)  # the unit step from nu = 0; hypot as z may not square
+    iterations = fallbacks = 0
+    if kkt > KKT_TOL:
+        nu, rule, iterations = z, conditional_moments(z), 1
+    while kkt > KKT_TOL:
         log_p, grad, cov = rule
         nu_pg = project_monotone(z - grad)
-        kkt = float(np.linalg.norm(nu_pg - nu))
+        kkt = math.hypot(*(nu_pg - nu))
         if kkt <= KKT_TOL or iterations >= MAX_ITERATIONS:
             break
         groups = _tie_groups(nu_pg)  # the face: column g indicates group g
@@ -259,12 +276,11 @@ def ccmle(obs: ObservedSample, method: str = "auto") -> CcmleResult:
             break
         nu, rule = nu_pg, conditional_moments(nu_pg)
         iterations += 1
-    nu = nu_pg
     converged = kkt <= KKT_TOL
 
     result = CcmleResult(
-        obs.xbar + obs.sigma * nu,
-        _tie_groups(nu),
+        obs.xbar + obs.sigma * nu_pg,
+        _tie_groups(nu_pg),
         "numeric",
         iterations,
         kkt,

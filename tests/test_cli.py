@@ -143,6 +143,14 @@ class TestEstimate:
         assert "kkt_residual" in payload and "iterations" in payload
         assert payload["fallbacks"] == 0
 
+    def test_pooled_sample_reports_no_sweep(self, capsys):
+        argv = ["estimate", "--obs", "10,9.8,9.7", "--sigma", "1", "--json", "--diagnostics"]
+        code, out, _ = run(capsys, argv)
+        payload = json.loads(out)
+        assert code == 0 and payload["iterations"] == 0
+        assert payload["groups"] == [[0, 1, 2]]
+        assert payload["estimates"] == pytest.approx([(10 + 9.8 + 9.7) / 3] * 3, rel=1e-15)
+
     def test_unconverged_solve_exits_4_with_last_iterate(self, capsys, monkeypatch):
         monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)
         with pytest.raises(MaxIterationsExceeded) as info:

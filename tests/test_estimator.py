@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from selex import estimator, ordering
 from selex.estimator import (
@@ -20,7 +21,13 @@ from selex.estimator import (
     conditional_log_likelihood,
     project_monotone,
 )
-from selex.ordering import ConvergenceFailure, MeanConfig, ordering_probability
+from selex.ordering import (
+    ConvergenceFailure,
+    MeanConfig,
+    grad_log_ordering_probability,
+    inverse_mills,
+    ordering_probability,
+)
 
 
 def brute_force_projection(v: np.ndarray) -> np.ndarray:
@@ -220,20 +227,94 @@ class TestLogLikelihood:
 
 
 class TestTaylorStart:
-    """The first iteration is the Taylor step from the observations."""
+    """A sample that does not pool at the grand mean starts with the Taylor
+    step from the observations; one that does stops there, with no sweep."""
 
     def test_moderate_gap(self, monkeypatch):
-        start = first_step(ObservedSample(np.array([1.0, 0.0]), 1.0), monkeypatch)
-        g = 0.2889781813726  # analytic gradient magnitude at this config
-        assert np.allclose(start.mu_hat, [1.0 - g, g], atol=1e-9)
+        # wider than the pooling threshold 2 / sqrt(pi) = 1.128
+        start = first_step(ObservedSample(np.array([1.5, 0.0]), 1.0), monkeypatch)
+        g = inverse_mills(-1.5 / math.sqrt(2.0)) / math.sqrt(2.0)  # the gradient at z
+        assert np.allclose(start.mu_hat, [1.5 - g, g], atol=1e-9)
 
     def test_wide_gap_keeps_observations(self, monkeypatch):
         start = first_step(ObservedSample(np.array([10.0, 0.0]), 1.0), monkeypatch)
         assert np.allclose(start.mu_hat, [10.0, 0.0], atol=1e-6)
 
     def test_small_gap_projected_to_pool(self, monkeypatch):
-        start = first_step(ObservedSample(np.array([0.1, 0.0]), 1.0), monkeypatch)
-        assert np.allclose(start.mu_hat, [0.05, 0.05], atol=1e-9)
+        monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)
+        res = ccmle(ObservedSample(np.array([0.1, 0.0]), 1.0), method="numeric")
+        assert res.converged and res.iterations == 0
+        assert res.groups == [[0, 1]]
+        assert res.mu_hat == pytest.approx([0.05, 0.05], rel=1e-15)
+        assert res.kkt_residual <= KKT_TOL
+
+
+def order_statistic_mean(p: int, k: int) -> float:
+    """E of the k-th largest of p standard normals (1-based), by quadrature
+    of its density p! / ((k-1)! (p-k)!) (1 - Phi)^(k-1) Phi^(p-k) phi."""
+    coef = math.factorial(p) / (math.factorial(k - 1) * math.factorial(p - k))
+
+    def integrand(t):
+        cdf = 0.5 * math.erfc(-t / math.sqrt(2.0))
+        pdf = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+        return t * coef * (1.0 - cdf) ** (k - 1) * cdf ** (p - k) * pdf
+
+    return quad(integrand, -12.0, 12.0, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+
+
+class TestGrandMean:
+    """The solver tests the grand mean before its first sweep: there the
+    gradient of log P is e_p, the expected order statistics of p standard
+    normals, so nu = 0 solves iff project_monotone(z - e_p) is 0."""
+
+    def test_two_populations_give_the_pooling_threshold(self):
+        e = estimator._expected_order_statistics(2)
+        a = 1.0 / math.sqrt(math.pi)
+        assert e == pytest.approx([a, -a], abs=1e-12)
+        assert 2.0 * e[0] == pytest.approx(POOLING_THRESHOLD, abs=1e-12)
+
+    def test_three_populations(self):
+        e = estimator._expected_order_statistics(3)
+        a = 3.0 / (2.0 * math.sqrt(math.pi))
+        assert e == pytest.approx([a, 0.0, -a], abs=1e-12)
+
+    @pytest.mark.parametrize("p", [4, 5])
+    def test_against_order_statistic_densities(self, p):
+        e = estimator._expected_order_statistics(p)
+        expected = [order_statistic_mean(p, k) for k in range(1, p + 1)]
+        assert np.max(np.abs(e - expected)) <= 1e-10
+
+    def test_cached_read_only(self):
+        e = estimator._expected_order_statistics(4)
+        assert estimator._expected_order_statistics(4) is e
+        with pytest.raises(ValueError):
+            e[0] = 0.0
+
+    def test_zero_sweeps_iff_the_checked_gradient_pools(self):
+        rng = np.random.default_rng(13)
+        verdicts = set()
+        for _ in range(120):
+            p = int(rng.integers(3, 7))
+            sigma = float(rng.uniform(0.5, 2.0))
+            obs = ObservedSample(rng.normal(5.0, 0.6 * sigma, p), sigma)
+            res = ccmle(obs)
+            z = (obs.x - obs.xbar) / sigma
+            e = grad_log_ordering_probability(MeanConfig((0.0,) * p, 1.0))
+            pools = float(np.linalg.norm(project_monotone(z - e))) <= KKT_TOL
+            assert (res.iterations == 0) == pools
+            if pools:
+                assert res.groups == [list(range(p))]
+                assert res.mu_hat == pytest.approx(np.full(p, obs.xbar), abs=1e-12 * sigma)
+            verdicts.add(pools)
+        assert verdicts == {True, False}
+
+    def test_pooled_solve_needs_no_sweep(self, monkeypatch):
+        estimator._expected_order_statistics(4)  # its one origin sweep, first
+        calls = []
+        monkeypatch.setattr(estimator, "conditional_moments", calls.append)
+        res = ccmle(ObservedSample(np.array([10.0, 9.9, 9.8, 9.7]), 1.0))
+        assert res.iterations == 0 and not calls
+        assert res.path == "numeric" and res.converged
 
 
 TABLE_CONFIGS = [
@@ -347,7 +428,8 @@ class TestCcmleGeneral:
     )
     def test_iterations_count_gradient_calls(self, x, monkeypatch):
         """``iterations`` counts evaluations of the solver's rule, each of
-        which gives the gradient."""
+        which gives the gradient; the one-time sweep at the origin for e_p is
+        not charged to the solve, whether or not e_p is cached yet."""
         real = estimator.conditional_moments
         calls = []
 
@@ -356,8 +438,12 @@ class TestCcmleGeneral:
             return real(mu)
 
         monkeypatch.setattr(estimator, "conditional_moments", counted)
-        res = ccmle(ObservedSample(np.array(x), 0.7))
-        assert res.converged and res.iterations == len(calls) > 1
+        estimator._expected_order_statistics.cache_clear()
+        for origin_sweeps in (1, 0):  # e_p computed, then cached
+            calls.clear()
+            res = ccmle(ObservedSample(np.array(x), 0.7))
+            assert res.converged and res.iterations == len(calls) - origin_sweeps > 1
+            assert np.array_equal(calls[0], np.zeros(len(x))) == (origin_sweeps == 1)
 
     @pytest.mark.parametrize(
         "x", [[3.0, 2.5, 1.0], [2.0, 1.6, 1.5, 0.2, 0.1, -0.4]], ids=["p3", "p6"]
@@ -373,8 +459,11 @@ class TestCcmleGeneral:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(ordering, "_integrands", counted)
-        res = ccmle(ObservedSample(np.array(x), 0.7))
-        assert res.converged and res.iterations == len(calls) > 1
+        estimator._expected_order_statistics.cache_clear()
+        for origin_sweeps in (1, 0):  # e_p computed, then cached
+            calls.clear()
+            res = ccmle(ObservedSample(np.array(x), 0.7))
+            assert res.converged and res.iterations == len(calls) - origin_sweeps > 1
 
     def test_clustered_p20_converges_in_few_sweeps(self):
         # the Hessian -Cov(X | order) is ill-conditioned on this cone: the

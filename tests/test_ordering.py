@@ -301,6 +301,36 @@ class TestPanelKernels:
         # on the cone the same means leave it out
         assert _layout(np.array([60.0, 0.0, 0.0]), 1.0)[0].size == 2 * 16
 
+    def test_layout_matches_array_reference(self):
+        """The panels of ``_layout`` against the rule written with arrays: a
+        gap wider than both windows is skipped iff the means above it are
+        the first ones in the required order."""
+
+        def reference(mu, sigma):
+            r, width, s = TRUNCATION_RADIUS * sigma, PANEL_WIDTH * sigma, np.sort(mu)
+            lo, hi = [s[0] - r], []
+            for i in np.flatnonzero(np.diff(s) > 2.0 * r):
+                above = mu > s[i]
+                if not np.any(above[1:] & ~above[:-1]):
+                    hi.append(s[i] + r)
+                    lo.append(s[i + 1] - r)
+            hi.append(s[-1] + r)
+            count = [math.ceil((b - a) / width - 1e-9) for a, b in zip(lo, hi)]
+            return np.concatenate([a + width * np.arange(n) for a, n in zip(lo, count)])
+
+        rng = np.random.default_rng(17)
+        skipped = set()
+        for _ in range(300):
+            p = int(rng.integers(2, 7))
+            sigma = float(10.0 ** rng.uniform(-1.0, 1.0))
+            centres = 20.0 * sigma * rng.integers(0, 4, p)  # far apart or tied
+            mu = rng.permutation(centres + rng.normal(0.0, sigma, p))
+            edges, width = _layout(mu, sigma)
+            expected = reference(mu, sigma)
+            assert width == PANEL_WIDTH * sigma and np.array_equal(edges, expected)
+            skipped.add(bool(np.any(np.diff(edges) > 1.5 * width)))
+        assert skipped == {True, False}
+
 
 class TestSimpsonKernels:
     """scipy.integrate is the oracle for the grid oracle's Simpson kernels."""
