@@ -36,6 +36,14 @@ kept if the log-likelihood, which its own sweep gives, does not fall;
 otherwise the iteration takes nu_pg (a proximal Newton safeguard: Lee, Sun
 and Saunders 2014). Pool-adjacent-violators sets each pooled block to one
 value, so tie groups are the runs of exactly equal entries of the estimate.
+
+The rule, ``conditional_moments``, gives log P, its gradient and C at once.
+At p = 3 it is exact, in closed form from the bivariate normal orthant of
+the two gaps; that form holds its accuracy only on the cone, where every
+iterate lies, so the checked ``ordering_probability`` and the public
+gradient keep the quadrature. For p >= 4 it is one quadrature sweep. A
+sample whose z = (x - xbar)/sigma, or its span z_1 - z_p, overflows is
+rejected with a ValueError, as at p = 2.
 """
 
 from __future__ import annotations
@@ -87,6 +95,7 @@ class ObservedSample:
     x: np.ndarray
     sigma: float
     permutation: np.ndarray = field(init=False)
+    xbar: float = field(init=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -99,14 +108,11 @@ class ObservedSample:
         order = np.argsort(-x, kind="stable")
         self.permutation = order
         self.x = x[order]
+        self.xbar = float(self.x.mean())
 
     @property
     def p(self) -> int:
         return self.x.size
-
-    @property
-    def xbar(self) -> float:
-        return float(self.x.mean())
 
 
 @dataclass
@@ -237,20 +243,24 @@ def ccmle(obs: ObservedSample, method: str = "auto") -> CcmleResult:
     Dispatches to the exact path for p = 2 (``method="numeric"`` forces the
     general optimizer). The general path standardizes the sample, tests the
     grand mean with the cached e_p, and else iterates from the observations
-    as the module docstring says, one ``conditional_moments`` sweep per
-    iterate and per Newton candidate (``iterations`` counts sweeps, 0 for a
-    pooled sample; ``fallbacks`` the candidates not kept). It returns the
-    unit step nu_pg once ||nu_pg - nu|| is within ``KKT_TOL`` (in sigma
+    as the module docstring says, one ``conditional_moments`` call per
+    iterate and per Newton candidate (``iterations`` counts these sweeps, 0
+    for a pooled sample; ``fallbacks`` the candidates not kept). It returns
+    the unit step nu_pg once ||nu_pg - nu|| is within ``KKT_TOL`` (in sigma
     units, ``kkt_residual``); capped at one sweep, a sample that does not
-    pool gets the Taylor step at the observations. Raises
-    MaxIterationsExceeded, carrying the last unit step, past MAX_ITERATIONS.
+    pool gets the Taylor step at the observations. Raises ValueError when
+    the standardization overflows, and MaxIterationsExceeded, carrying the
+    last unit step, past MAX_ITERATIONS.
     """
     if method not in ("auto", "numeric"):
         raise ValueError("method must be 'auto' or 'numeric'")
     if obs.p == 2 and method == "auto":
         return ccmle_p2(obs)
 
-    z = (obs.x - obs.xbar) / obs.sigma  # still in descending order
+    with np.errstate(over="ignore"):  # an overflow is caught here
+        z = (obs.x - obs.xbar) / obs.sigma  # still in descending order
+    if not (np.all(np.isfinite(z)) and math.isfinite(float(z[0]) - float(z[-1]))):
+        raise ValueError("observations too far apart for sigma to standardize")
     nu_pg = project_monotone(z - _expected_order_statistics(obs.p))
     kkt = math.hypot(*nu_pg)  # the unit step from nu = 0; hypot as z may not square
     iterations = fallbacks = 0

@@ -59,12 +59,31 @@ or when nodes sit so far from 0 (past about 2^40 sigma) that rounding moves
 them by more than _EDGE_ULP_LIMIT of a panel, which the estimate misses.
 Off the cone the mass can sit in the far tails, where one PANEL_WIDTH
 panel spans many e-folds of the integrand: (0, 0, 20) needs two halvings.
-The public gradient takes the same loop everywhere. The solver's rule,
-``conditional_moments``, takes the unhalved panels with no error pass: it
-runs only on the cone, where the first halving converges, and the solver
-stops on its own residual. Where P underflows, both sweeps run in log
-space on panels LOG_SPACE_SPLIT times narrower, with a per-panel max shift;
-on the cone P >= 1/p!, so the solver's rule runs in linear space only.
+The public gradient takes the same loop everywhere. Where P underflows,
+both sweeps run in log space on panels LOG_SPACE_SPLIT times narrower, with
+a per-panel max shift.
+
+The solver's rule. ``conditional_moments`` runs only on the cone, where
+P >= 1/p!. For p >= 4 it takes the unhalved panels with no error pass, in
+linear space: there the first halving converges, and the solver stops on
+its own residual. At p = 3 it is exact. The order is the orthant
+{D_1 > 0, D_2 > 0} of the gaps D = J X, J = [[1, -1, 0], [0, 1, -1]] /
+sqrt(2), which are normal with correlation RHO = -1/2, so P = Phi_2(h, k;
+RHO) at (h, k) = J mu. Plackett's identity (Plackett 1954) gives
+
+    Phi_2(h, k; RHO) = Phi(h) Phi(k)
+        - (1/2pi) integral_{asin RHO}^{0} exp(-(h^2 + k^2 - 2hk sin t)
+                                              / (2 cos^2 t)) dt,
+
+whose smooth integrand a fixed Gauss-Legendre rule integrates to rounding
+(Genz 2004). Then dP/dh = phi(h) Phi((k - RHO h) / sqrt(1 - RHO^2)),
+d^2P/dh dk = phi_2(h, k; RHO), the same with h and k swapped, and with
+g and H the gradient and Hessian of log P in (h, k), the gradient in mu is
+J^T g and Cov(X | order) = I + J^T H J. The error of the form is absolute,
+near rounding. On the cone h, k >= 0, so P >= 1/6, and that is also a
+relative error of P: log P is accurate to rounding. Off the cone P can
+underflow and the form loses it, so ``ordering_probability`` and the
+public gradient keep the checked quadrature at p = 3 too.
 """
 
 from __future__ import annotations
@@ -89,6 +108,10 @@ MAX_NODES = 2**16  # nodes of one sweep; more raise ConvergenceFailure
 QUADRATURE_RTOL = 1e-6  # bound on the error estimate of log P
 _UNDERFLOW_FLOOR = 1e-300
 _EDGE_ULP_LIMIT = 2.0**-13  # ulp of the outermost panel edge, in panel widths
+# p = 3: the correlation of the gaps of the order, and sqrt(1 - RHO^2)
+_RHO = -0.5
+_RHO_S = math.sqrt(1.0 - _RHO**2)
+_ORTHANT_NODES = 12  # Gauss-Legendre nodes of the Plackett integral
 
 
 def _spectral_rule(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -288,6 +311,8 @@ def _integrands(
     np.multiply(dm, powers[..., 0], out=powers[..., 1])
     np.multiply(dm, powers[..., 1], out=powers[..., 2])
     return (below[:, 1:] @ powers)[::-1]
+
+
 def _grid_recursion(
     mu: np.ndarray, sigma: float, edges: np.ndarray, width: float
 ) -> tuple[float, float, np.ndarray]:
@@ -315,10 +340,64 @@ def _grid_recursion(
     return value, log_value, moment / (mass * sigma**2)
 
 
-def conditional_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """(log P, gradient of log P, Cov(X | order)) at sigma = 1, for means on
-    the cone: the solver's rule, one linear-space sweep on the panels of
-    ``_layout`` with no error pass (module docstring, Accuracy).
+def _plackett_rule(q: int) -> list[tuple[float, float, float]]:
+    """(sin theta, 1 / (2 cos^2 theta), weight / (2 pi)) at q Gauss-Legendre
+    nodes on [asin RHO, 0], for the integral of the module docstring's p = 3
+    rule (Plackett 1954; the nodes as in Genz 2004)."""
+    x, w = legendre.leggauss(q)
+    half = 0.5 * math.asin(_RHO)  # the half-length of the interval, negated
+    theta = half * (1.0 - x)
+    weight = w * (-half / (2.0 * math.pi))
+    terms = (np.sin(theta), 0.5 / np.cos(theta) ** 2, weight)
+    return list(zip(*(t.tolist() for t in terms)))
+
+
+_PLACKETT = _plackett_rule(_ORTHANT_NODES)
+
+
+def _normal_pdf(x: float) -> float:
+    return INV_SQRT_2PI * math.exp(-0.5 * x * x)
+
+
+def _normal_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / SQRT_2)
+
+
+def _orthant_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """``conditional_moments`` at p = 3, in closed form from the bivariate
+    normal orthant of the gaps (module docstring, The solver's rule)."""
+    m1, m2, m3 = mu.tolist()
+    h, k = (m1 - m2) / SQRT_2, (m2 - m3) / SQRT_2
+    squares, product = h * h + k * k, 2.0 * h * k
+    value = _normal_cdf(h) * _normal_cdf(k) - sum(
+        w * math.exp((product * s - squares) * c) for s, c, w in _PLACKETT
+    )
+    # dP/dh = phi(h) Phi(u_h), u_h = (k - RHO h) / sqrt(1 - RHO^2), and the
+    # same with h and k swapped; d2P/dh dk is the density phi_2(h, k; RHO),
+    # and d2P/dh2 = -h dP/dh - RHO phi_2
+    uh, uk = (k - _RHO * h) / _RHO_S, (h - _RHO * k) / _RHO_S
+    gh = _normal_pdf(h) * _normal_cdf(uh) / value
+    gk = _normal_pdf(k) * _normal_cdf(uk) / value
+    density = _normal_pdf(h) * _normal_pdf(uh) / (_RHO_S * value)
+    hhh = -h * gh - _RHO * density - gh * gh  # H = Hessian of log P in (h, k)
+    hkk = -k * gk - _RHO * density - gk * gk
+    hhk = density - gh * gk
+    # J^T (gh, gk) and I + J^T H J, J = [[1, -1, 0], [0, 1, -1]] / sqrt(2):
+    # the matrix below is twice the latter
+    grad = np.array([gh, gk - gh, -gk]) / SQRT_2
+    cov = np.array(
+        [
+            [2.0 + hhh, hhk - hhh, -hhk],
+            [hhk - hhh, 2.0 + hhh - 2.0 * hhk + hkk, hhk - hkk],
+            [-hhk, hhk - hkk, 2.0 + hkk],
+        ]
+    )
+    return math.log(value), grad, 0.5 * cov
+
+
+def _panel_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """``conditional_moments`` from one linear-space sweep on the panels of
+    ``_layout``, with no error pass (module docstring, The solver's rule).
 
     Every moment of X_k - mu_k comes from the integrand of row k and is
     divided by the P that this row integrates to; the variance integrates
@@ -332,6 +411,13 @@ def conditional_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     cov[:-1] = moments[:, 1:, 1].T  # E[(X_j - mu_j)(X_k - mu_k) | order], j < k
     cov += cov.T + np.diag(moments[:, 0, 2]) - np.outer(grad, grad)
     return math.log(mass[0]), grad, cov
+
+
+def conditional_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(log P, gradient of log P, Cov(X | order)) at sigma = 1, for means on
+    the cone: the solver's rule (module docstring), exact at p = 3 and one
+    panel sweep for p >= 4."""
+    return _orthant_moments(mu) if mu.size == 3 else _panel_moments(mu)
 
 
 def _closed_form_p2(mu: np.ndarray, sigma: float) -> tuple[float, float, np.ndarray]:

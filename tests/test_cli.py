@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -151,6 +152,18 @@ class TestEstimate:
         assert payload["groups"] == [[0, 1, 2]]
         assert payload["estimates"] == pytest.approx([(10 + 9.8 + 9.7) / 3] * 3, rel=1e-15)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "obs,sigma",
+        [("1e300,0,-1e300", "1e-10"), ("3,2,1,0", "5e-324"), ("1e308,0,-1e308", "1")],
+        ids=["p3", "p4", "span"],
+    )
+    def test_standardization_overflow_exits_2(self, capsys, obs, sigma):
+        # z = (x - xbar) / sigma, or its span, overflows: a usage error, as at p = 2
+        code, _, err = run(capsys, ["estimate", "--obs", obs, "--sigma", sigma])
+        assert code == 2
+        assert "too far apart for sigma to standardize" in err
+
     def test_unconverged_solve_exits_4_with_last_iterate(self, capsys, monkeypatch):
         monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)
         with pytest.raises(MaxIterationsExceeded) as info:
@@ -262,16 +275,34 @@ class TestSimulateMse:
         assert "(seed=1, b=" in err
 
     def test_failing_replicate_exits_quadrature(self, capsys, monkeypatch, tmp_path):
-        # every p = 3 draw is too far from 0 for the panels; the pool returns
+        # every p = 4 draw is too far from 0 for the panels; the pool returns
         # the quadrature error of replicate 0 once its redraws run out
         monkeypatch.setenv("SELEX_THREADS", "2")
         code, _, err = run(
             capsys,
-            ["simulate-mse", "--mu", "2e12,0,-2e12", "--reps", "100",
+            ["simulate-mse", "--mu", "2e12,0,0,-2e12", "--reps", "100",
              "--out", str(tmp_path / "x.csv")],
         )
         assert code == 3
         assert err.startswith("quadrature failure: replicate (seed=0, b=0): ")
+
+    def test_far_apart_p3_needs_no_panels(self, capsys, monkeypatch, tmp_path):
+        # the p = 3 solver's rule is exact at any scale: 2e12 sigma apart the
+        # conditioning has no effect, so the CCMLE rows equal the MLE rows
+        monkeypatch.setenv("SELEX_THREADS", "2")
+        out_path = tmp_path / "x.csv"
+        code, _, _ = run(
+            capsys,
+            ["simulate-mse", "--mu", "2e12,0,-2e12", "--reps", "100",
+             "--out", str(out_path)],
+        )
+        assert code == 0
+        with out_path.open() as fh:
+            rows = list(csv.DictReader(fh))
+        estimates = {(r["rank"], r["estimator"]): (r["mse"], r["se"]) for r in rows}
+        assert len(rows) == 6
+        for rank in ("1", "2", "3"):
+            assert estimates[rank, "ccmle"] == estimates[rank, "mle"]
 
     @pytest.mark.parametrize("strict,expected", [(False, 0), (True, 5)])
     def test_strict_exits_5_on_a_redraw(

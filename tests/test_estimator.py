@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import pickle
@@ -69,6 +70,11 @@ class TestObservedSample:
     def test_ties_broken_by_original_index(self):
         obs = ObservedSample(np.array([2.0, 2.0, 1.0]), 1.0)
         assert list(obs.permutation) == [0, 1, 2]
+
+    def test_mean_stored_once(self):
+        obs = ObservedSample(np.array([1.0, 3.0, 2.5]), 1.0)
+        assert "xbar" in {f.name for f in dataclasses.fields(obs)}
+        assert obs.xbar == np.mean([1.0, 3.0, 2.5])
 
     @pytest.mark.parametrize("x,sigma", [([1.0], 1.0), ([1.0, np.inf], 1.0), ([1.0, 0.0], 0.0)])
     def test_invalid(self, x, sigma):
@@ -446,24 +452,32 @@ class TestCcmleGeneral:
             assert np.array_equal(calls[0], np.zeros(len(x))) == (origin_sweeps == 1)
 
     @pytest.mark.parametrize(
-        "x", [[3.0, 2.5, 1.0], [2.0, 1.6, 1.5, 0.2, 0.1, -0.4]], ids=["p3", "p6"]
+        "x,rule",
+        [([3.0, 2.5, 1.0], "_orthant_moments"), ([2.0, 1.6, 1.5, 0.2, 0.1, -0.4], "_integrands")],
+        ids=["p3", "p6"],
     )
-    def test_one_sweep_per_iteration(self, x, monkeypatch):
+    def test_one_sweep_per_iteration(self, x, rule, monkeypatch):
         """The solve evaluates no checked objective: each iteration's rule is
-        the only quadrature, one sweep with no error pass."""
-        real = ordering._integrands
-        calls = []
+        the only work, the closed form at p = 3 and one quadrature sweep with
+        no error pass for p >= 4. A p = 3 solve runs no quadrature at all."""
+        calls = {"_orthant_moments": [], "_integrands": []}
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counted(real, seen):
+            def call(*args, **kwargs):
+                seen.append(args)
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(ordering, "_integrands", counted)
+            return call
+
+        for name, seen in calls.items():
+            monkeypatch.setattr(ordering, name, counted(getattr(ordering, name), seen))
         estimator._expected_order_statistics.cache_clear()
         for origin_sweeps in (1, 0):  # e_p computed, then cached
-            calls.clear()
+            for seen in calls.values():
+                seen.clear()
             res = ccmle(ObservedSample(np.array(x), 0.7))
-            assert res.converged and res.iterations == len(calls) - origin_sweeps > 1
+            assert res.converged and res.iterations == len(calls[rule]) - origin_sweeps > 1
+            assert sum(len(seen) for seen in calls.values()) == len(calls[rule])
 
     def test_clustered_p20_converges_in_few_sweeps(self):
         # the Hessian -Cov(X | order) is ill-conditioned on this cone: the

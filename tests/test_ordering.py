@@ -20,6 +20,8 @@ from selex.ordering import (
     _grid_recursion,
     _layout,
     _nodes,
+    _orthant_moments,
+    _panel_moments,
     _refine,
     conditional_moments,
     grad_log_ordering_probability,
@@ -493,3 +495,63 @@ class TestGradient:
                 fd[i] = (lu - ld) / (2 * h)
             worst = max(worst, float(np.abs(fd - analytic).max()))
         assert worst <= 1e-5
+
+
+def cone_points_p3(seed: int = 0):
+    """Standardized p = 3 means on the cone, given by their two gaps: ties,
+    gaps of 1e4 and 1e8, and gaps |N(0, s^2)| at scales s from 0.01 to 10,
+    each shifted to mean 0 as the solver's iterates are."""
+    rng = np.random.default_rng(seed)
+    gaps = [(0.0, 0.0), (1e4, 0.0), (0.0, 1e4), (1e4, 1e4), (1e4, 1.0), (1.0, 1e4),
+            (1e8, 0.0), (0.0, 1e8), (1e8, 1e8), (1e8, 1.0), (0.5, 1e8), (1e4, 1e8)]
+    for scale in (0.01, 0.1, 0.3, 1.0, 3.0, 10.0):
+        gaps += [(scale, 0.0), (0.0, scale)]
+        gaps += [tuple(g) for g in np.abs(rng.normal(0.0, scale, (50, 2)))]
+    for upper, lower in gaps:
+        mu = np.array([upper + lower, lower, 0.0])
+        yield mu - mu.mean()
+
+
+class TestOrthantRule:
+    """The solver's rule at p = 3: closed forms from the bivariate normal
+    orthant of the two gaps (ordering module docstring)."""
+
+    def test_matches_panel_rule(self):
+        # the panel sweep that the rule replaced is still the rule for p >= 4
+        points, worst = list(cone_points_p3()), np.zeros(3)
+        assert len(points) >= 300
+        for mu in points:
+            exact, panels = _orthant_moments(mu), _panel_moments(mu)
+            for i in range(3):
+                worst[i] = max(worst[i], np.abs(np.subtract(exact[i], panels[i])).max())
+        assert worst.max() <= 1e-12, worst
+
+    def test_matches_its_own_differences(self):
+        """The gradient against central differences of log P, and
+        Cov(X | order) - I against those of the gradient, step 1e-5."""
+        h = 1e-5
+        points = list(cone_points_p3(seed=1))[::15]
+        for mu in points:
+            _, grad, cov = _orthant_moments(mu)
+            fd_grad, jacobian = np.empty(3), np.empty((3, 3))
+            for i in range(3):
+                step = np.zeros(3)
+                step[i] = h
+                up, dn = _orthant_moments(mu + step), _orthant_moments(mu - step)
+                fd_grad[i] = (up[0] - dn[0]) / (2.0 * h)
+                jacobian[:, i] = (up[1] - dn[1]) / (2.0 * h)
+            assert np.abs(grad - fd_grad).max() <= 1e-8
+            assert np.abs(cov - np.eye(3) - jacobian).max() <= 1e-8
+
+    def test_origin_gives_order_statistics_of_three(self):
+        # e_3 = (1, 0, -1) 3 / (2 sqrt(pi)); the variances of the largest and
+        # the middle of three standard normals are 1 + sqrt(3)/(2 pi) - 9/(4 pi)
+        # and 1 - sqrt(3)/pi
+        log_p, grad, cov = conditional_moments(np.zeros(3))
+        e = 3.0 / (2.0 * math.sqrt(math.pi))
+        assert log_p == pytest.approx(-math.log(6.0), abs=1e-15)
+        assert np.abs(grad - [e, 0.0, -e]).max() <= 1e-15
+        outer = 1.0 + math.sqrt(3.0) / (2.0 * math.pi) - 9.0 / (4.0 * math.pi)
+        middle = 1.0 - math.sqrt(3.0) / math.pi
+        assert np.abs(np.diag(cov) - [outer, middle, outer]).max() <= 1e-14
+        assert np.abs(cov - cov.T).max() == 0.0
