@@ -38,10 +38,11 @@ and Saunders 2014). Pool-adjacent-violators sets each pooled block to one
 value, so tie groups are the runs of exactly equal entries of the estimate.
 
 The rule, ``conditional_moments``, gives log P, its gradient and C at once.
-At p = 3 it is exact, in closed form from the bivariate normal orthant of
-the two gaps; that form holds its accuracy only on the cone, where every
-iterate lies, so the checked ``ordering_probability`` and the public
-gradient keep the quadrature. For p >= 4 it is one quadrature sweep. A
+At p = 3 and 4 it is exact, in closed form from the bivariate and the
+trivariate normal orthant of the gaps; those forms hold their accuracy only
+on the cone, where every iterate lies, so the checked
+``ordering_probability`` and the public gradient keep the quadrature. For
+p >= 5 it is one quadrature sweep. A
 sample whose z = (x - xbar)/sigma, or its span z_1 - z_p, overflows is
 rejected with a ValueError, as at p = 2.
 """
@@ -108,7 +109,10 @@ class ObservedSample:
         order = np.argsort(-x, kind="stable")
         self.permutation = order
         self.x = x[order]
-        self.xbar = float(self.x.mean())
+        with np.errstate(over="ignore"):  # an overflow is caught here
+            xbar = float(self.x.mean())
+        # x / p cannot overflow, so nor can its sum
+        self.xbar = xbar if math.isfinite(xbar) else float((self.x / self.x.size).sum())
 
     @property
     def p(self) -> int:
@@ -182,8 +186,10 @@ def ccmle_p2_rows(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
 
     if not np.all(np.isfinite(x)):
         raise ValueError("observations must be finite")
-    xbar = x.mean(axis=1)
     with np.errstate(over="ignore"):  # an overflow is caught here
+        xbar = x.mean(axis=1)
+        if not np.all(np.isfinite(xbar)):  # x / 2 cannot overflow, so nor can its sum
+            xbar = np.where(np.isfinite(xbar), xbar, (x / 2.0).sum(axis=1))
         d = (x[:, 0] - xbar) / sigma
         if not np.all(np.isfinite(SQRT_2 * d)):
             raise ValueError("observations too far apart for sigma to standardize")

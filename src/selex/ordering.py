@@ -64,12 +64,14 @@ both sweeps run in log space on panels LOG_SPACE_SPLIT times narrower, with
 a per-panel max shift.
 
 The solver's rule. ``conditional_moments`` runs only on the cone, where
-P >= 1/p!. For p >= 4 it takes the unhalved panels with no error pass, in
+P >= 1/p!. For p >= 5 it takes the unhalved panels with no error pass, in
 linear space: there the first halving converges, and the solver stops on
-its own residual. At p = 3 it is exact. The order is the orthant
-{D_1 > 0, D_2 > 0} of the gaps D = J X, J = [[1, -1, 0], [0, 1, -1]] /
-sqrt(2), which are normal with correlation RHO = -1/2, so P = Phi_2(h, k;
-RHO) at (h, k) = J mu. Plackett's identity (Plackett 1954) gives
+its own residual. At p = 3 and 4 it is exact. The order is the orthant
+{D > 0} of the gaps D = J X, J the (p - 1) x p matrix with rows
+(e_i - e_{i+1}) / sqrt(2). The gaps are normal with unit variances and
+correlation RHO = -1/2 between neighbours, 0 otherwise; h = J mu. At
+p = 3, P = Phi_2(h_1, h_2; RHO), and Plackett's identity (Plackett 1954)
+gives
 
     Phi_2(h, k; RHO) = Phi(h) Phi(k)
         - (1/2pi) integral_{asin RHO}^{0} exp(-(h^2 + k^2 - 2hk sin t)
@@ -77,13 +79,29 @@ RHO) at (h, k) = J mu. Plackett's identity (Plackett 1954) gives
 
 whose smooth integrand a fixed Gauss-Legendre rule integrates to rounding
 (Genz 2004). Then dP/dh = phi(h) Phi((k - RHO h) / sqrt(1 - RHO^2)),
-d^2P/dh dk = phi_2(h, k; RHO), the same with h and k swapped, and with
-g and H the gradient and Hessian of log P in (h, k), the gradient in mu is
-J^T g and Cov(X | order) = I + J^T H J. The error of the form is absolute,
-near rounding. On the cone h, k >= 0, so P >= 1/6, and that is also a
-relative error of P: log P is accurate to rounding. Off the cone P can
-underflow and the form loses it, so ``ordering_probability`` and the
-public gradient keep the checked quadrature at p = 3 too.
+d^2P/dh dk = phi_2(h, k; RHO), and the same with h and k swapped. At p = 4
+the identity moves rho_12 from 0, where D_1 is independent of (D_2, D_3),
+to RHO (Genz 2004, the trivariate case):
+
+    P = Phi(h_1) Phi_2(h_2, h_3; RHO)
+        - (1/2pi) integral_{asin RHO}^{0} exp(-(h_1^2 + h_2^2 - 2 h_1 h_2 sin t)
+                                              / (2 cos^2 t))
+                                          Phi((h_3 - m(t)) / s(t)) dt,
+
+on the same nodes, where m(t) = -(h_2 - h_1 sin t) / (2 cos^2 t) and
+s(t)^2 = 1 - 1 / (4 cos^2 t) are the mean and variance of D_3 given
+D_1 = h_1 and D_2 = h_2 at rho_12 = sin t. dP/dh_i is phi(h_i) times the
+Phi_2 of the other two gaps given D_i = h_i, whose correlation is
+-1/sqrt(3) for i = 1, 3 and -1/3 for i = 2, each on its own fixed nodes.
+d^2P/dh_i dh_j is phi_2(h_i, h_j; rho_ij) times the Phi of the third gap
+given both. At either p, d^2P/dh_i^2 = -h_i dP/dh_i - sum_j rho_ij
+d^2P/dh_i dh_j, and with g and H the gradient and Hessian of log P in h,
+the gradient in mu is J^T g and Cov(X | order) = I + J^T H J. The error of
+these forms is absolute, near rounding. On the cone h >= 0, so P >= 1/p!,
+and that is also a relative error of P: log P is accurate to rounding.
+Off the cone P can underflow and the forms lose it, so
+``ordering_probability`` and the public gradient keep the checked
+quadrature at p = 3 and 4 too.
 """
 
 from __future__ import annotations
@@ -108,10 +126,10 @@ MAX_NODES = 2**16  # nodes of one sweep; more raise ConvergenceFailure
 QUADRATURE_RTOL = 1e-6  # bound on the error estimate of log P
 _UNDERFLOW_FLOOR = 1e-300
 _EDGE_ULP_LIMIT = 2.0**-13  # ulp of the outermost panel edge, in panel widths
-# p = 3: the correlation of the gaps of the order, and sqrt(1 - RHO^2)
+# the correlation of neighbouring gaps of the order, and sqrt(1 - RHO^2)
 _RHO = -0.5
 _RHO_S = math.sqrt(1.0 - _RHO**2)
-_ORTHANT_NODES = 12  # Gauss-Legendre nodes of the Plackett integral
+_ORTHANT_NODES = 12  # Gauss-Legendre nodes of a Plackett integral
 
 
 def _spectral_rule(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -340,19 +358,24 @@ def _grid_recursion(
     return value, log_value, moment / (mass * sigma**2)
 
 
-def _plackett_rule(q: int) -> list[tuple[float, float, float]]:
-    """(sin theta, 1 / (2 cos^2 theta), weight / (2 pi)) at q Gauss-Legendre
-    nodes on [asin RHO, 0], for the integral of the module docstring's p = 3
-    rule (Plackett 1954; the nodes as in Genz 2004)."""
-    x, w = legendre.leggauss(q)
-    half = 0.5 * math.asin(_RHO)  # the half-length of the interval, negated
+def _plackett_rule(rho: float) -> list[tuple[float, float, float]]:
+    """(sin theta, 1 / (2 cos^2 theta), weight / (2 pi)) at _ORTHANT_NODES
+    Gauss-Legendre nodes on [asin rho, 0], for the integral of Plackett's
+    identity (module docstring, The solver's rule; Plackett 1954, the nodes
+    as in Genz 2004)."""
+    x, w = legendre.leggauss(_ORTHANT_NODES)
+    half = 0.5 * math.asin(rho)  # the half-length of the interval, negated
     theta = half * (1.0 - x)
     weight = w * (-half / (2.0 * math.pi))
     terms = (np.sin(theta), 0.5 / np.cos(theta) ** 2, weight)
     return list(zip(*(t.tolist() for t in terms)))
 
 
-_PLACKETT = _plackett_rule(_ORTHANT_NODES)
+_PLACKETT = _plackett_rule(_RHO)
+# p = 4: the correlation of the other two gaps given the first or last, and
+# given the middle one
+_PLACKETT_OUTER = _plackett_rule(-1.0 / math.sqrt(3.0))
+_PLACKETT_INNER = _plackett_rule(-1.0 / 3.0)
 
 
 def _normal_pdf(x: float) -> float:
@@ -363,15 +386,21 @@ def _normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / SQRT_2)
 
 
+def _bivariate_cdf(h: float, k: float, rule: list) -> float:
+    """Phi_2(h, k; rho) by Plackett's identity, on the nodes that
+    ``_plackett_rule`` gives for rho <= 0."""
+    squares, product = h * h + k * k, 2.0 * h * k
+    return _normal_cdf(h) * _normal_cdf(k) - sum(
+        w * math.exp((product * s - squares) * c) for s, c, w in rule
+    )
+
+
 def _orthant_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """``conditional_moments`` at p = 3, in closed form from the bivariate
     normal orthant of the gaps (module docstring, The solver's rule)."""
     m1, m2, m3 = mu.tolist()
     h, k = (m1 - m2) / SQRT_2, (m2 - m3) / SQRT_2
-    squares, product = h * h + k * k, 2.0 * h * k
-    value = _normal_cdf(h) * _normal_cdf(k) - sum(
-        w * math.exp((product * s - squares) * c) for s, c, w in _PLACKETT
-    )
+    value = _bivariate_cdf(h, k, _PLACKETT)
     # dP/dh = phi(h) Phi(u_h), u_h = (k - RHO h) / sqrt(1 - RHO^2), and the
     # same with h and k swapped; d2P/dh dk is the density phi_2(h, k; RHO),
     # and d2P/dh2 = -h dP/dh - RHO phi_2
@@ -390,6 +419,58 @@ def _orthant_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
             [2.0 + hhh, hhk - hhh, -hhk],
             [hhk - hhh, 2.0 + hhh - 2.0 * hhk + hkk, hhk - hkk],
             [-hhk, hhk - hkk, 2.0 + hkk],
+        ]
+    )
+    return math.log(value), grad, 0.5 * cov
+
+
+def _trivariate_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """``conditional_moments`` at p = 4, in closed form from the trivariate
+    normal orthant of the gaps (module docstring, The solver's rule)."""
+    m1, m2, m3, m4 = mu.tolist()
+    h1, h2, h3 = (m1 - m2) / SQRT_2, (m2 - m3) / SQRT_2, (m3 - m4) / SQRT_2
+    # Plackett's integral over rho_12 = sin t: given D_1 = h1 and D_2 = h2,
+    # D_3 has mean -(h2 - h1 sin t) c and variance 1 - c / 2, c = 1 / (2 cos^2 t)
+    squares, product = h1 * h1 + h2 * h2, 2.0 * h1 * h2
+    value = _normal_cdf(h1) * _bivariate_cdf(h2, h3, _PLACKETT) - sum(
+        w
+        * math.exp((product * s - squares) * c)
+        * _normal_cdf((h3 + (h2 - h1 * s) * c) / math.sqrt(1.0 - 0.5 * c))
+        for s, c, w in _PLACKETT
+    )
+    # dP/dh_i = phi(h_i) Phi_2 of the other two gaps given D_i = h_i, each
+    # (h_j - RHO h_i) / sqrt(1 - RHO^2) for a neighbour j
+    f1, f2, f3 = _normal_pdf(h1), _normal_pdf(h2), _normal_pdf(h3)
+    u1, u3 = (h2 - _RHO * h1) / _RHO_S, (h2 - _RHO * h3) / _RHO_S
+    v1, v3 = (h1 - _RHO * h2) / _RHO_S, (h3 - _RHO * h2) / _RHO_S
+    d1 = f1 * _bivariate_cdf(u1, h3, _PLACKETT_OUTER)
+    d2 = f2 * _bivariate_cdf(v1, v3, _PLACKETT_INNER)
+    d3 = f3 * _bivariate_cdf(h1, u3, _PLACKETT_OUTER)
+    # d2P/dh_i dh_j = phi_2(h_i, h_j) Phi of the third gap given both:
+    # D_3 given D_1 and D_2 has mean -(h1 + 2 h2) / 3 and variance 2/3, D_1
+    # given D_2 and D_3 the same with h1 and h3 swapped, and D_2 given D_1
+    # and D_3 mean -(h1 + h3) / 2 and variance 1/2
+    outer = math.sqrt(1.5)
+    d12 = f1 * _normal_pdf(u1) / _RHO_S * _normal_cdf((h3 + (h1 + 2.0 * h2) / 3.0) * outer)
+    d23 = f3 * _normal_pdf(u3) / _RHO_S * _normal_cdf((h1 + (h3 + 2.0 * h2) / 3.0) * outer)
+    d13 = f1 * f3 * _normal_cdf((h2 + 0.5 * (h1 + h3)) * SQRT_2)
+    # Q = Hessian of log P in the gaps, from
+    # d2P/dh_i^2 = -h_i dP/dh_i - sum_j rho_ij d2P/dh_i dh_j
+    g1, g2, g3 = d1 / value, d2 / value, d3 / value
+    q11 = (-h1 * d1 - _RHO * d12) / value - g1 * g1
+    q22 = (-h2 * d2 - _RHO * (d12 + d23)) / value - g2 * g2
+    q33 = (-h3 * d3 - _RHO * d23) / value - g3 * g3
+    q12, q13, q23 = d12 / value - g1 * g2, d13 / value - g1 * g3, d23 / value - g2 * g3
+    # J^T g and I + J^T Q J, J the 3 x 4 matrix of the gaps: the matrix
+    # below is twice the latter
+    grad = np.array([g1, g2 - g1, g3 - g2, -g3]) / SQRT_2
+    mid = q12 - q13 - q22 + q23
+    cov = np.array(
+        [
+            [2.0 + q11, q12 - q11, q13 - q12, -q13],
+            [q12 - q11, 2.0 + q11 - 2.0 * q12 + q22, mid, q13 - q23],
+            [q13 - q12, mid, 2.0 + q22 - 2.0 * q23 + q33, q23 - q33],
+            [-q13, q13 - q23, q23 - q33, 2.0 + q33],
         ]
     )
     return math.log(value), grad, 0.5 * cov
@@ -415,9 +496,11 @@ def _panel_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
 def conditional_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """(log P, gradient of log P, Cov(X | order)) at sigma = 1, for means on
-    the cone: the solver's rule (module docstring), exact at p = 3 and one
-    panel sweep for p >= 4."""
-    return _orthant_moments(mu) if mu.size == 3 else _panel_moments(mu)
+    the cone: the solver's rule (module docstring), exact at p = 3 and 4 and
+    one panel sweep for p >= 5."""
+    if mu.size == 3:
+        return _orthant_moments(mu)
+    return _trivariate_moments(mu) if mu.size == 4 else _panel_moments(mu)
 
 
 def _closed_form_p2(mu: np.ndarray, sigma: float) -> tuple[float, float, np.ndarray]:

@@ -164,6 +164,15 @@ class TestEstimate:
         assert code == 2
         assert "too far apart for sigma to standardize" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mean_overflow_is_not_a_spread(self, capsys):
+        # the plain mean of two equal observations near the largest float
+        # overflows; its fallback, the sum of x / p, does not
+        argv = ["estimate", "--obs", "1.7e308,1.7e308", "--sigma", "1", "--json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["estimates"] == [1.7e308, 1.7e308]
+
     def test_unconverged_solve_exits_4_with_last_iterate(self, capsys, monkeypatch):
         monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)
         with pytest.raises(MaxIterationsExceeded) as info:
@@ -275,12 +284,12 @@ class TestSimulateMse:
         assert "(seed=1, b=" in err
 
     def test_failing_replicate_exits_quadrature(self, capsys, monkeypatch, tmp_path):
-        # every p = 4 draw is too far from 0 for the panels; the pool returns
+        # every p = 5 draw is too far from 0 for the panels; the pool returns
         # the quadrature error of replicate 0 once its redraws run out
         monkeypatch.setenv("SELEX_THREADS", "2")
         code, _, err = run(
             capsys,
-            ["simulate-mse", "--mu", "2e12,0,0,-2e12", "--reps", "100",
+            ["simulate-mse", "--mu", "2e12,0,0,0,-2e12", "--reps", "100",
              "--out", str(tmp_path / "x.csv")],
         )
         assert code == 3
@@ -303,6 +312,25 @@ class TestSimulateMse:
         assert len(rows) == 6
         for rank in ("1", "2", "3"):
             assert estimates[rank, "ccmle"] == estimates[rank, "mle"]
+
+    def test_far_apart_p4_needs_no_panels(self, capsys, monkeypatch, tmp_path):
+        # the p = 4 solver's rule is exact too; the outer estimates, near
+        # +-2e12, round by about 2.4e-4 sigma, so their CCMLE and MLE rows
+        # agree to ~5e-6, not exactly
+        monkeypatch.setenv("SELEX_THREADS", "2")
+        out_path = tmp_path / "x.csv"
+        code, _, _ = run(
+            capsys,
+            ["simulate-mse", "--mu", "2e12,0,0,-2e12", "--reps", "100",
+             "--out", str(out_path)],
+        )
+        assert code == 0
+        with out_path.open() as fh:
+            rows = list(csv.DictReader(fh))
+        mse = {(r["rank"], r["estimator"]): float(r["mse"]) for r in rows}
+        assert len(rows) == 8
+        for rank in ("1", "4"):
+            assert mse[rank, "ccmle"] == pytest.approx(mse[rank, "mle"], rel=1e-4)
 
     @pytest.mark.parametrize("strict,expected", [(False, 0), (True, 5)])
     def test_strict_exits_5_on_a_redraw(

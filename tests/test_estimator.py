@@ -453,14 +453,19 @@ class TestCcmleGeneral:
 
     @pytest.mark.parametrize(
         "x,rule",
-        [([3.0, 2.5, 1.0], "_orthant_moments"), ([2.0, 1.6, 1.5, 0.2, 0.1, -0.4], "_integrands")],
-        ids=["p3", "p6"],
+        [
+            ([3.0, 2.5, 1.0], "_orthant_moments"),
+            ([3.0, 2.5, 1.0, 0.2], "_trivariate_moments"),
+            ([2.0, 1.6, 1.5, 0.2, 0.1, -0.4], "_integrands"),
+        ],
+        ids=["p3", "p4", "p6"],
     )
     def test_one_sweep_per_iteration(self, x, rule, monkeypatch):
         """The solve evaluates no checked objective: each iteration's rule is
-        the only work, the closed form at p = 3 and one quadrature sweep with
-        no error pass for p >= 4. A p = 3 solve runs no quadrature at all."""
-        calls = {"_orthant_moments": [], "_integrands": []}
+        the only work, the closed form at p = 3 and 4 and one quadrature
+        sweep with no error pass for p >= 5. A p = 3 or 4 solve runs no
+        quadrature at all."""
+        calls = {"_orthant_moments": [], "_trivariate_moments": [], "_integrands": []}
 
         def counted(real, seen):
             def call(*args, **kwargs):

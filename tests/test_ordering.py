@@ -23,6 +23,7 @@ from selex.ordering import (
     _orthant_moments,
     _panel_moments,
     _refine,
+    _trivariate_moments,
     conditional_moments,
     grad_log_ordering_probability,
     inverse_mills,
@@ -554,4 +555,70 @@ class TestOrthantRule:
         outer = 1.0 + math.sqrt(3.0) / (2.0 * math.pi) - 9.0 / (4.0 * math.pi)
         middle = 1.0 - math.sqrt(3.0) / math.pi
         assert np.abs(np.diag(cov) - [outer, middle, outer]).max() <= 1e-14
+        assert np.abs(cov - cov.T).max() == 0.0
+
+
+def cone_points_p4(seed: int = 0):
+    """Standardized p = 4 means on the cone, given by their three gaps: ties,
+    gaps of 1e4 and 1e8 in every pattern, and gaps |N(0, s^2)| at scales s
+    from 0.01 to 10. Each is centred on its middle pair: centred on its mean,
+    (1e8, 0, 0) puts a tie of three at -2.5e7, where the panel reference's
+    nodes round by up to 3.7e-9 and its C is 1.8e-12 off."""
+    rng = np.random.default_rng(seed)
+    gaps = [(0.0, 0.0, 0.0)]
+    for big in (1e4, 1e8):
+        for pattern in itertools.product((0, 1), repeat=3):
+            if any(pattern):
+                gaps.append(tuple(big * on for on in pattern))
+                gaps.append(tuple(big if on else 1.0 for on in pattern))
+    gaps += [(1e4, 1e8, 0.5), (1e8, 0.0, 1e4), (0.3, 1e4, 1e8)]
+    for scale in (0.01, 0.1, 0.3, 1.0, 3.0, 10.0):
+        gaps += [(scale, 0.0, 0.0), (0.0, scale, 0.0), (0.0, 0.0, scale)]
+        gaps += [tuple(g) for g in np.abs(rng.normal(0.0, scale, (50, 3)))]
+    for first, second, third in gaps:
+        mu = np.array([first + second + third, second + third, third, 0.0])
+        yield mu - 0.5 * (mu[1] + mu[2])
+
+
+class TestTrivariateOrthantRule:
+    """The solver's rule at p = 4: closed forms from the trivariate normal
+    orthant of the three gaps (ordering module docstring)."""
+
+    def test_matches_panel_rule(self):
+        # the panel sweep that the rule replaced is still the rule for p >= 5
+        points, worst = list(cone_points_p4()), np.zeros(3)
+        assert len(points) >= 300
+        for mu in points:
+            exact, panels = _trivariate_moments(mu), _panel_moments(mu)
+            for i in range(3):
+                worst[i] = max(worst[i], np.abs(np.subtract(exact[i], panels[i])).max())
+        assert worst.max() <= 1e-12, worst
+
+    def test_matches_its_own_differences(self):
+        """The gradient against central differences of log P, and
+        Cov(X | order) - I against those of the gradient, step 1e-5."""
+        h = 1e-5
+        points = list(cone_points_p4(seed=1))[::15]
+        for mu in points:
+            _, grad, cov = _trivariate_moments(mu)
+            fd_grad, jacobian = np.empty(4), np.empty((4, 4))
+            for i in range(4):
+                step = np.zeros(4)
+                step[i] = h
+                up, dn = _trivariate_moments(mu + step), _trivariate_moments(mu - step)
+                fd_grad[i] = (up[0] - dn[0]) / (2.0 * h)
+                jacobian[:, i] = (up[1] - dn[1]) / (2.0 * h)
+            assert np.abs(grad - fd_grad).max() <= 1e-8
+            assert np.abs(cov - np.eye(4) - jacobian).max() <= 1e-8
+
+    def test_origin_gives_order_statistics_of_four(self):
+        # means and variances of the largest and the second of four standard
+        # normals, by 30-digit quadrature of the order-statistic densities
+        # (TestGrandMean checks e_4 against scipy's quadrature of the same)
+        log_p, grad, cov = conditional_moments(np.zeros(4))
+        e = [1.029375373003964132, 0.2970113822746453255]
+        var = [0.4917152368747417607, 0.3604553433775124510]
+        assert log_p == pytest.approx(-math.log(24.0), abs=1e-14)
+        assert np.abs(grad - [e[0], e[1], -e[1], -e[0]]).max() <= 1e-14
+        assert np.abs(np.diag(cov) - (var + var[::-1])).max() <= 1e-14
         assert np.abs(cov - cov.T).max() == 0.0
