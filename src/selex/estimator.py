@@ -42,9 +42,8 @@ At p = 3 and 4 it is exact, in closed form from the bivariate and the
 trivariate normal orthant of the gaps; those forms hold their accuracy only
 on the cone, where every iterate lies, so the checked
 ``ordering_probability`` and the public gradient keep the quadrature. For
-p >= 5 it is one quadrature sweep. A
-sample whose z = (x - xbar)/sigma, or its span z_1 - z_p, overflows is
-rejected with a ValueError, as at p = 2.
+p >= 5 it is one quadrature sweep. A sample whose z = (x - xbar)/sigma, or
+its span z_1 - z_p, overflows is rejected with a ValueError, as at p = 2.
 """
 
 from __future__ import annotations

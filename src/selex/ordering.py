@@ -64,44 +64,29 @@ both sweeps run in log space on panels LOG_SPACE_SPLIT times narrower, with
 a per-panel max shift.
 
 The solver's rule. ``conditional_moments`` runs only on the cone, where
-P >= 1/p!. For p >= 5 it takes the unhalved panels with no error pass, in
-linear space: there the first halving converges, and the solver stops on
-its own residual. At p = 3 and 4 it is exact. The order is the orthant
-{D > 0} of the gaps D = J X, J the (p - 1) x p matrix with rows
-(e_i - e_{i+1}) / sqrt(2). The gaps are normal with unit variances and
-correlation RHO = -1/2 between neighbours, 0 otherwise; h = J mu. At
-p = 3, P = Phi_2(h_1, h_2; RHO), and Plackett's identity (Plackett 1954)
-gives
+P >= 1/p!. At p = 3 and 4 it is exact. The order is the orthant {D > 0}
+of the gaps D = J X, J with rows (e_i - e_{i+1}) / sqrt(2), normal with
+unit variances and correlation RHO = -1/2 between neighbours, 0 otherwise.
+Plackett's identity (Plackett 1954; Genz 2004) gives its probability and
+derivatives at h = J mu as smooth integrals that fixed Gauss-Legendre
+nodes take to rounding (the rule functions give the forms). That error is
+absolute, so relative only on the cone, and ``ordering_probability`` and
+the public gradient keep the checked quadrature at p = 3 and 4.
 
-    Phi_2(h, k; RHO) = Phi(h) Phi(k)
-        - (1/2pi) integral_{asin RHO}^{0} exp(-(h^2 + k^2 - 2hk sin t)
-                                              / (2 cos^2 t)) dt,
-
-whose smooth integrand a fixed Gauss-Legendre rule integrates to rounding
-(Genz 2004). Then dP/dh = phi(h) Phi((k - RHO h) / sqrt(1 - RHO^2)),
-d^2P/dh dk = phi_2(h, k; RHO), and the same with h and k swapped. At p = 4
-the identity moves rho_12 from 0, where D_1 is independent of (D_2, D_3),
-to RHO (Genz 2004, the trivariate case):
-
-    P = Phi(h_1) Phi_2(h_2, h_3; RHO)
-        - (1/2pi) integral_{asin RHO}^{0} exp(-(h_1^2 + h_2^2 - 2 h_1 h_2 sin t)
-                                              / (2 cos^2 t))
-                                          Phi((h_3 - m(t)) / s(t)) dt,
-
-on the same nodes, where m(t) = -(h_2 - h_1 sin t) / (2 cos^2 t) and
-s(t)^2 = 1 - 1 / (4 cos^2 t) are the mean and variance of D_3 given
-D_1 = h_1 and D_2 = h_2 at rho_12 = sin t. dP/dh_i is phi(h_i) times the
-Phi_2 of the other two gaps given D_i = h_i, whose correlation is
--1/sqrt(3) for i = 1, 3 and -1/3 for i = 2, each on its own fixed nodes.
-d^2P/dh_i dh_j is phi_2(h_i, h_j; rho_ij) times the Phi of the third gap
-given both. At either p, d^2P/dh_i^2 = -h_i dP/dh_i - sum_j rho_ij
-d^2P/dh_i dh_j, and with g and H the gradient and Hessian of log P in h,
-the gradient in mu is J^T g and Cov(X | order) = I + J^T H J. The error of
-these forms is absolute, near rounding. On the cone h >= 0, so P >= 1/p!,
-and that is also a relative error of P: log P is accurate to rounding.
-Off the cone P can underflow and the forms lose it, so
-``ordering_probability`` and the public gradient keep the checked
-quadrature at p = 3 and 4 too.
+For p >= 5 the rule is one linear-space sweep of the unhalved panels with
+no error pass (the first halving converges there, and the solver stops on
+its own residual), each row on its window: the 2R / PANEL_WIDTH + 1
+panels that hold mu_k +- R sigma. The order set is a lattice, so by the
+FKG inequality X_k given the order is stochastically increasing in every
+mean. On the cone its upper tail is thus at most that of the largest of
+p - k + 1 normals of mean mu_k and its lower tail that of the smallest of
+k, each below p Phi(-R) past R sigma, about 1e-14 at R = 8: the window
+drops no more than the layout's edges do. Below the window a running
+integral of row k is 0, above it the row's total, as across a skipped
+gap, and between rows the integrals move to the next window by whole
+panels with that fill. A sweep takes O(p^2) window-long steps and holds
+p (p + 1) windows, whatever the spread. Off the cone, and on layouts too
+short for the moves to pay, the window is the whole layout.
 """
 
 from __future__ import annotations
@@ -130,6 +115,8 @@ _EDGE_ULP_LIMIT = 2.0**-13  # ulp of the outermost panel edge, in panel widths
 _RHO = -0.5
 _RHO_S = math.sqrt(1.0 - _RHO**2)
 _ORTHANT_NODES = 12  # Gauss-Legendre nodes of a Plackett integral
+_BAND_PANELS = int(2.0 * TRUNCATION_RADIUS / PANEL_WIDTH) + 1  # panels of a window
+_BANDED_FROM = 24  # panels; layouts of at most this many run as one window
 
 
 def _spectral_rule(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -277,58 +264,33 @@ def _cumulative_log(logy: np.ndarray, width: float) -> np.ndarray:
 
 
 def _integrands(
-    mu: np.ndarray,
-    sigma: float,
-    nodes: np.ndarray,
-    width: float,
-    log_space: bool,
-    cross: bool = False,
+    mu: np.ndarray, sigma: float, nodes: np.ndarray, width: float, log_space: bool
 ) -> np.ndarray:
     """Integrands f_k U_{k-1} H_{k+1} of P (module docstring), one row per
-    population, or their logs; with ``cross``, their moments instead.
+    population, or their logs.
 
     The "above t" recursion U is the "below t" one on the mirrored problem:
     nodes and population order both reversed, so one loop runs both sweeps.
-    Row 0 is f_1 H_2 times U_0 = 1 exactly, the value sweep alone. With
-    ``cross`` (linear space only) the loop also runs the p - 1 mirrored
-    sweeps U^(j), f_j weighted by (s - mu_j); each joins the loop at f_j's
-    row, up to which it equals U. Entry [k, s, r] of the moments is the
-    integral of (t - mu_k)^r f_k H_{k+1} times U_{k-1} for s = 0, and
-    times U^(j)_{k-1} for s = 1 + j (0 for j >= k).
+    Row 0 is f_1 H_2 times U_0 = 1 exactly, the value sweep alone.
     """
-    d = nodes[None, :] - mu[:, None]
-    logpdf = -0.5 * np.square(d / sigma) - math.log(sigma) + math.log(INV_SQRT_2PI)
+    d = (nodes[None, :] - mu[:, None]) / sigma
+    logpdf = -0.5 * np.square(d) - math.log(sigma) + math.log(INV_SQRT_2PI)
     if log_space:
         f, unit, combine, cumulate = logpdf, 0.0, np.add, _cumulative_log
     else:  # in place, so that the density and its log are not both held
         f, unit, combine = np.exp(logpdf, out=logpdf), 1.0, np.multiply
         cumulate = _cumulative
     p, m = f.shape
-    mirrored, dm = f[::-1, ::-1], d[::-1, ::-1]
-    # below[k] is H_{k+2} (0-based k) of the value sweep, the mirrored sweep
-    # and the weighted mirrored sweeps 2 + j, j = 0 .. p - 2, each 0 before
-    # it joins, so that the cross moments read 0 for j >= k
-    below = np.zeros((p, p + 1 if cross else 2, m))
-    below[-1, :2] = unit
+    mirrored = f[::-1, ::-1]
+    # below[k] is H_{k+2} (0-based k) of the value sweep and of the mirrored one
+    below = np.zeros((p, 2, m))
+    below[-1] = unit
     for k in range(p - 1, 0, -1):
-        n = p + 2 - k if cross else 2  # mirrored row k is f_j, j = p - 1 - k
-        rows = combine(below[k, :n], mirrored[k])
+        rows = combine(below[k], mirrored[k])
         combine(below[k, 0], f[k], out=rows[0])
-        if cross:
-            np.multiply(rows[1], dm[k], out=rows[-1])
-        below[k - 1, :n] = cumulate(rows, width)
+        below[k - 1] = cumulate(rows, width)
     fh = combine(f, below[:, 0])
-    if not cross:
-        return combine(fh, below[::-1, 1, ::-1])
-    # (t - mu_k)^r f_k H_{k+1} with the quadrature weights, r = 0, 1, 2, on
-    # the mirrored nodes, meets U_{k-1} and the U^(j)_{k-1} at mirrored row
-    # p - 1 - k: one matrix product per row
-    powers = np.empty((p, m, 3))
-    weighted = fh.reshape(p, -1, PANEL_NODES) * (_WEIGHTS * (0.5 * width))
-    powers[..., 0] = weighted.reshape(p, m)[::-1, ::-1]
-    np.multiply(dm, powers[..., 0], out=powers[..., 1])
-    np.multiply(dm, powers[..., 1], out=powers[..., 2])
-    return (below[:, 1:] @ powers)[::-1]
+    return combine(fh, below[::-1, 1, ::-1])
 
 
 def _grid_recursion(
@@ -361,8 +323,7 @@ def _grid_recursion(
 def _plackett_rule(rho: float) -> list[tuple[float, float, float]]:
     """(sin theta, 1 / (2 cos^2 theta), weight / (2 pi)) at _ORTHANT_NODES
     Gauss-Legendre nodes on [asin rho, 0], for the integral of Plackett's
-    identity (module docstring, The solver's rule; Plackett 1954, the nodes
-    as in Genz 2004)."""
+    identity (``_bivariate_cdf``; the nodes as in Genz 2004)."""
     x, w = legendre.leggauss(_ORTHANT_NODES)
     half = 0.5 * math.asin(rho)  # the half-length of the interval, negated
     theta = half * (1.0 - x)
@@ -387,8 +348,9 @@ def _normal_cdf(x: float) -> float:
 
 
 def _bivariate_cdf(h: float, k: float, rule: list) -> float:
-    """Phi_2(h, k; rho) by Plackett's identity, on the nodes that
-    ``_plackett_rule`` gives for rho <= 0."""
+    """Phi_2(h, k; rho) for rho <= 0 on the nodes of ``_plackett_rule``, by
+    Plackett's identity: Phi(h) Phi(k) - (1/2pi) integral_{asin rho}^{0}
+    exp(-(h^2 + k^2 - 2hk sin t) / (2 cos^2 t)) dt."""
     squares, product = h * h + k * k, 2.0 * h * k
     return _normal_cdf(h) * _normal_cdf(k) - sum(
         w * math.exp((product * s - squares) * c) for s, c, w in rule
@@ -429,8 +391,10 @@ def _trivariate_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     normal orthant of the gaps (module docstring, The solver's rule)."""
     m1, m2, m3, m4 = mu.tolist()
     h1, h2, h3 = (m1 - m2) / SQRT_2, (m2 - m3) / SQRT_2, (m3 - m4) / SQRT_2
-    # Plackett's integral over rho_12 = sin t: given D_1 = h1 and D_2 = h2,
-    # D_3 has mean -(h2 - h1 sin t) c and variance 1 - c / 2, c = 1 / (2 cos^2 t)
+    # Plackett's identity moves rho_12 from 0 (D_1 independent of D_2, D_3)
+    # to RHO: P = Phi(h1) Phi_2(h2, h3) minus the p = 3 integral in (h1, h2)
+    # with Phi of D_3 given D_1 = h1, D_2 = h2 at rho_12 = sin t in each node:
+    # its mean is -(h2 - h1 sin t) c, its variance 1 - c / 2, c = 1 / (2 cos^2 t)
     squares, product = h1 * h1 + h2 * h2, 2.0 * h1 * h2
     value = _normal_cdf(h1) * _bivariate_cdf(h2, h3, _PLACKETT) - sum(
         w
@@ -478,17 +442,54 @@ def _trivariate_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
 def _panel_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """``conditional_moments`` from one linear-space sweep on the panels of
-    ``_layout``, with no error pass (module docstring, The solver's rule).
-
-    Every moment of X_k - mu_k comes from the integrand of row k and is
-    divided by the P that this row integrates to; the variance integrates
-    (t - mu_k)^2 against it.
-    """
+    ``_layout``, each row on its window, with no error pass (module
+    docstring). Entry [k, s, r] of the moments integrates (t - mu_k)^r
+    f_k H_{k+1} times U_{k-1} for s = 0 and U^(j)_{k-1} for s = 1 + j (0 for
+    j >= k); each is divided by the P that row k integrates to."""
     edges, width = _layout(mu, 1.0)
-    moments = _integrands(mu, 1.0, _nodes(edges, width), width, log_space=False, cross=True)
+    p, band, first = mu.size, edges.size, np.zeros(mu.size, dtype=int)
+    # off the cone the windows do not hold, and on short layouts the moves
+    # cost more than they save: there the window is the whole layout
+    if band > _BANDED_FROM and np.all(mu[:-1] >= mu[1:]):
+        band = _BAND_PANELS  # from the panel that holds mu_k - R
+        first = np.searchsorted(edges, mu - TRUNCATION_RADIUS, "right") - 1
+        first = np.minimum(first, edges.size - band)
+    up = np.minimum(first[:-1] - first[1:], band).tolist()  # up[k - 1]: k to k - 1
+    d = _nodes(edges[first[:, None] + np.arange(band)].ravel(), width)
+    d = d.reshape(p, band, PANEL_NODES) - mu[:, None, None]
+    f = np.exp(-0.5 * np.square(d) + math.log(INV_SQRT_2PI))
+    mirrored, dm = f[::-1, ::-1, ::-1].copy(), d[::-1, ::-1, ::-1].copy()  # contiguous
+    weights, running = _WEIGHTS * (0.5 * width), _RUNNING * (0.5 * width)
+    # below[k] is H_{k+2} (0-based k) of the value sweep on window k + 1, and of
+    # U, then U^(j) (0 before it joins), on mirrored window p - 2 - k
+    below = np.zeros((p, p + 1, band, PANEL_NODES))
+    below[-1, :2] = 1.0
+    for k in range(p - 1, 0, -1):
+        n = p + 2 - k  # mirrored row k is f_j, j = p - 1 - k: U^(j) joins
+        rows = below[k, :n] * mirrored[k]
+        np.multiply(below[k, 0], f[k], out=rows[0])
+        np.multiply(rows[1], dm[k], out=rows[-1])
+        totals = rows @ weights  # the running integrals, as in _cumulative
+        through = np.add.accumulate(totals, axis=-1)
+        inside = rows @ running + (through - totals)[..., None]
+        a, b, nxt = up[k - 1], up[p - 1 - k], below[k - 1]
+        if a == b == 0:
+            nxt[:n] = inside
+            continue
+        nxt[0, : band - a], nxt[0, band - a :] = inside[0, a:], through[0, -1]
+        nxt[1:n, : band - b] = inside[1:, b:]
+        nxt[1:n, band - b :] = through[1:, -1, None, None]
+    # (t - mu_k)^r f_k H_{k+1} with the quadrature weights, r = 0, 1, 2, on
+    # the mirrored window, meets U_{k-1} and the U^(j)_{k-1} at mirrored row
+    # p - 1 - k: one matrix product per row
+    powers = np.empty((p, band, PANEL_NODES, 3))
+    powers[..., 0] = (f * below[:, 0] * weights)[::-1, ::-1, ::-1]
+    np.multiply(dm, powers[..., 0], out=powers[..., 1])
+    np.multiply(dm, powers[..., 1], out=powers[..., 2])
+    moments = (below[:, 1:].reshape(p, p, -1) @ powers.reshape(p, -1, 3))[::-1]
     mass = moments[:, 0, 0].copy()
     moments /= mass[:, None, None]
-    grad, cov = moments[:, 0, 1], np.zeros((mu.size, mu.size))
+    grad, cov = moments[:, 0, 1], np.zeros((p, p))
     cov[:-1] = moments[:, 1:, 1].T  # E[(X_j - mu_j)(X_k - mu_k) | order], j < k
     cov += cov.T + np.diag(moments[:, 0, 2]) - np.outer(grad, grad)
     return math.log(mass[0]), grad, cov

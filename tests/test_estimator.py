@@ -456,7 +456,7 @@ class TestCcmleGeneral:
         [
             ([3.0, 2.5, 1.0], "_orthant_moments"),
             ([3.0, 2.5, 1.0, 0.2], "_trivariate_moments"),
-            ([2.0, 1.6, 1.5, 0.2, 0.1, -0.4], "_integrands"),
+            ([2.0, 1.6, 1.5, 0.2, 0.1, -0.4], "_panel_moments"),
         ],
         ids=["p3", "p4", "p6"],
     )
@@ -465,7 +465,9 @@ class TestCcmleGeneral:
         the only work, the closed form at p = 3 and 4 and one quadrature
         sweep with no error pass for p >= 5. A p = 3 or 4 solve runs no
         quadrature at all."""
-        calls = {"_orthant_moments": [], "_trivariate_moments": [], "_integrands": []}
+        # the three rules, and the checked quadrature's sweep, which no solve runs
+        spied = "_orthant_moments", "_trivariate_moments", "_panel_moments", "_integrands"
+        calls = {name: [] for name in spied}
 
         def counted(real, seen):
             def call(*args, **kwargs):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,24 @@ def fd_grad(cfg: MeanConfig) -> np.ndarray:
         dn = _grid_recursion(mu - step, cfg.sigma, *panels)[1]
         out[i] = (up - dn) / (2.0 * h)
     return out
+
+
+def wide_means(name: str) -> np.ndarray:
+    """Standardized means wider than one window of the solver's rule. On the
+    cone: "spread20", p = 20 with gaps of 3-6 sigma; "ladder30", -20 sigma
+    (0..29), every gap skipped; "pairs30", the same with pairs 0.5 sigma
+    apart, whose windows move by a whole window or more at the skipped gaps.
+    Off it: "off5", (2, 1, 0, -1, 12)."""
+    steps = np.arange(30.0)
+    if name == "spread20":
+        x = -np.cumsum(np.random.default_rng(20).uniform(3.0, 6.0, 20))
+    elif name == "ladder30":
+        x = -20.0 * steps
+    elif name == "pairs30":
+        x = -20.0 * (steps // 2) - 0.5 * (steps % 2)
+    else:
+        x = np.array([2.0, 1.0, 0.0, -1.0, 12.0])
+    return x - x.mean()
 
 
 def random_means(rng, p: int, on_cone: bool) -> MeanConfig:
@@ -447,14 +466,24 @@ class TestGradient:
             assert np.array_equal(grad_log_ordering_probability(cfg), grad)
             assert ordering_probability(cfg).log_value == log_value
 
-    @pytest.mark.parametrize("p", [3, 4, 6, 10, 20])
-    def test_solver_rule_matches_gradient_and_its_differences(self, p):
+    @pytest.mark.parametrize(
+        "case", ["3", "4", "6", "10", "20", "spread20", "ladder30", "pairs30", "off5"]
+    )
+    def test_solver_rule_matches_gradient_and_its_differences(self, case):
         """The solver's rule, at standardized means on the cone: log P and the
         gradient are those of the plain rule on the same panels, and
         Cov(X | order) - I is the Jacobian of that gradient, here by central
-        differences of step 1e-5 on the shared panels."""
-        cfg = random_means(np.random.default_rng(100 + p), p, on_cone=True)
-        mu = (np.asarray(cfg.mu) - np.mean(cfg.mu)) / cfg.sigma
+        differences of step 1e-5 on the shared panels. The wide cones are
+        wider than a window, so each row runs on its own. Off the cone the
+        windows do not hold, and the rule takes the whole layout: given the
+        order, the last of "off5" sits near the others, not near its mean 12."""
+        if case.isdigit():
+            p = int(case)
+            cfg = random_means(np.random.default_rng(100 + p), p, on_cone=True)
+            mu = (np.asarray(cfg.mu) - np.mean(cfg.mu)) / cfg.sigma
+        else:
+            mu = wide_means(case)
+            p = mu.size
         panels = _layout(mu, 1.0)
         log_p, grad, cov = conditional_moments(mu)
         _, log_expected, grad_expected = _grid_recursion(mu, 1.0, *panels)
@@ -469,6 +498,19 @@ class TestGradient:
             dn = _grid_recursion(mu - step, 1.0, *panels)[2]
             jacobian[:, i] = (up - dn) / (2.0 * h)
         assert np.abs(cov - np.eye(p) - jacobian).max() <= 1e-8
+
+    def test_solver_rule_holds_windows_not_the_layout(self):
+        # the ladder's layout has 4,800 nodes: p (p + 1) = 930 floats on each
+        # would take 36 MB
+        mu = wide_means("ladder30")
+        conditional_moments(mu)  # once untraced, so that nothing is first built here
+        tracemalloc.start()
+        try:
+            conditional_moments(mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
     def test_underflow_stays_finite(self):
         cfg = MeanConfig((0.0, 0.0, 60.0), 1.0)  # log P about -1209
