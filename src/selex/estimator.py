@@ -26,29 +26,32 @@ is <= 0 (nu_pg = 0). Else the ascent starts at the observations. Where C has
 small eigenvalues, as on clustered cones, that step is slow, so each
 iteration also takes a Newton step on the face of the cone that nu_pg lies
 on (projected Newton, Bertsekas 1982): with B the tie-group matrix of
-nu_pg, and C and the gradient at nu from one sweep, the candidate is
-project_monotone(B w) with
+nu_pg (the identity when no entries tie), and C and the gradient at nu
+from one sweep, the candidate is project_monotone(B w) with
 
     (B^T C B) w = B^T (z - nu - grad log P_1(nu) + C nu),
 
 the maximum of the objective's quadratic model over the span of B. It is
 kept if the log-likelihood, which its own sweep gives, does not fall;
 otherwise the iteration takes nu_pg (a proximal Newton safeguard: Lee, Sun
-and Saunders 2014). Pool-adjacent-violators sets each pooled block to one
-value, so tie groups are the runs of exactly equal entries of the estimate.
+and Saunders 2014). The tie groups are the blocks that pool-adjacent-
+violators hands back with nu_pg, each set to one value (two that meet at
+one value join): the runs of exactly equal entries of the estimate.
 
 The rule, ``conditional_moments``, gives log P, its gradient and C at once.
 At p = 3 and 4 it is exact, in closed form from the bivariate and the
 trivariate normal orthant of the gaps; those forms hold their accuracy only
 on the cone, where every iterate lies, so the checked
 ``ordering_probability`` and the public gradient keep the quadrature. For
-p >= 5 it is one quadrature sweep. A sample whose z = (x - xbar)/sigma, or
-its span z_1 - z_p, overflows is rejected with a ValueError, as at p = 2.
+p >= 5 it is one quadrature sweep. z = (x - xbar)/sigma descends, so its
+ends z_1 and z_p bound it: a sample where either, or the span z_1 - z_p,
+overflows is rejected with a ValueError, as at p = 2.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -101,7 +104,7 @@ class ObservedSample:
         x = np.asarray(self.x, dtype=float)
         if x.ndim != 1 or x.size < 2:
             raise ValueError("need a 1-d vector of at least 2 observations")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("observations must be finite")
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError("sigma must be positive and finite")
@@ -109,7 +112,7 @@ class ObservedSample:
         self.permutation = order
         self.x = x[order]
         with np.errstate(over="ignore"):  # an overflow is caught here
-            xbar = float(self.x.mean())
+            xbar = float(np.add.reduce(self.x)) / self.x.size  # x.mean(), bit for bit
         # x / p cannot overflow, so nor can its sum
         self.xbar = xbar if math.isfinite(xbar) else float((self.x / self.x.size).sum())
 
@@ -156,17 +159,28 @@ def project_monotone(v: np.ndarray) -> np.ndarray:
 
     Mean-preserving: pooled blocks are replaced by their averages.
     """
-    sums: list[float] = []
-    counts: list[int] = []
-    for value in np.asarray(v, dtype=float).tolist():
+    return _pava(np.asarray(v, dtype=float))[0]
+
+
+def _pava(v: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """``project_monotone`` of a float vector, and the sizes of its maximal
+    runs of equal entries: its blocks, joined where two meet at one value."""
+    sums, counts = [], []
+    for value in v.tolist():
+        count = 1
+        while sums and sums[-1] * count < value * counts[-1]:  # the last block's mean is larger
+            value += sums.pop()
+            count += counts.pop()
         sums.append(value)
-        counts.append(1)
-        # merge while the last block's mean exceeds its predecessor's
-        while len(sums) > 1 and sums[-2] * counts[-1] < sums[-1] * counts[-2]:
-            s, c = sums.pop(), counts.pop()
-            sums[-1] += s
-            counts[-1] += c
-    return np.array([s / c for s, c in zip(sums, counts) for _ in range(c)])
+        counts.append(count)
+    if len(sums) == v.size:  # nothing pooled
+        means = values = sums
+    else:
+        means = [s / c for s, c in zip(sums, counts)]
+        values = [m for m, c in zip(means, counts) for _ in range(c)]
+    if len(set(means)) < len(means):  # blocks that meet at one value join
+        counts = [len(list(run)) for _, run in itertools.groupby(values)]
+    return np.array(values), counts
 
 
 def ccmle_p2_rows(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -213,14 +227,15 @@ def ccmle_p2(obs: ObservedSample) -> CcmleResult:
     if obs.p != 2:
         raise ValueError("ccmle_p2 requires exactly 2 observations")
     mu_hat, residual = ccmle_p2_rows(obs.x[None, :], obs.sigma)
-    groups = _tie_groups(mu_hat[0])
+    groups = [[0, 1]] if mu_hat[0, 0] == mu_hat[0, 1] else [[0], [1]]
     path = "closed_form_pooled" if len(groups) == 1 else "closed_form_interior"
     return CcmleResult(mu_hat[0], groups, path, 0, float(residual[0]), obs.permutation)
 
 
 def _objective(z: np.ndarray, nu: np.ndarray, log_p: float) -> float:
     """The log-likelihood at ``nu`` in standardized coordinates, given log P."""
-    return -0.5 * float((z - nu) @ (z - nu)) - log_p
+    r = z - nu
+    return -0.5 * float(r @ r) - log_p
 
 
 @functools.cache
@@ -229,17 +244,6 @@ def _expected_order_statistics(p: int) -> np.ndarray:
     e = conditional_moments(np.zeros(p))[1]
     e.flags.writeable = False
     return e
-
-
-def _tie_groups(nu: np.ndarray) -> list[list[int]]:
-    """Maximal runs of exactly equal entries (0-based rank indices)."""
-    groups: list[list[int]] = [[0]]
-    for i in range(1, nu.size):
-        if nu[i] == nu[i - 1]:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
 
 
 def ccmle(obs: ObservedSample, method: str = "auto") -> CcmleResult:
@@ -262,40 +266,44 @@ def ccmle(obs: ObservedSample, method: str = "auto") -> CcmleResult:
     if obs.p == 2 and method == "auto":
         return ccmle_p2(obs)
 
-    with np.errstate(over="ignore"):  # an overflow is caught here
-        z = (obs.x - obs.xbar) / obs.sigma  # still in descending order
-    if not (np.all(np.isfinite(z)) and math.isfinite(float(z[0]) - float(z[-1]))):
+    x, xbar, sigma = obs.x, obs.xbar, obs.sigma
+    # z descends, so it is finite where its ends and their span are
+    if not math.isfinite((float(x[0]) - xbar) / sigma - (float(x[-1]) - xbar) / sigma):
         raise ValueError("observations too far apart for sigma to standardize")
-    nu_pg = project_monotone(z - _expected_order_statistics(obs.p))
-    kkt = math.hypot(*nu_pg)  # the unit step from nu = 0; hypot as z may not square
+    z = (x - xbar) / sigma
+    nu_pg, sizes = _pava(z - _expected_order_statistics(obs.p))
+    kkt = math.hypot(*nu_pg.tolist())  # the unit step from nu = 0; hypot as z may not square
     iterations = fallbacks = 0
     if kkt > KKT_TOL:
         nu, rule, iterations = z, conditional_moments(z), 1
+        value = _objective(z, nu, rule[0])
     while kkt > KKT_TOL:
-        log_p, grad, cov = rule
-        nu_pg = project_monotone(z - grad)
-        kkt = math.hypot(*(nu_pg - nu))
+        _, grad, cov = rule
+        nu_pg, sizes = _pava(z - grad)
+        kkt = math.hypot(*(nu_pg - nu).tolist())
         if kkt <= KKT_TOL or iterations >= MAX_ITERATIONS:
             break
-        groups = _tie_groups(nu_pg)  # the face: column g indicates group g
-        face = np.repeat(np.eye(len(groups)), [len(g) for g in groups], axis=0)
-        rhs = face.T @ (z - nu - grad + cov @ nu)
-        candidate = project_monotone(face @ np.linalg.solve(face.T @ cov @ face, rhs))
-        rule = conditional_moments(candidate)
-        iterations += 1
-        if _objective(z, candidate, rule[0]) >= _objective(z, nu, log_p):
-            nu = candidate
+        rhs = z - nu - grad + cov @ nu
+        if len(sizes) == z.size:  # the face is the identity
+            step = np.linalg.solve(cov, rhs)
+        else:  # column g of the face indicates block g
+            face = np.repeat(np.eye(len(sizes)), sizes, axis=0)
+            step = face @ np.linalg.solve(face.T @ cov @ face, face.T @ rhs)
+        candidate = _pava(step)[0]
+        rule, iterations = conditional_moments(candidate), iterations + 1
+        if (trial := _objective(z, candidate, rule[0])) >= value:
+            nu, value = candidate, trial
             continue
         fallbacks += 1
         if iterations >= MAX_ITERATIONS:
             break
-        nu, rule = nu_pg, conditional_moments(nu_pg)
-        iterations += 1
+        nu, rule, iterations = nu_pg, conditional_moments(nu_pg), iterations + 1
+        value = _objective(z, nu, rule[0])
     converged = kkt <= KKT_TOL
 
     result = CcmleResult(
-        obs.xbar + obs.sigma * nu_pg,
-        _tie_groups(nu_pg),
+        xbar + sigma * nu_pg,
+        [list(range(a, a + c)) for a, c in zip(itertools.accumulate([0] + sizes), sizes)],
         "numeric",
         iterations,
         kkt,

@@ -35,9 +35,12 @@ MAX_RESAMPLE_ATTEMPTS = 10  # draws per replicate before giving up
 def worker_count() -> int:
     """Worker cap from SELEX_THREADS (0 = all cores; unset = 1), at most the cores."""
     raw = os.environ.get("SELEX_THREADS", "1").strip() or "1"
-    n = int(raw)
+    try:
+        n = int(raw)
+    except ValueError:
+        n = -1  # reported below, by name
     if n < 0:
-        raise ValueError("SELEX_THREADS must be >= 0")
+        raise ValueError(f"SELEX_THREADS must be an integer >= 0, not {raw!r}")
     cores = os.cpu_count() or 1
     return cores if n == 0 else min(n, cores)
 

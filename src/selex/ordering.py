@@ -40,7 +40,8 @@ Layout. Each mean has a window [mu_k - R sigma, mu_k + R sigma]
 (R = TRUNCATION_RADIUS); overlapping windows merge. A gap between merged
 windows is skipped only when the populations above it are 1..j of the
 required order and those below it j+1..p: the ordered sample then leaves
-the gap empty. On the cone that is every gap. Off the cone it need not be:
+the gap empty. On the cone that is every gap that the last panel below
+does not reach across. Off the cone it need not be:
 for means (0, 0, 60) the mass of the ordered sample sits near t = 20,
 inside the gap, so such a gap is covered. Each covered stretch is tiled
 with equal panels PANEL_WIDTH sigma wide, each carrying PANEL_NODES
@@ -211,8 +212,12 @@ def _layout(mu: np.ndarray, sigma: float) -> tuple[np.ndarray, float]:
         msg = f"panel edge {edge:.3g} is too far from 0 for panels {width:.3g} wide"
         raise ConvergenceFailure(msg)
     for i in range(len(s) - 1):
-        if s[i + 1] - s[i] > 2.0 * r and min(mu[: len(s) - 1 - i]) > s[i]:
-            hi.append(s[i] + r)  # the means above the gap are 1..j: skip it
+        # skip the gap if the means above it are 1..j and the stretch above
+        # starts at or past the end of the last panel below, rounded as below
+        skip = s[i + 1] - s[i] > 2.0 * r and min(mu[: len(s) - 1 - i]) > s[i]
+        end = lo[-1] + width * math.ceil((s[i] + r - lo[-1]) / width - 1e-9)
+        if skip and s[i + 1] - r >= end:
+            hi.append(s[i] + r)
             lo.append(s[i + 1] - r)
     hi.append(s[-1] + r)
     # the tolerance keeps a whole number of panels from rounding up to one more
@@ -373,17 +378,12 @@ def _orthant_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     hhh = -h * gh - _RHO * density - gh * gh  # H = Hessian of log P in (h, k)
     hkk = -k * gk - _RHO * density - gk * gk
     hhk = density - gh * gk
-    # J^T (gh, gk) and I + J^T H J, J = [[1, -1, 0], [0, 1, -1]] / sqrt(2):
-    # the matrix below is twice the latter
-    grad = np.array([gh, gk - gh, -gk]) / SQRT_2
-    cov = np.array(
-        [
-            [2.0 + hhh, hhk - hhh, -hhk],
-            [hhk - hhh, 2.0 + hhh - 2.0 * hhk + hkk, hhk - hkk],
-            [-hhk, hhk - hkk, 2.0 + hkk],
-        ]
-    )
-    return math.log(value), grad, 0.5 * cov
+    # J^T (gh, gk) and I + J^T H J, J = [[1, -1, 0], [0, 1, -1]] / sqrt(2)
+    grad = np.array([gh / SQRT_2, (gk - gh) / SQRT_2, -gk / SQRT_2])
+    c11, c22, c33 = 0.5 * (2.0 + hhh), 0.5 * (2.0 + hhh - 2.0 * hhk + hkk), 0.5 * (2.0 + hkk)
+    c12, c13, c23 = 0.5 * (hhk - hhh), 0.5 * -hhk, 0.5 * (hhk - hkk)
+    cov = np.array([c11, c12, c13, c12, c22, c23, c13, c23, c33])
+    return math.log(value), grad, cov.reshape(3, 3)
 
 
 def _trivariate_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -425,19 +425,14 @@ def _trivariate_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     q22 = (-h2 * d2 - _RHO * (d12 + d23)) / value - g2 * g2
     q33 = (-h3 * d3 - _RHO * d23) / value - g3 * g3
     q12, q13, q23 = d12 / value - g1 * g2, d13 / value - g1 * g3, d23 / value - g2 * g3
-    # J^T g and I + J^T Q J, J the 3 x 4 matrix of the gaps: the matrix
-    # below is twice the latter
-    grad = np.array([g1, g2 - g1, g3 - g2, -g3]) / SQRT_2
-    mid = q12 - q13 - q22 + q23
-    cov = np.array(
-        [
-            [2.0 + q11, q12 - q11, q13 - q12, -q13],
-            [q12 - q11, 2.0 + q11 - 2.0 * q12 + q22, mid, q13 - q23],
-            [q13 - q12, mid, 2.0 + q22 - 2.0 * q23 + q33, q23 - q33],
-            [-q13, q13 - q23, q23 - q33, 2.0 + q33],
-        ]
-    )
-    return math.log(value), grad, 0.5 * cov
+    # J^T g and I + J^T Q J, J the 3 x 4 matrix of the gaps
+    grad = np.array([g1 / SQRT_2, (g2 - g1) / SQRT_2, (g3 - g2) / SQRT_2, -g3 / SQRT_2])
+    c11, c22 = 0.5 * (2.0 + q11), 0.5 * (2.0 + q11 - 2.0 * q12 + q22)
+    c33, c44 = 0.5 * (2.0 + q22 - 2.0 * q23 + q33), 0.5 * (2.0 + q33)
+    c12, c13, c14 = 0.5 * (q12 - q11), 0.5 * (q13 - q12), 0.5 * -q13
+    c23, c24, c34 = 0.5 * (q12 - q13 - q22 + q23), 0.5 * (q13 - q23), 0.5 * (q23 - q33)
+    cov = np.array([c11, c12, c13, c14, c12, c22, c23, c24, c13, c23, c33, c34, c14, c24, c34, c44])
+    return math.log(value), grad, cov.reshape(4, 4)
 
 
 def _panel_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

@@ -271,6 +271,16 @@ class TestSimulateMse:
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("threads", ["abc", "-1"])
+    def test_bad_thread_cap_exits_usage(self, capsys, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("SELEX_THREADS", threads)
+        code, _, err = run(
+            capsys,
+            ["simulate-mse", "--mu", "0.5,0", "--reps", "100", "--out", str(tmp_path / "x.csv")],
+        )
+        assert code == 2
+        assert "SELEX_THREADS" in err and repr(threads) in err
+
     def test_failing_replicate_exits_optimizer(self, capsys, monkeypatch, tmp_path):
         # every p = 3 solve stops after one step; pool workers inherit the cap
         monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)

@@ -513,6 +513,32 @@ class TestCcmleGeneral:
         assert res.mu_hat[0] == res.mu_hat[1]
         assert res.mu_hat[2] == res.mu_hat[3]
 
+    @settings(deadline=None, max_examples=40)
+    @given(
+        p=st.integers(3, 10),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.sampled_from([0.05, 0.5, 2.0]),
+        near=st.sampled_from([0.0, 1e-12, 1e-6]),
+    )
+    def test_groups_are_runs_of_equal_estimates(self, p, seed, spread, near):
+        """The tie groups, PAVA's blocks, are the maximal runs of exactly equal
+        entries of the estimate: on cones that pool (small spread) and cones
+        with observations tied or near-tied (gaps of ``near`` sigma)."""
+        rng = np.random.default_rng(seed)
+        gaps = rng.exponential(spread, p - 1)
+        gaps[rng.random(p - 1) < 0.3] = near
+        x = 5.0 - np.concatenate([[0.0], np.cumsum(gaps)])
+        res = ccmle(ObservedSample(rng.permutation(x), 0.8))
+        runs = [len(list(run)) for _, run in itertools.groupby(res.mu_hat.tolist())]
+        assert [len(g) for g in res.groups] == runs
+        assert list(itertools.chain(*res.groups)) == list(range(p))
+
+    def test_blocks_that_meet_at_one_value_join(self):
+        # 1e20 sigma out the gradient is below the ulp of z, so z - grad ties
+        # its first two entries exactly without pooling them
+        res = ccmle(ObservedSample(np.array([1e20, 1e20, 0.0]), 1.0))
+        assert res.groups == [[0, 1], [2]] and res.mu_hat[0] == res.mu_hat[1]
+
     def test_duplicate_observations_pool(self):
         res = ccmle(ObservedSample(np.array([5.0, 5.0, 0.0]), 1.0))
         assert res.mu_hat[0] == res.mu_hat[1]

@@ -323,17 +323,28 @@ class TestPanelKernels:
         # on the cone the same means leave it out
         assert _layout(np.array([60.0, 0.0, 0.0]), 1.0)[0].size == 2 * 16
 
+    def test_no_panels_overlap_past_a_skipped_gap(self):
+        # the windows of 0.2 and 16.3 leave a gap (8.2, 8.3), but the panels
+        # below it end at 9: the gap is covered, not skipped into an overlap
+        mu = np.array([16.3, 0.2, 0.0])
+        edges, width = _layout(mu, 1.0)
+        assert np.diff(edges).min() >= width - 1e-12
+        log_p = ordering_probability(MeanConfig(tuple(mu), 1.0)).log_value
+        assert abs(log_p - _orthant_moments(mu)[0]) <= 1e-14
+
     def test_layout_matches_array_reference(self):
         """The panels of ``_layout`` against the rule written with arrays: a
         gap wider than both windows is skipped iff the means above it are
-        the first ones in the required order."""
+        the first ones in the required order and the panels below it end
+        at or before the window above."""
 
         def reference(mu, sigma):
             r, width, s = TRUNCATION_RADIUS * sigma, PANEL_WIDTH * sigma, np.sort(mu)
             lo, hi = [s[0] - r], []
             for i in np.flatnonzero(np.diff(s) > 2.0 * r):
                 above = mu > s[i]
-                if not np.any(above[1:] & ~above[:-1]):
+                end = lo[-1] + width * math.ceil((s[i] + r - lo[-1]) / width - 1e-9)
+                if not np.any(above[1:] & ~above[:-1]) and s[i + 1] - r >= end:
                     hi.append(s[i] + r)
                     lo.append(s[i + 1] - r)
             hi.append(s[-1] + r)
