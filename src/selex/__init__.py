@@ -7,7 +7,6 @@ from .estimator import (
     ccmle,
     ccmle_p2,
     conditional_log_likelihood,
-    project_monotone,
 )
 from .experiments import (
     BootstrapConfig,
@@ -49,7 +48,6 @@ __all__ = [
     "inverse_mills",
     "mc_ordering_probability",
     "ordering_probability",
-    "project_monotone",
     "run_bootstrap_ci",
     "run_mse",
 ]

@@ -16,9 +16,10 @@ input therefore leaves the solve unchanged. The objective is concave with
 Hessian -C, C = Cov(X | order) in these units, and C <= I for a normal
 conditioned on the convex order cone (Brascamp-Lieb). So the unit step
 
-    nu_pg = project_monotone(z - grad log P_1(nu))
+    nu_pg = Pi(z - grad log P_1(nu)),
 
-ascends from any point, and ||nu_pg - nu|| is the stopping rule. At nu = 0
+Pi the Euclidean projection onto the cone (pool-adjacent-violators), ascends
+from any point, and ||nu_pg - nu|| is the stopping rule. At nu = 0
 the gradient is e_p, the expected order statistics of p standard normals
 (Harter 1961; e_2 gives the p = 2 threshold), so the grand mean is tested
 with no sweep: the sample pools at xbar iff every top partial sum of z - e_p
@@ -27,7 +28,7 @@ small eigenvalues, as on clustered cones, that step is slow, so each
 iteration also takes a Newton step on the face of the cone that nu_pg lies
 on (projected Newton, Bertsekas 1982): with B the tie-group matrix of
 nu_pg (the identity when no entries tie), and C and the gradient at nu
-from one sweep, the candidate is project_monotone(B w) with
+from one sweep, the candidate is Pi(B w) with
 
     (B^T C B) w = B^T (z - nu - grad log P_1(nu) + C nu),
 
@@ -154,17 +155,11 @@ def conditional_log_likelihood(mu: np.ndarray, obs: ObservedSample) -> float:
     return _objective(z, nu, ordering_probability(MeanConfig(tuple(nu), 1.0)).log_value)
 
 
-def project_monotone(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the nonincreasing cone (pool adjacent violators).
-
-    Mean-preserving: pooled blocks are replaced by their averages.
-    """
-    return _pava(np.asarray(v, dtype=float))[0]
-
-
 def _pava(v: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """``project_monotone`` of a float vector, and the sizes of its maximal
-    runs of equal entries: its blocks, joined where two meet at one value."""
+    """Euclidean projection of a float vector onto the nonincreasing cone by
+    pool-adjacent-violators, each pooled block at its mean, and the sizes
+    of its maximal runs of equal entries: its blocks, joined where two meet
+    at one value."""
     sums, counts = [], []
     for value in v.tolist():
         count = 1

@@ -1,9 +1,12 @@
 """Probability that independent normals come out in strictly decreasing order.
 
-For p = 2 the probability has a closed form through the normal CDF. For
-p >= 3 we evaluate nested-conditioning recursions on shared quadrature
-nodes. With f_k(t) = (1/sigma) phi((t - mu_k)/sigma), the "below t"
-recursion
+Both public functions first standardize the means about their midrange,
+nu = (mu - (max + min) / 2) / sigma, and every private function works on
+such means at sigma = 1: an offset common to all the means drops out
+before any node is laid, and the gradient in mu is the one in nu divided by
+sigma. For p = 2 the probability has a closed form through the normal CDF.
+For p >= 3 we evaluate nested-conditioning recursions on shared quadrature
+nodes. With f_k(t) = phi(t - nu_k), the "below t" recursion
 
     H_{p+1}(t) = 1,   H_k(t) = integral_{-inf}^{t} f_k(s) H_{k+1}(s) ds
 
@@ -18,76 +21,78 @@ For every k,
     P = integral f_k(t) U_{k-1}(t) H_{k+1}(t) dt,
 
 which generalizes the condition-on-the-middle identity for three
-populations. Since d f_k / d mu_k = (t - mu_k)/sigma^2 f_k, the same
-integrands give the exact gradient
+populations. Since d f_k / d nu_k = (t - nu_k) f_k, the same integrands
+give the exact gradient
 
-    d log P / d mu_k = integral (t - mu_k) f_k U_{k-1} H_{k+1} dt / (sigma^2 P)
-                     = (E[X_k | order] - mu_k) / sigma^2.
+    d log P / d nu_k = integral (t - nu_k) f_k U_{k-1} H_{k+1} dt / P
+                     = E[X_k | order] - nu_k.
 
 Every rule runs both sweeps, U being the H sweep on the reversed nodes with
 the populations reversed: the k = 1 integrand gives P, all k the gradient.
-Differentiating once more gives the Hessian of log P, Cov(X | order) /
-sigma^4 - I / sigma^2. E[(X_k - mu_k)^2; order] integrates (t - mu_k)^2
-against the same integrands, and for j < k
+Differentiating once more gives the Hessian of log P, Cov(X | order) - I.
+E[(X_k - nu_k)^2; order] integrates (t - nu_k)^2 against the same
+integrands, and for j < k
 
-    E[(X_j - mu_j)(X_k - mu_k); order]
-        = integral (t - mu_k) f_k U^(j)_{k-1} H_{k+1} dt,
+    E[(X_j - nu_j)(X_k - nu_k); order]
+        = integral (t - nu_k) f_k U^(j)_{k-1} H_{k+1} dt,
 
-where U^(j) is the U sweep with f_j weighted by (s - mu_j). The solver's
-rule runs those p - 1 weighted sweeps in the same loop.
+where U^(j) is the U sweep with f_j weighted by (s - nu_j). One linear-space
+kernel, ``_sweep``, runs those p - 1 weighted sweeps in the same loop as the
+other two; the solver's rule and the checked quadrature both call it.
 
-Layout. Each mean has a window [mu_k - R sigma, mu_k + R sigma]
-(R = TRUNCATION_RADIUS); overlapping windows merge. A gap between merged
-windows is skipped only when the populations above it are 1..j of the
-required order and those below it j+1..p: the ordered sample then leaves
-the gap empty. On the cone that is every gap that the last panel below
-does not reach across. Off the cone it need not be:
-for means (0, 0, 60) the mass of the ordered sample sits near t = 20,
-inside the gap, so such a gap is covered. Each covered stretch is tiled
-with equal panels PANEL_WIDTH sigma wide, each carrying PANEL_NODES
+Layout. Each mean has a window [nu_k - R, nu_k + R] (R = TRUNCATION_RADIUS);
+overlapping windows merge. A gap between merged windows is skipped only when
+the populations above it are 1..j of the required order and those below it
+j+1..p: the ordered sample then leaves the gap empty. On the cone that is
+every gap that the last panel below does not reach across. Off the cone it
+need not be: for means (0, 0, 60) the mass of the ordered sample sits near
+t = 20, inside the gap, so such a gap is covered. Each covered stretch is
+tiled with equal panels PANEL_WIDTH wide, each carrying PANEL_NODES
 Gauss-Legendre nodes. The running integral is a spectral integration
 matrix inside each panel (Greengard 1991) plus an exclusive cumsum of the
 panel totals, so it holds constant across a skipped gap. The nodes are
 symmetric within equal panels, so reversing the node array gives the
 layout of the mirrored problem and one kernel runs both sweeps.
 
+Windows. On the cone each row of a sweep runs only on its window: the
+2R / width + 1 panels that hold nu_k +- R, whatever the panel width. The
+order set is a lattice, so by the FKG inequality X_k given the order is
+stochastically increasing in every mean. On the cone its upper tail is
+thus at most that of the largest of p - k + 1 normals of mean nu_k and its
+lower tail that of the smallest of k, each below p Phi(-R) past R, about
+1e-14 at R = 8: the window drops no more than the layout's edges do. Below
+the window a running integral of row k is 0, above it the row's total, as
+across a skipped gap, and between rows the integrals move to the next
+window by whole panels with that fill. A sweep takes O(p^2) window-long
+steps and holds p (p + 1) windows, whatever the spread. Off the cone, and
+on layouts no longer than _BANDED_FROM, the window is the whole layout.
+
 Accuracy. The rule's error falls as PANEL_WIDTH^(2 PANEL_NODES), so the
 same rule on halved panels estimates it: ``ordering_probability`` halves
 the panels until |log P_h - log P_{h/2}| is within QUADRATURE_RTOL, reports
 that and |P_h - P_{h/2}| for the coarser rule, and raises
 ConvergenceFailure when a sweep would need more than MAX_NODES nodes first,
-or when nodes sit so far from 0 (past about 2^40 sigma) that rounding moves
-them by more than _EDGE_ULP_LIMIT of a panel, which the estimate misses.
-Off the cone the mass can sit in the far tails, where one PANEL_WIDTH
-panel spans many e-folds of the integrand: (0, 0, 20) needs two halvings.
-The public gradient takes the same loop everywhere. Where P underflows,
-both sweeps run in log space on panels LOG_SPACE_SPLIT times narrower, with
-a per-panel max shift.
+or when the means span so much (about 2^41, so that panel edges lie 2^40
+from 0) that rounding moves the nodes by more than _EDGE_ULP_LIMIT of a
+panel, which the estimate misses. Off the cone the mass can sit in the far
+tails, where one PANEL_WIDTH panel spans many e-folds of the integrand:
+(0, 0, 20) needs two halvings. The public gradient takes the same loop
+everywhere. Where P underflows, log P and the gradient come from both
+sweeps in log space, over the whole layout on panels LOG_SPACE_SPLIT times
+narrower, with a per-panel max shift.
 
 The solver's rule. ``conditional_moments`` runs only on the cone, where
 P >= 1/p!. At p = 3 and 4 it is exact. The order is the orthant {D > 0}
 of the gaps D = J X, J with rows (e_i - e_{i+1}) / sqrt(2), normal with
 unit variances and correlation RHO = -1/2 between neighbours, 0 otherwise.
 Plackett's identity (Plackett 1954; Genz 2004) gives its probability and
-derivatives at h = J mu as smooth integrals that fixed Gauss-Legendre
+derivatives at h = J nu as smooth integrals that fixed Gauss-Legendre
 nodes take to rounding (the rule functions give the forms). That error is
 absolute, so relative only on the cone, and ``ordering_probability`` and
-the public gradient keep the checked quadrature at p = 3 and 4.
-
-For p >= 5 the rule is one linear-space sweep of the unhalved panels with
-no error pass (the first halving converges there, and the solver stops on
-its own residual), each row on its window: the 2R / PANEL_WIDTH + 1
-panels that hold mu_k +- R sigma. The order set is a lattice, so by the
-FKG inequality X_k given the order is stochastically increasing in every
-mean. On the cone its upper tail is thus at most that of the largest of
-p - k + 1 normals of mean mu_k and its lower tail that of the smallest of
-k, each below p Phi(-R) past R sigma, about 1e-14 at R = 8: the window
-drops no more than the layout's edges do. Below the window a running
-integral of row k is 0, above it the row's total, as across a skipped
-gap, and between rows the integrals move to the next window by whole
-panels with that fill. A sweep takes O(p^2) window-long steps and holds
-p (p + 1) windows, whatever the spread. Off the cone, and on layouts too
-short for the moves to pay, the window is the whole layout.
+the public gradient keep the checked quadrature at p = 3 and 4. For
+p >= 5 the rule is one ``_sweep`` of the unhalved panels with no error
+pass: the first halving converges there, and the solver stops on its own
+residual.
 """
 
 from __future__ import annotations
@@ -104,8 +109,8 @@ INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 SQRT_2 = math.sqrt(2.0)
 # only the benchmark's tracer reads this; it goes with ROADMAP item 1
 DEFAULT_GRID_POINTS = 2049
-TRUNCATION_RADIUS = 8.0  # half-width of each mean's window, in sigma
-PANEL_WIDTH = 1.0  # in sigma
+TRUNCATION_RADIUS = 8.0  # half-width of each mean's window
+PANEL_WIDTH = 1.0
 PANEL_NODES = 10  # Gauss-Legendre nodes per panel
 LOG_SPACE_SPLIT = 8  # log-space sweeps run on panels this many times narrower
 MAX_NODES = 2**16  # nodes of one sweep; more raise ConvergenceFailure
@@ -116,8 +121,7 @@ _EDGE_ULP_LIMIT = 2.0**-13  # ulp of the outermost panel edge, in panel widths
 _RHO = -0.5
 _RHO_S = math.sqrt(1.0 - _RHO**2)
 _ORTHANT_NODES = 12  # Gauss-Legendre nodes of a Plackett integral
-_BAND_PANELS = int(2.0 * TRUNCATION_RADIUS / PANEL_WIDTH) + 1  # panels of a window
-_BANDED_FROM = 24  # panels; layouts of at most this many run as one window
+_BANDED_FROM = 24.0  # layouts at most this long run as one window
 
 
 def _spectral_rule(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,17 +203,16 @@ def _check_size(panels: int) -> None:
         )
 
 
-def _layout(mu: np.ndarray, sigma: float) -> tuple[np.ndarray, float]:
-    """Left edges and width of the PANEL_WIDTH sigma panels (module
-    docstring, Layout); raises ConvergenceFailure past _EDGE_ULP_LIMIT."""
-    r = TRUNCATION_RADIUS * sigma
-    width = PANEL_WIDTH * sigma
+def _layout(mu: np.ndarray) -> tuple[np.ndarray, float]:
+    """Left edges and width of the PANEL_WIDTH panels (module docstring,
+    Layout); raises ConvergenceFailure past _EDGE_ULP_LIMIT."""
+    r, width = TRUNCATION_RADIUS, PANEL_WIDTH
     mu = mu.tolist()
     s = sorted(mu)
     lo, hi = [s[0] - r], []
     edge = max(-lo[0], s[-1] + r)  # nodes there round by up to its ulp
     if math.ulp(edge) > _EDGE_ULP_LIMIT * width:
-        msg = f"panel edge {edge:.3g} is too far from 0 for panels {width:.3g} wide"
+        msg = f"means {s[-1] - s[0]:.3g} sigma apart put a panel edge too far from 0"
         raise ConvergenceFailure(msg)
     for i in range(len(s) - 1):
         # skip the gap if the means above it are 1..j and the stretch above
@@ -245,12 +248,15 @@ def _integral(y: np.ndarray, width: float) -> np.ndarray:
     return (panels @ _WEIGHTS).sum(axis=-1) * (0.5 * width)
 
 
-def _cumulative(y: np.ndarray, width: float) -> np.ndarray:
-    """Running integral of y along the last axis, from the first panel's edge."""
-    panels = y.reshape(y.shape[:-1] + (-1, PANEL_NODES))
-    totals = panels @ (_WEIGHTS * (0.5 * width))  # scale the small matrices, not y
-    before = np.add.accumulate(totals, axis=-1) - totals  # less overhead than cumsum
-    return (panels @ (_RUNNING * (0.5 * width)) + before[..., None]).reshape(y.shape)
+def _cumulative(
+    y: np.ndarray, weights: np.ndarray, running: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Running integral of y, shaped (..., panels, PANEL_NODES), from the first
+    panel's edge, and its value at the end of each panel; ``weights`` and
+    ``running`` are _WEIGHTS and _RUNNING times half the panel width."""
+    totals = y @ weights
+    through = np.add.accumulate(totals, axis=-1)  # less overhead than cumsum
+    return y @ running + (through - totals)[..., None], through
 
 
 def _cumulative_log(logy: np.ndarray, width: float) -> np.ndarray:
@@ -268,61 +274,92 @@ def _cumulative_log(logy: np.ndarray, width: float) -> np.ndarray:
     return np.logaddexp(within, before[..., None]).reshape(logy.shape[:-2] + (-1,))
 
 
-def _integrands(
-    mu: np.ndarray, sigma: float, nodes: np.ndarray, width: float, log_space: bool
-) -> np.ndarray:
-    """Integrands f_k U_{k-1} H_{k+1} of P (module docstring), one row per
-    population, or their logs.
+def _sweep(mu: np.ndarray, edges: np.ndarray, width: float) -> np.ndarray:
+    """The moments of one linear-space sweep on the panels at ``edges``, on
+    the cone each row on its window (module docstring). Entry [k, s, r]
+    integrates (t - mu_k)^r f_k H_{k+1} times U_{k-1} for s = 0 and
+    U^(j)_{k-1} for s = 1 + j (0 for j >= k); [k, 0, 0] is P."""
+    p, band, first = mu.size, edges.size, np.zeros(mu.size, dtype=int)
+    # off the cone the windows do not hold, and on short layouts the moves
+    # cost more than they save: there the window is the whole layout
+    if band * width > _BANDED_FROM and np.all(mu[:-1] >= mu[1:]):
+        band = int(2.0 * TRUNCATION_RADIUS / width) + 1  # from the panel that holds mu_k - R
+        first = np.searchsorted(edges, mu - TRUNCATION_RADIUS, "right") - 1
+        first = np.minimum(first, edges.size - band)
+    up = np.minimum(first[:-1] - first[1:], band).tolist()  # up[k - 1]: k to k - 1
+    d = _nodes(edges[first[:, None] + np.arange(band)].ravel(), width)
+    d = d.reshape(p, band, PANEL_NODES) - mu[:, None, None]
+    f = np.exp(-0.5 * np.square(d) + math.log(INV_SQRT_2PI))
+    mirrored, dm = f[::-1, ::-1, ::-1].copy(), d[::-1, ::-1, ::-1].copy()  # contiguous
+    weights, running = _WEIGHTS * (0.5 * width), _RUNNING * (0.5 * width)
+    # below[k] is H_{k+2} (0-based k) of the value sweep on window k + 1, and of
+    # U, then U^(j) (0 before it joins), on mirrored window p - 2 - k
+    below = np.zeros((p, p + 1, band, PANEL_NODES))
+    below[-1, :2] = 1.0
+    for k in range(p - 1, 0, -1):
+        n = p + 2 - k  # mirrored row k is f_j, j = p - 1 - k: U^(j) joins
+        rows = below[k, :n] * mirrored[k]
+        np.multiply(below[k, 0], f[k], out=rows[0])
+        np.multiply(rows[1], dm[k], out=rows[-1])
+        inside, through = _cumulative(rows, weights, running)
+        a, b, nxt = up[k - 1], up[p - 1 - k], below[k - 1]
+        if a == b == 0:
+            nxt[:n] = inside
+            continue
+        nxt[0, : band - a], nxt[0, band - a :] = inside[0, a:], through[0, -1]
+        nxt[1:n, : band - b] = inside[1:, b:]
+        nxt[1:n, band - b :] = through[1:, -1, None, None]
+    # (t - mu_k)^r f_k H_{k+1} with the quadrature weights, r = 0, 1, 2, on
+    # the mirrored window, meets U_{k-1} and the U^(j)_{k-1} at mirrored row
+    # p - 1 - k: one matrix product per row
+    powers = np.empty((p, band, PANEL_NODES, 3))
+    powers[..., 0] = (f * below[:, 0] * weights)[::-1, ::-1, ::-1]
+    np.multiply(dm, powers[..., 0], out=powers[..., 1])
+    np.multiply(dm, powers[..., 1], out=powers[..., 2])
+    return (below[:, 1:].reshape(p, p, -1) @ powers.reshape(p, -1, 3))[::-1]
+
+
+def _integrands(mu: np.ndarray, nodes: np.ndarray, width: float) -> np.ndarray:
+    """Logs of the integrands f_k U_{k-1} H_{k+1} of P (module docstring), one
+    row per population, from both sweeps in log space.
 
     The "above t" recursion U is the "below t" one on the mirrored problem:
     nodes and population order both reversed, so one loop runs both sweeps.
     Row 0 is f_1 H_2 times U_0 = 1 exactly, the value sweep alone.
     """
-    d = (nodes[None, :] - mu[:, None]) / sigma
-    logpdf = -0.5 * np.square(d) - math.log(sigma) + math.log(INV_SQRT_2PI)
-    if log_space:
-        f, unit, combine, cumulate = logpdf, 0.0, np.add, _cumulative_log
-    else:  # in place, so that the density and its log are not both held
-        f, unit, combine = np.exp(logpdf, out=logpdf), 1.0, np.multiply
-        cumulate = _cumulative
+    f = -0.5 * np.square(nodes[None, :] - mu[:, None]) + math.log(INV_SQRT_2PI)
     p, m = f.shape
     mirrored = f[::-1, ::-1]
-    # below[k] is H_{k+2} (0-based k) of the value sweep and of the mirrored one
+    # below[k] is log H_{k+2} (0-based k) of the value sweep and of the mirrored one
     below = np.zeros((p, 2, m))
-    below[-1] = unit
     for k in range(p - 1, 0, -1):
-        rows = combine(below[k], mirrored[k])
-        combine(below[k, 0], f[k], out=rows[0])
-        below[k - 1] = cumulate(rows, width)
-    fh = combine(f, below[:, 0])
-    return combine(fh, below[::-1, 1, ::-1])
+        rows = below[k] + mirrored[k]
+        np.add(below[k, 0], f[k], out=rows[0])
+        below[k - 1] = _cumulative_log(rows, width)
+    return f + below[:, 0] + below[::-1, 1, ::-1]
 
 
 def _grid_recursion(
-    mu: np.ndarray, sigma: float, edges: np.ndarray, width: float
+    mu: np.ndarray, edges: np.ndarray, width: float
 ) -> tuple[float, float, np.ndarray]:
     """(P, log P, gradient of log P) on the panels at ``edges``.
 
-    P is the linear-space value; when it falls below the underflow floor,
-    log P and the gradient come from log-space sweeps on the same stretches
-    cut into panels LOG_SPACE_SPLIT times narrower.
+    P and the first moments are row s = 0 of ``_sweep``; when P falls below
+    the underflow floor, log P and the gradient come from log-space sweeps
+    on the same stretches cut into panels LOG_SPACE_SPLIT times narrower.
     """
+    moments = _sweep(mu, edges, width)[:, 0]
+    value = float(moments[0, 0])
+    if value >= _UNDERFLOW_FLOOR:
+        return value, math.log(value), moments[:, 1] / moments[:, 0]
+    edges, width = _refine(edges, width, LOG_SPACE_SPLIT)
     nodes = _nodes(edges, width)
-    w = _integrands(mu, sigma, nodes, width, log_space=False)
+    logw = _integrands(mu, nodes, width)
+    shifts = logw.max(axis=-1, keepdims=True)
+    w = np.exp(logw - shifts)
     mass = _integral(w, width)
-    value = float(mass[0])
-    log_shift = 0.0
-    if value < _UNDERFLOW_FLOOR:
-        edges, width = _refine(edges, width, LOG_SPACE_SPLIT)
-        nodes = _nodes(edges, width)
-        logw = _integrands(mu, sigma, nodes, width, log_space=True)
-        shifts = logw.max(axis=-1, keepdims=True)
-        w = np.exp(logw - shifts)
-        mass = _integral(w, width)
-        log_shift = float(shifts[0, 0])
-    log_value = log_shift + math.log(mass[0])
     moment = _integral((nodes[None, :] - mu[:, None]) * w, width)
-    return value, log_value, moment / (mass * sigma**2)
+    return value, float(shifts[0, 0]) + math.log(mass[0]), moment / mass
 
 
 def _plackett_rule(rho: float) -> list[tuple[float, float, float]]:
@@ -436,55 +473,13 @@ def _trivariate_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def _panel_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """``conditional_moments`` from one linear-space sweep on the panels of
-    ``_layout``, each row on its window, with no error pass (module
-    docstring). Entry [k, s, r] of the moments integrates (t - mu_k)^r
-    f_k H_{k+1} times U_{k-1} for s = 0 and U^(j)_{k-1} for s = 1 + j (0 for
-    j >= k); each is divided by the P that row k integrates to."""
-    edges, width = _layout(mu, 1.0)
-    p, band, first = mu.size, edges.size, np.zeros(mu.size, dtype=int)
-    # off the cone the windows do not hold, and on short layouts the moves
-    # cost more than they save: there the window is the whole layout
-    if band > _BANDED_FROM and np.all(mu[:-1] >= mu[1:]):
-        band = _BAND_PANELS  # from the panel that holds mu_k - R
-        first = np.searchsorted(edges, mu - TRUNCATION_RADIUS, "right") - 1
-        first = np.minimum(first, edges.size - band)
-    up = np.minimum(first[:-1] - first[1:], band).tolist()  # up[k - 1]: k to k - 1
-    d = _nodes(edges[first[:, None] + np.arange(band)].ravel(), width)
-    d = d.reshape(p, band, PANEL_NODES) - mu[:, None, None]
-    f = np.exp(-0.5 * np.square(d) + math.log(INV_SQRT_2PI))
-    mirrored, dm = f[::-1, ::-1, ::-1].copy(), d[::-1, ::-1, ::-1].copy()  # contiguous
-    weights, running = _WEIGHTS * (0.5 * width), _RUNNING * (0.5 * width)
-    # below[k] is H_{k+2} (0-based k) of the value sweep on window k + 1, and of
-    # U, then U^(j) (0 before it joins), on mirrored window p - 2 - k
-    below = np.zeros((p, p + 1, band, PANEL_NODES))
-    below[-1, :2] = 1.0
-    for k in range(p - 1, 0, -1):
-        n = p + 2 - k  # mirrored row k is f_j, j = p - 1 - k: U^(j) joins
-        rows = below[k, :n] * mirrored[k]
-        np.multiply(below[k, 0], f[k], out=rows[0])
-        np.multiply(rows[1], dm[k], out=rows[-1])
-        totals = rows @ weights  # the running integrals, as in _cumulative
-        through = np.add.accumulate(totals, axis=-1)
-        inside = rows @ running + (through - totals)[..., None]
-        a, b, nxt = up[k - 1], up[p - 1 - k], below[k - 1]
-        if a == b == 0:
-            nxt[:n] = inside
-            continue
-        nxt[0, : band - a], nxt[0, band - a :] = inside[0, a:], through[0, -1]
-        nxt[1:n, : band - b] = inside[1:, b:]
-        nxt[1:n, band - b :] = through[1:, -1, None, None]
-    # (t - mu_k)^r f_k H_{k+1} with the quadrature weights, r = 0, 1, 2, on
-    # the mirrored window, meets U_{k-1} and the U^(j)_{k-1} at mirrored row
-    # p - 1 - k: one matrix product per row
-    powers = np.empty((p, band, PANEL_NODES, 3))
-    powers[..., 0] = (f * below[:, 0] * weights)[::-1, ::-1, ::-1]
-    np.multiply(dm, powers[..., 0], out=powers[..., 1])
-    np.multiply(dm, powers[..., 1], out=powers[..., 2])
-    moments = (below[:, 1:].reshape(p, p, -1) @ powers.reshape(p, -1, 3))[::-1]
+    """``conditional_moments`` from one ``_sweep`` of the panels of
+    ``_layout``, with no error pass: each row's moments are divided by the
+    P that the row integrates to, and give the gradient and the covariance."""
+    moments = _sweep(mu, *_layout(mu))
     mass = moments[:, 0, 0].copy()
     moments /= mass[:, None, None]
-    grad, cov = moments[:, 0, 1], np.zeros((p, p))
+    grad, cov = moments[:, 0, 1], np.zeros((mu.size, mu.size))
     cov[:-1] = moments[:, 1:, 1].T  # E[(X_j - mu_j)(X_k - mu_k) | order], j < k
     cov += cov.T + np.diag(moments[:, 0, 2]) - np.outer(grad, grad)
     return math.log(mass[0]), grad, cov
@@ -499,27 +494,28 @@ def conditional_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return _trivariate_moments(mu) if mu.size == 4 else _panel_moments(mu)
 
 
-def _closed_form_p2(mu: np.ndarray, sigma: float) -> tuple[float, float, np.ndarray]:
+def _closed_form_p2(mu: np.ndarray) -> tuple[float, float, np.ndarray]:
     """(P, log P, gradient of log P) for two populations, in closed form."""
-    u = (mu[1] - mu[0]) / (sigma * SQRT_2)
-    g = inverse_mills(u) / (sigma * SQRT_2)
+    m1, m2 = mu.tolist()  # as Python floats, u overflows to -inf (P = 1) silently
+    u = m2 / SQRT_2 - m1 / SQRT_2
+    g = inverse_mills(u) / SQRT_2
     return float(ndtr(-u)), float(log_ndtr(-u)), np.array([g, -g])
 
 
-def _converged(mu: np.ndarray, sigma: float) -> tuple:
+def _converged(mu: np.ndarray) -> tuple:
     """((P, log P, gradient), err, log_err) of ``_grid_recursion`` on the
     panels of ``_layout``, halved until log P_h and log P_{h/2} agree within
     QUADRATURE_RTOL: the coarser rule, |P_h - P_{h/2}| + eps P and
     |log P_h - log P_{h/2}| + eps. Raises ConvergenceFailure, with the last
     estimate, when the nodes would exceed MAX_NODES first."""
     eps = np.finfo(float).eps
-    edges, width = _layout(mu, sigma)
-    coarse = _grid_recursion(mu, sigma, edges, width)
+    edges, width = _layout(mu)
+    coarse = _grid_recursion(mu, edges, width)
     err = log_err = math.inf
     while True:
         try:
             edges, width = _refine(edges, width, 2)
-            fine = _grid_recursion(mu, sigma, edges, width)
+            fine = _grid_recursion(mu, edges, width)
         except ConvergenceFailure as exc:
             raise ConvergenceFailure(
                 f"quadrature error estimate {log_err:.3g} of log P exceeds "
@@ -534,20 +530,28 @@ def _converged(mu: np.ndarray, sigma: float) -> tuple:
         coarse = fine
 
 
+def _checked(cfg: MeanConfig) -> tuple:
+    """((P, log P, gradient of log P in nu), err, log_err) at the means
+    standardized about their midrange (module docstring): the closed form
+    for p = 2, ``_converged`` otherwise."""
+    mu = np.asarray(cfg.mu, dtype=float)
+    with np.errstate(over="ignore"):  # p = 2 takes an infinite nu, _layout rejects it
+        nu = (mu - (0.5 * mu.max() + 0.5 * mu.min())) / cfg.sigma
+    if cfg.p == 2:
+        return _closed_form_p2(nu), 1e-16, 1e-16
+    return _converged(nu)
+
+
 def ordering_probability(cfg: MeanConfig) -> OrderingProb:
     """P(X_1 > X_2 > ... > X_p) for independent X_i ~ N(mu_i, sigma^2).
 
     Closed form for p = 2; panel quadrature (module docstring) otherwise,
     with the panels halved until the error estimate of log P is within
     QUADRATURE_RTOL. Raises ConvergenceFailure, with the last estimate, when
-    the nodes would exceed MAX_NODES first, or sit too far from 0 (Accuracy).
+    the nodes would exceed MAX_NODES first, or when the means span too many
+    sigma (Accuracy).
     """
-    mu = np.asarray(cfg.mu, dtype=float)
-    if cfg.p == 2:
-        rule, err, log_err = _closed_form_p2(mu, cfg.sigma), 1e-16, 1e-16
-    else:
-        rule, err, log_err = _converged(mu, cfg.sigma)
-    value, log_value, _ = rule
+    (value, log_value, _), err, log_err = _checked(cfg)
     if value < _UNDERFLOW_FLOOR:
         warnings.warn("ordering probability underflowed", UnderflowWarning)
     method = "closed_form_p2" if cfg.p == 2 else "quadrature"
@@ -596,7 +600,4 @@ def grad_log_ordering_probability(cfg: MeanConfig) -> np.ndarray:
     converges on. When P underflows both sweeps run in log space, so the
     gradient stays finite.
     """
-    mu = np.asarray(cfg.mu, dtype=float)
-    if cfg.p == 2:
-        return _closed_form_p2(mu, cfg.sigma)[2]
-    return _converged(mu, cfg.sigma)[0][2]
+    return _checked(cfg)[0][2] / cfg.sigma

@@ -96,6 +96,29 @@ class TestProb:
         assert code == 3
         assert "too far from 0" in err
 
+    def test_offset_of_all_means_changes_nothing(self, capsys):
+        # the means are standardized about their midrange before any node is
+        # laid, so 1e15 sigma from 0 the quadrature is that of (2, 1, 0)
+        means = "1000000000000002,1000000000000001,1000000000000000"
+        far = run(capsys, ["prob", "--means", means, "--sigma", "1"])
+        near = run(capsys, ["prob", "--means", "2,1,0", "--sigma", "1"])
+        assert far[0] == 0 and far == near
+        assert "= 0.5361516341" in far[1]
+
+    @pytest.mark.parametrize(
+        "means,sigma", [("1.7e308,-1.7e308", "1"), ("5,0", "5e-324")], ids=["gap", "sigma"]
+    )
+    def test_p2_past_the_largest_float_is_certain(self, means, sigma):
+        # the scaled gap is past the largest float: P = 1, with no numpy warning
+        env = dict(os.environ, PYTHONPATH=str(Path(selex.__file__).parent.parent))
+        argv = ["prob", "--means", means, "--sigma", sigma, "--json"]
+        out = subprocess.run(
+            [sys.executable, "-m", "selex.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["value"] == 1.0
+        assert "RuntimeWarning" not in out.stderr
+
     def test_single_mean_rejected(self, capsys):
         code, _, err = run(capsys, ["prob", "--means", "1", "--sigma", "1"])
         assert code == 2

@@ -20,7 +20,6 @@ from selex.estimator import (
     ccmle_p2,
     ccmle_p2_rows,
     conditional_log_likelihood,
-    project_monotone,
 )
 from selex.ordering import (
     ConvergenceFailure,
@@ -84,13 +83,13 @@ class TestObservedSample:
 
 class TestProjectMonotone:
     def test_already_feasible(self):
-        assert np.array_equal(project_monotone(np.array([3.0, 2.0, 1.0])), [3, 2, 1])
+        assert np.array_equal(estimator._pava(np.array([3.0, 2.0, 1.0]))[0], [3, 2, 1])
 
     def test_full_pool(self):
-        assert np.allclose(project_monotone(np.array([1.0, 2.0, 3.0])), [2, 2, 2])
+        assert np.allclose(estimator._pava(np.array([1.0, 2.0, 3.0]))[0], [2, 2, 2])
 
     def test_partial_pool(self):
-        assert np.allclose(project_monotone(np.array([2.0, 3.0, 0.0])), [2.5, 2.5, 0])
+        assert np.allclose(estimator._pava(np.array([2.0, 3.0, 0.0]))[0], [2.5, 2.5, 0])
 
     def test_matches_oracle_random(self):
         rng = np.random.default_rng(21)
@@ -98,7 +97,7 @@ class TestProjectMonotone:
             p = rng.integers(2, 6)
             v = rng.normal(0, 2, p)
             assert np.allclose(
-                project_monotone(v), brute_force_projection(v), atol=1e-10
+                estimator._pava(v)[0], brute_force_projection(v), atol=1e-10
             )
 
     @settings(deadline=None, max_examples=60)
@@ -109,10 +108,10 @@ class TestProjectMonotone:
     )
     def test_properties(self, values):
         v = np.array(values)
-        out = project_monotone(v)
+        out = estimator._pava(v)[0]
         assert np.all(np.diff(out) <= 1e-9)  # feasible
         assert out.sum() == pytest.approx(v.sum(), abs=1e-8)  # mean-preserving
-        assert np.allclose(project_monotone(out), out, atol=1e-9)  # idempotent
+        assert np.allclose(estimator._pava(out)[0], out, atol=1e-9)  # idempotent
 
 
 class TestCcmleP2:
@@ -271,7 +270,7 @@ def order_statistic_mean(p: int, k: int) -> float:
 class TestGrandMean:
     """The solver tests the grand mean before its first sweep: there the
     gradient of log P is e_p, the expected order statistics of p standard
-    normals, so nu = 0 solves iff project_monotone(z - e_p) is 0."""
+    normals, so nu = 0 solves iff the projection of z - e_p is 0."""
 
     def test_two_populations_give_the_pooling_threshold(self):
         e = estimator._expected_order_statistics(2)
@@ -306,7 +305,7 @@ class TestGrandMean:
             res = ccmle(obs)
             z = (obs.x - obs.xbar) / sigma
             e = grad_log_ordering_probability(MeanConfig((0.0,) * p, 1.0))
-            pools = float(np.linalg.norm(project_monotone(z - e))) <= KKT_TOL
+            pools = float(np.linalg.norm(estimator._pava(z - e)[0])) <= KKT_TOL
             assert (res.iterations == 0) == pools
             if pools:
                 assert res.groups == [list(range(p))]
@@ -465,8 +464,8 @@ class TestCcmleGeneral:
         the only work, the closed form at p = 3 and 4 and one quadrature
         sweep with no error pass for p >= 5. A p = 3 or 4 solve runs no
         quadrature at all."""
-        # the three rules, and the checked quadrature's sweep, which no solve runs
-        spied = "_orthant_moments", "_trivariate_moments", "_panel_moments", "_integrands"
+        # the three rules, and the checked path's entry, which no solve runs
+        spied = "_orthant_moments", "_trivariate_moments", "_panel_moments", "_checked"
         calls = {name: [] for name in spied}
 
         def counted(real, seen):

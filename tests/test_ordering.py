@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from selex.ordering import (
     ConvergenceFailure,
     MeanConfig,
     UnderflowWarning,
+    _RUNNING,
+    _WEIGHTS,
     _converged,
     _cumulative,
     _integral,
@@ -73,23 +76,38 @@ def grid_ordering_probability(cfg: MeanConfig, points: int) -> float:
     return float(_simpson(f[0] * below, dx))
 
 
+def standardized(cfg: MeanConfig) -> np.ndarray:
+    """The means in sigma units about their midrange, as the public functions
+    take them."""
+    mu = np.asarray(cfg.mu, dtype=float)
+    return (mu - (0.5 * mu.max() + 0.5 * mu.min())) / cfg.sigma
+
+
 def fd_grad(cfg: MeanConfig) -> np.ndarray:
-    """Reference gradient: central differences of log P, step 1e-5 sigma.
+    """Reference gradient: central differences of log P at the standardized
+    means, step 1e-5, divided by sigma.
 
     All 2p perturbed mean vectors share the panels of the unperturbed ones,
     so the differences see no change of discretization.
     """
-    mu = np.asarray(cfg.mu, dtype=float)
-    h = 1e-5 * cfg.sigma
-    panels = _layout(mu, cfg.sigma)
+    nu, h = standardized(cfg), 1e-5
+    panels = _layout(nu)
     out = np.empty(cfg.p)
     for i in range(cfg.p):
         step = np.zeros(cfg.p)
         step[i] = h
-        up = _grid_recursion(mu + step, cfg.sigma, *panels)[1]
-        dn = _grid_recursion(mu - step, cfg.sigma, *panels)[1]
+        up = _grid_recursion(nu + step, *panels)[1]
+        dn = _grid_recursion(nu - step, *panels)[1]
         out[i] = (up - dn) / (2.0 * h)
-    return out
+    return out / cfg.sigma
+
+
+def running_integral(y: np.ndarray, width: float) -> np.ndarray:
+    """``_cumulative`` of y, flat along panels ``width`` wide, as the sweep
+    calls it."""
+    panels = y.reshape(-1, PANEL_NODES)
+    scaled = _WEIGHTS * (0.5 * width), _RUNNING * (0.5 * width)
+    return _cumulative(panels, *scaled)[0].ravel()
 
 
 def wide_means(name: str) -> np.ndarray:
@@ -225,16 +243,16 @@ class TestOrderingProbability:
         assert prob.value == pytest.approx(0.7602499389, abs=1e-10)
 
     def test_far_from_zero_meets_tolerance_or_raises(self):
-        # (1, 0.3, -1) moved 1e12 sigma from 0 still meets the tolerance; at
-        # 1e13 sigma, nodes round by 1/512 of a panel, where moved blocks read
-        # log P up to 1.6e-5 off with log_err_est 3.3e-7, so it raises
-        block = np.array([1.0, 0.3, -1.0])
-        moved = block + 1e12
-        near = ordering_probability(MeanConfig(tuple(moved - 1e12), 1.0))
+        # the midrange comes off before any node is laid: (1, 0.3, -1) moved
+        # 1e13 sigma from 0 gives the log P of the same floats moved back
+        moved = np.array([1.0, 0.3, -1.0]) + 1e13
+        near = ordering_probability(MeanConfig(tuple(moved - 1e13), 1.0))
         far = ordering_probability(MeanConfig(tuple(moved), 1.0))
-        assert abs(far.log_value - near.log_value) <= ordering.QUADRATURE_RTOL
+        assert far.log_value == near.log_value
+        # means 2^41 sigma apart put the outer panel edges 2^40 sigma from 0,
+        # where nodes round by 2^-13 of a panel, past what the estimate sees
         with pytest.raises(ConvergenceFailure, match="too far from 0"):
-            ordering_probability(MeanConfig(tuple(block + 1e13), 1.0))
+            ordering_probability(MeanConfig((2.0**40, 0.0, -(2.0**40)), 1.0))
 
     def test_missed_tolerance_raises(self, monkeypatch):
         monkeypatch.setattr(ordering, "QUADRATURE_RTOL", 0.0)
@@ -261,8 +279,8 @@ class TestOrderingProbability:
         rng = np.random.default_rng(p)
         mu = rng.normal(0.0, 2.0, p)
         prob = ordering_probability(MeanConfig(tuple(mu), 1.0))
-        fine = _refine(*_layout(mu, 1.0), 8)  # 1/8-width panels
-        error = abs(prob.value - _grid_recursion(mu, 1.0, *fine)[0])
+        fine = _refine(*_layout(mu), 8)  # 1/8-width panels
+        error = abs(prob.value - _grid_recursion(mu, *fine)[0])
         assert error / 2 <= prob.err_est <= 2 * error
 
     @pytest.mark.parametrize(
@@ -290,44 +308,44 @@ class TestPanelKernels:
     def test_exact_for_polynomials(self, degree):
         a = 1.3
         t = _nodes(np.array([a]), PANEL_WIDTH)
-        got = _cumulative(t**degree, PANEL_WIDTH)
+        got = running_integral(t**degree, PANEL_WIDTH)
         expected = (t ** (degree + 1) - a ** (degree + 1)) / (degree + 1)
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-15)
 
     def test_constant_across_skipped_gap(self):
         # on the cone the gap (9, 32) between the windows of 1 and 40 is
         # skipped, so the running integral of t^3 leaves its integral out
-        edges = _layout(np.array([40.0, 1.0, 0.0]), 1.0)[0]
+        edges = _layout(np.array([40.0, 1.0, 0.0]))[0]
         assert edges[0] == -8.0 and edges[-1] + PANEL_WIDTH == 48.0
         assert not np.any((edges > 9.0 - PANEL_WIDTH) & (edges < 32.0))
         t = _nodes(edges, PANEL_WIDTH)
         expected = (t**4 - edges[0] ** 4) / 4
         expected[t > 32.0] -= (32.0**4 - 9.0**4) / 4
-        got = _cumulative(t**3, PANEL_WIDTH)
+        got = running_integral(t**3, PANEL_WIDTH)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_mirrored_sweep_is_complement(self):
-        edges = _layout(np.array([40.0, 1.0, 0.0]), 1.0)[0]
+        edges = _layout(np.array([40.0, 1.0, 0.0]))[0]
         t = _nodes(edges, PANEL_WIDTH)
         y = np.exp(-0.5 * (t - 0.3) ** 2) + np.exp(-0.5 * (t - 39.0) ** 2)
-        below = _cumulative(y, PANEL_WIDTH)
-        above = _cumulative(y[::-1], PANEL_WIDTH)[::-1]
+        below = running_integral(y, PANEL_WIDTH)
+        above = running_integral(y[::-1], PANEL_WIDTH)[::-1]
         total = _integral(y, PANEL_WIDTH)
         np.testing.assert_allclose(below + above, total, rtol=1e-14)
 
     def test_covers_gap_off_the_cone(self):
         # the ordered sample of (0, 0, 60) passes through the gap near t = 20
-        edges = _layout(np.array([0.0, 0.0, 60.0]), 1.0)[0]
+        edges = _layout(np.array([0.0, 0.0, 60.0]))[0]
         np.testing.assert_allclose(np.diff(edges), PANEL_WIDTH)
         assert edges[0] == -8.0 and edges[-1] + PANEL_WIDTH == 68.0
         # on the cone the same means leave it out
-        assert _layout(np.array([60.0, 0.0, 0.0]), 1.0)[0].size == 2 * 16
+        assert _layout(np.array([60.0, 0.0, 0.0]))[0].size == 2 * 16
 
     def test_no_panels_overlap_past_a_skipped_gap(self):
         # the windows of 0.2 and 16.3 leave a gap (8.2, 8.3), but the panels
         # below it end at 9: the gap is covered, not skipped into an overlap
         mu = np.array([16.3, 0.2, 0.0])
-        edges, width = _layout(mu, 1.0)
+        edges, width = _layout(mu)
         assert np.diff(edges).min() >= width - 1e-12
         log_p = ordering_probability(MeanConfig(tuple(mu), 1.0)).log_value
         assert abs(log_p - _orthant_moments(mu)[0]) <= 1e-14
@@ -338,8 +356,8 @@ class TestPanelKernels:
         the first ones in the required order and the panels below it end
         at or before the window above."""
 
-        def reference(mu, sigma):
-            r, width, s = TRUNCATION_RADIUS * sigma, PANEL_WIDTH * sigma, np.sort(mu)
+        def reference(mu):
+            r, width, s = TRUNCATION_RADIUS, PANEL_WIDTH, np.sort(mu)
             lo, hi = [s[0] - r], []
             for i in np.flatnonzero(np.diff(s) > 2.0 * r):
                 above = mu > s[i]
@@ -357,10 +375,10 @@ class TestPanelKernels:
             p = int(rng.integers(2, 7))
             sigma = float(10.0 ** rng.uniform(-1.0, 1.0))
             centres = 20.0 * sigma * rng.integers(0, 4, p)  # far apart or tied
-            mu = rng.permutation(centres + rng.normal(0.0, sigma, p))
-            edges, width = _layout(mu, sigma)
-            expected = reference(mu, sigma)
-            assert width == PANEL_WIDTH * sigma and np.array_equal(edges, expected)
+            mu = rng.permutation(centres + rng.normal(0.0, sigma, p)) / sigma
+            edges, width = _layout(mu)
+            expected = reference(mu)
+            assert width == PANEL_WIDTH and np.array_equal(edges, expected)
             skipped.add(bool(np.any(np.diff(edges) > 1.5 * width)))
         assert skipped == {True, False}
 
@@ -461,8 +479,8 @@ class TestGradient:
         # the mass of (0, 30, -30) sits in the windows' far tails: the rule on
         # 1-sigma panels reads 15.194 for the first entry, 15.033 refined
         mu = np.array([0.0, 30.0, -30.0])
-        fine = _refine(*_layout(mu, 1.0), 8)
-        expected = _grid_recursion(mu, 1.0, *fine)[2]
+        fine = _refine(*_layout(mu), 8)
+        expected = _grid_recursion(mu, *fine)[2]
         grad = grad_log_ordering_probability(MeanConfig(tuple(mu), 1.0))
         assert np.abs(grad - expected).max() <= 1e-6
 
@@ -472,22 +490,22 @@ class TestGradient:
         rng = np.random.default_rng(13)
         for p in (3, 4, 6, 10, 20):
             cfg = random_means(rng, p, on_cone=True)
-            mu = np.asarray(cfg.mu)
-            (_, log_value, grad), _, _ = _converged(mu, cfg.sigma)
-            assert np.array_equal(grad_log_ordering_probability(cfg), grad)
+            (_, log_value, grad), _, _ = _converged(standardized(cfg))
+            assert np.array_equal(grad_log_ordering_probability(cfg), grad / cfg.sigma)
             assert ordering_probability(cfg).log_value == log_value
 
     @pytest.mark.parametrize(
         "case", ["3", "4", "6", "10", "20", "spread20", "ladder30", "pairs30", "off5"]
     )
-    def test_solver_rule_matches_gradient_and_its_differences(self, case):
+    def test_solver_rule_matches_gradient_and_its_differences(self, case, monkeypatch):
         """The solver's rule, at standardized means on the cone: log P and the
-        gradient are those of the plain rule on the same panels, and
-        Cov(X | order) - I is the Jacobian of that gradient, here by central
-        differences of step 1e-5 on the shared panels. The wide cones are
-        wider than a window, so each row runs on its own. Off the cone the
-        windows do not hold, and the rule takes the whole layout: given the
-        order, the last of "off5" sits near the others, not near its mean 12."""
+        gradient are those of the plain rule on the same panels, each row on
+        the whole layout, and Cov(X | order) - I is the Jacobian of the
+        gradient, here by central differences of step 1e-5 on the shared
+        panels. The wide cones are wider than a window, so in the rule and in
+        the differences each row runs on its own. Off the cone the windows do
+        not hold, and the rule takes the whole layout: given the order, the
+        last of "off5" sits near the others, not near its mean 12."""
         if case.isdigit():
             p = int(case)
             cfg = random_means(np.random.default_rng(100 + p), p, on_cone=True)
@@ -495,9 +513,11 @@ class TestGradient:
         else:
             mu = wide_means(case)
             p = mu.size
-        panels = _layout(mu, 1.0)
+        panels = _layout(mu)
         log_p, grad, cov = conditional_moments(mu)
-        _, log_expected, grad_expected = _grid_recursion(mu, 1.0, *panels)
+        with monkeypatch.context() as whole:
+            whole.setattr(ordering, "_BANDED_FROM", math.inf)  # one window
+            _, log_expected, grad_expected = _grid_recursion(mu, *panels)
         assert abs(log_p - log_expected) <= 1e-12
         assert np.abs(grad - grad_expected).max() <= 1e-12
         h = 1e-5
@@ -505,8 +525,8 @@ class TestGradient:
         for i in range(p):
             step = np.zeros(p)
             step[i] = h
-            up = _grid_recursion(mu + step, 1.0, *panels)[2]
-            dn = _grid_recursion(mu - step, 1.0, *panels)[2]
+            up = _grid_recursion(mu + step, *panels)[2]
+            dn = _grid_recursion(mu - step, *panels)[2]
             jacobian[:, i] = (up - dn) / (2.0 * h)
         assert np.abs(cov - np.eye(p) - jacobian).max() <= 1e-8
 
@@ -522,6 +542,29 @@ class TestGradient:
         finally:
             tracemalloc.stop()
         assert peak <= 8e6
+
+    def test_checked_path_holds_windows_not_the_layout(self):
+        # the checked quadrature runs the rule's sweep, so on the cone its
+        # rows keep to their windows on halved panels too
+        cfg = MeanConfig(tuple(wide_means("ladder30")), 1.0)
+        ordering_probability(cfg)  # once untraced, so that nothing is first built here
+        tracemalloc.start()
+        try:
+            ordering_probability(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+    def test_tiny_sigma_is_the_unit_gradient_scaled(self):
+        # the means are standardized before any node is laid, so sigma^2 never
+        # forms: at sigma = 1e-300 nu is (1, 0, -1) as at sigma = 1
+        unit = grad_log_ordering_probability(MeanConfig((2.0, 1.0, 0.0), 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = grad_log_ordering_probability(MeanConfig((2e-300, 1e-300, 0.0), 1e-300))
+        assert np.all(np.isfinite(tiny))
+        assert np.array_equal(tiny, unit / 1e-300)
 
     def test_underflow_stays_finite(self):
         cfg = MeanConfig((0.0, 0.0, 60.0), 1.0)  # log P about -1209
