@@ -70,8 +70,8 @@ from .ordering import (
 POOLING_THRESHOLD = 2.0 / math.sqrt(math.pi)  # times sigma
 KKT_TOL = 1e-7  # bound on the last unit step ||mu+ - mu|| / sigma
 MAX_ITERATIONS = 500  # sweeps of the solver's rule
-P2_XTOL = 1e-12  # last Newton step of the p = 2 root, relative to max(1, nu)
-P2_MAX_STEPS = 100  # Newton steps of one p = 2 root
+P2_XTOL = 1e-12  # last step of the p = 2 root, relative to max(1, nu)
+P2_MAX_STEPS = 100  # steps of one p = 2 root
 
 
 class MaxIterationsExceeded(RuntimeError):
@@ -184,8 +184,9 @@ def ccmle_p2_rows(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     Rows with gap <= POOLING_THRESHOLD sigma pool at their mean xbar. Others
     take x -+ sigma s, exactly x where the shrinkage s = d - nu_1 = g(-sqrt(2)
     nu_1) / sqrt(2) underflows; nu_1 is the root in [0, d = (x_1 - xbar) / sigma]
-    of the increasing, convex f below (g' = g (g - u) is in (0, 1)): Newton's
-    method from d, each row on its own steps, descends onto it.
+    of the increasing, convex f below (g' = g (g - u) is in (0, 1)): Halley's
+    method from d, each row on its own steps, reaches it in about four (2 f'^2
+    - f f'' stays above 0.48 on [0, d]).
     """
 
     def stationarity(nu, d):  # f(nu) = g(-sqrt(2) nu) - sqrt(2) (d - nu), and g
@@ -205,15 +206,18 @@ def ccmle_p2_rows(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     nu = np.where(interior, d, 0.0)
     todo = np.flatnonzero(interior)
     for _ in range(P2_MAX_STEPS):
-        v = nu[todo]
-        f, g = stationarity(v, d[todo])
-        nu[todo] = np.clip(v - f / (SQRT_2 * (1.0 - g * (g + SQRT_2 * v))), 0.0, d[todo])
-        todo = todo[~(np.abs(nu[todo] - v) <= P2_XTOL * np.maximum(1.0, v))]  # NaN stays
+        v, top = nu[todo], d[todo]
+        f, g = stationarity(v, top)
+        slope = g * (g + SQRT_2 * v)  # g' at u = -sqrt(2) v; g'' = g' (2 g - u) - g
+        f1, f2 = SQRT_2 * (1.0 - slope), 2.0 * (slope * (2.0 * g + SQRT_2 * v) - g)
+        nu[todo] = step = np.clip(v - 2.0 * f * f1 / (2.0 * f1 * f1 - f * f2), 0.0, top)
+        todo = todo[~(np.abs(step - v) <= P2_XTOL * np.maximum(1.0, v))]  # NaN stays
         if todo.size == 0:
-            f, g = stationarity(nu, d)
-            shrunk = x + sigma * (g / SQRT_2)[:, None] * np.array([-1.0, 1.0])
-            mu_hat = np.where(interior[:, None], shrunk, xbar[:, None])
-            return mu_hat, np.where(interior, np.abs(f), 0.0)
+            f, g = stationarity(nu[interior], d[interior])  # pooled rows stay at xbar
+            mu_hat, residual = np.repeat(xbar[:, None], 2, axis=1), np.zeros(len(x))
+            mu_hat[interior] = x[interior] + sigma * (g / SQRT_2)[:, None] * np.array([-1.0, 1.0])
+            residual[interior] = np.abs(f)
+            return mu_hat, residual
     raise RuntimeError(f"p = 2 root unconverged after {P2_MAX_STEPS} steps, d = {d[todo]}")
 
 

@@ -22,9 +22,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .estimator import MaxIterationsExceeded, ObservedSample, ccmle, ccmle_p2_rows
 from .ordering import ConvergenceFailure
@@ -163,6 +163,7 @@ def _replicates(draw, sigma: float, seed: int, count: int):
     bounds = np.linspace(0, count, n_chunks + 1).astype(int)
     jobs = [(draw, sigma, seed, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
     if workers > 1:
+        import numpy.random  # loaded once here, not by every worker forked per call
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             parts = list(pool.map(_solve_chunk, jobs))
     else:
@@ -208,10 +209,10 @@ def _bc_interval(boots: np.ndarray, point: float, level: float) -> tuple[float, 
     b = boots.size
     frac = float(np.mean(boots < point))
     frac = min(max(frac, 1.0 / (b + 1)), b / (b + 1))
-    z0 = ndtri(frac)
-    alpha = 1.0 - level
-    a1 = ndtr(2.0 * z0 + ndtri(alpha / 2.0))
-    a2 = ndtr(2.0 * z0 + ndtri(1.0 - alpha / 2.0))
+    normal, alpha = NormalDist(), 1.0 - level
+    z0 = normal.inv_cdf(frac)
+    a1 = normal.cdf(2.0 * z0 + normal.inv_cdf(alpha / 2.0))
+    a2 = normal.cdf(2.0 * z0 + normal.inv_cdf(1.0 - alpha / 2.0))
     return float(np.quantile(boots, a1)), float(np.quantile(boots, a2))
 
 

@@ -4,7 +4,7 @@ Both public functions first standardize the means about their midrange,
 nu = (mu - (max + min) / 2) / sigma, and every private function works on
 such means at sigma = 1: an offset common to all the means drops out
 before any node is laid, and the gradient in mu is the one in nu divided by
-sigma. For p = 2 the probability has a closed form through the normal CDF.
+sigma. For p = 2 the probability has a closed form in the tail of ``_erfcx``.
 For p >= 3 we evaluate nested-conditioning recursions on shared quadrature
 nodes. With f_k(t) = phi(t - nu_k), the "below t" recursion
 
@@ -37,8 +37,8 @@ integrands, and for j < k
         = integral (t - nu_k) f_k U^(j)_{k-1} H_{k+1} dt,
 
 where U^(j) is the U sweep with f_j weighted by (s - nu_j). One linear-space
-kernel, ``_sweep``, runs those p - 1 weighted sweeps in the same loop as the
-other two; the solver's rule and the checked quadrature both call it.
+kernel, ``_sweep``, runs those p - 1 weighted sweeps for the solver's rule in
+the same loop as the other two, which alone serve the checked quadrature.
 
 Layout. Each mean has a window [nu_k - R, nu_k + R] (R = TRUNCATION_RADIUS);
 overlapping windows merge. A gap between merged windows is skipped only when
@@ -103,7 +103,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.special import erfcx, log_ndtr, ndtr
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 SQRT_2 = math.sqrt(2.0)
@@ -150,16 +149,67 @@ class ConvergenceFailure(RuntimeError):
         self.err_est = err_est
 
 
-def inverse_mills(z):
-    """Inverse Mills ratio g(z) = phi(z) / (1 - Phi(z)) of a scalar or array.
+# W. J. Cody's rational Chebyshev approximations (Math. Comp. 23, 1969) of exp(x^2) erfc(x) on
+# his three ranges: the coefficients of each R(t), highest power first, the denominator's 1 dropped
+_CODY_SMALL = (  # x <= 0.46875: exp(x^2) (1 - x R(x^2))
+    (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+     3.77485237685302021e02, 3.20937758913846947e03),
+    (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+     2.84423683343917062e03))
+_CODY_MID = (  # x <= 4: R(x)
+    (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+     6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+     1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03),
+    (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+     1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+     3.43936767414372164e03, 1.23033935480374942e03))
+_CODY_LARGE = (  # x > 4: (1 / sqrt(pi) - R(1 / x^2) / x^2) / x
+    (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+     1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
+    (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+     6.05183413124413191e-2, 2.33520497626869185e-3))
 
-    erfcx keeps z >= 0 exact far into the right tail (g(z) ~ z + 1/z). For
-    z < 0 the naive form is safe; z is clipped at -40, where phi underflows.
-    """
+
+def _rational(t: np.ndarray, coefficients: tuple) -> np.ndarray:
+    """Cody's R(t) by Horner's rule in his order of operations, the numerator the real and the
+    denominator the imaginary part of one complex array: t is real, so the parts never mix,
+    and every step is elementwise, so no entry's value depends on another's."""
+    num, den = coefficients
+    t = t.astype(complex)
+    acc = complex(num[0], 1.0) * t
+    for c, d in zip(num[1:-1], den[:-1]):
+        acc += complex(c, d)
+        acc *= t
+    acc += complex(num[-1], den[-1])
+    return acc.real / acc.imag
+
+
+def _erfcx(x: np.ndarray) -> np.ndarray:
+    """erfcx of a 1-d array x >= 0 to about 1e-15, exactly 0 at +inf: the middle
+    range runs on every entry (nan stays nan), the other two on their own."""
+    out = _rational(np.minimum(x, 4.0), _CODY_MID)
+    small, large = x <= 0.46875, x > 4.0
+    if small.any():
+        y = x[small]
+        out[small] = np.exp(y * y) * (1.0 - y * _rational(y * y, _CODY_SMALL))
+    if large.any():
+        y = x[large]
+        t = np.square(1.0 / y)  # 0 past 1e154, where y * y would overflow
+        out[large] = (1.0 / math.sqrt(math.pi) - t * _rational(t, _CODY_LARGE)) / y
+    return out
+
+
+def inverse_mills(z):
+    """Inverse Mills ratio g(z) = phi(z) / (1 - Phi(z)) of a scalar or array, both
+    tails from one ``_erfcx`` at w = |z| / sqrt(2): for z >= 0, g = sqrt(2 / pi) / erfcx(w),
+    exact far into the right tail (g(z) ~ z + 1/z) and inf at +inf; for z < 0,
+    g = phi(z) / (1 - erfcx(w) e^(-w^2) / 2)."""
     z = np.asarray(z, dtype=float)
-    right = math.sqrt(2.0 / math.pi) / erfcx(np.maximum(z, 0.0) / SQRT_2)
-    left_z = np.clip(z, -40.0, 0.0)
-    left = INV_SQRT_2PI * np.exp(-0.5 * left_z * left_z) / ndtr(-left_z)
+    e = _erfcx(np.abs(z.ravel()) / SQRT_2).reshape(z.shape)
+    with np.errstate(over="ignore", divide="ignore"):  # z^2 past 1e308, 1 / erfcx(inf)
+        q = np.exp(-0.5 * z * z)  # phi(z) sqrt(2 pi)
+        right = math.sqrt(2.0 / math.pi) / e
+    left = q / (math.sqrt(2.0 * math.pi) - math.sqrt(0.5 * math.pi) * e * q)
     return np.where(z >= 0, right, left)[()]  # a scalar for a scalar
 
 
@@ -274,11 +324,11 @@ def _cumulative_log(logy: np.ndarray, width: float) -> np.ndarray:
     return np.logaddexp(within, before[..., None]).reshape(logy.shape[:-2] + (-1,))
 
 
-def _sweep(mu: np.ndarray, edges: np.ndarray, width: float) -> np.ndarray:
-    """The moments of one linear-space sweep on the panels at ``edges``, on
-    the cone each row on its window (module docstring). Entry [k, s, r]
-    integrates (t - mu_k)^r f_k H_{k+1} times U_{k-1} for s = 0 and
-    U^(j)_{k-1} for s = 1 + j (0 for j >= k); [k, 0, 0] is P."""
+def _sweep(mu: np.ndarray, edges: np.ndarray, width: float, covariance: bool) -> np.ndarray:
+    """The moments of one linear-space sweep on the panels at ``edges``, on the cone
+    each row on its window (module docstring). Entry [k, s, r] integrates (t - mu_k)^r
+    f_k H_{k+1} times U_{k-1} for s = 0 and, with ``covariance``, U^(j)_{k-1} for
+    s = 1 + j (0 for j >= k); [k, 0, 0] is P."""
     p, band, first = mu.size, edges.size, np.zeros(mu.size, dtype=int)
     # off the cone the windows do not hold, and on short layouts the moves
     # cost more than they save: there the window is the whole layout
@@ -294,13 +344,14 @@ def _sweep(mu: np.ndarray, edges: np.ndarray, width: float) -> np.ndarray:
     weights, running = _WEIGHTS * (0.5 * width), _RUNNING * (0.5 * width)
     # below[k] is H_{k+2} (0-based k) of the value sweep on window k + 1, and of
     # U, then U^(j) (0 before it joins), on mirrored window p - 2 - k
-    below = np.zeros((p, p + 1, band, PANEL_NODES))
+    below = np.zeros((p, p + 1 if covariance else 2, band, PANEL_NODES))
     below[-1, :2] = 1.0
     for k in range(p - 1, 0, -1):
-        n = p + 2 - k  # mirrored row k is f_j, j = p - 1 - k: U^(j) joins
+        n = p + 2 - k if covariance else 2  # mirrored row k is f_j, j = p - 1 - k
         rows = below[k, :n] * mirrored[k]
         np.multiply(below[k, 0], f[k], out=rows[0])
-        np.multiply(rows[1], dm[k], out=rows[-1])
+        if covariance:  # U^(j) joins
+            np.multiply(rows[1], dm[k], out=rows[-1])
         inside, through = _cumulative(rows, weights, running)
         a, b, nxt = up[k - 1], up[p - 1 - k], below[k - 1]
         if a == b == 0:
@@ -316,7 +367,7 @@ def _sweep(mu: np.ndarray, edges: np.ndarray, width: float) -> np.ndarray:
     powers[..., 0] = (f * below[:, 0] * weights)[::-1, ::-1, ::-1]
     np.multiply(dm, powers[..., 0], out=powers[..., 1])
     np.multiply(dm, powers[..., 1], out=powers[..., 2])
-    return (below[:, 1:].reshape(p, p, -1) @ powers.reshape(p, -1, 3))[::-1]
+    return (below[:, 1:].reshape(p, len(below[0]) - 1, -1) @ powers.reshape(p, -1, 3))[::-1]
 
 
 def _integrands(mu: np.ndarray, nodes: np.ndarray, width: float) -> np.ndarray:
@@ -348,7 +399,7 @@ def _grid_recursion(
     the underflow floor, log P and the gradient come from log-space sweeps
     on the same stretches cut into panels LOG_SPACE_SPLIT times narrower.
     """
-    moments = _sweep(mu, edges, width)[:, 0]
+    moments = _sweep(mu, edges, width, covariance=False)[:, 0]
     value = float(moments[0, 0])
     if value >= _UNDERFLOW_FLOOR:
         return value, math.log(value), moments[:, 1] / moments[:, 0]
@@ -476,7 +527,7 @@ def _panel_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """``conditional_moments`` from one ``_sweep`` of the panels of
     ``_layout``, with no error pass: each row's moments are divided by the
     P that the row integrates to, and give the gradient and the covariance."""
-    moments = _sweep(mu, *_layout(mu))
+    moments = _sweep(mu, *_layout(mu), covariance=True)
     mass = moments[:, 0, 0].copy()
     moments /= mass[:, None, None]
     grad, cov = moments[:, 0, 1], np.zeros((mu.size, mu.size))
@@ -495,11 +546,16 @@ def conditional_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def _closed_form_p2(mu: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """(P, log P, gradient of log P) for two populations, in closed form."""
+    """(P, log P, gradient of log P) for two populations in closed form: P = Phi(-u) =
+    erfc(w) / 2 at w = u / sqrt(2), its smaller tail erfcx(|w|) e^(-w^2) / 2 from ``_erfcx``."""
     m1, m2 = mu.tolist()  # as Python floats, u overflows to -inf (P = 1) silently
     u = m2 / SQRT_2 - m1 / SQRT_2
-    g = inverse_mills(u) / SQRT_2
-    return float(ndtr(-u)), float(log_ndtr(-u)), np.array([g, -g])
+    w, g = u * math.sqrt(0.5), inverse_mills(u) / SQRT_2
+    half = 0.5 * float(_erfcx(np.array([abs(w)]))[0])  # 0 at |w| = inf
+    tail = half * math.exp(-w * w)
+    if w <= 0.0:
+        return 1.0 - tail, math.log1p(-tail), np.array([g, -g])
+    return tail, math.log(half) - w * w if half > 0.0 else -math.inf, np.array([g, -g])
 
 
 def _converged(mu: np.ndarray) -> tuple:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -117,6 +118,21 @@ class TestProb:
         )
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["value"] == 1.0
+        assert "RuntimeWarning" not in out.stderr
+
+    @pytest.mark.parametrize(
+        "means,sigma", [("-1.7e308,1.7e308", "1"), ("0,5", "5e-324")], ids=["gap", "sigma"]
+    )
+    def test_p2_past_the_largest_float_is_impossible(self, means, sigma):
+        # the mirror images: P = 0 and log P = -inf, with no numpy warning
+        env = dict(os.environ, PYTHONPATH=str(Path(selex.__file__).parent.parent))
+        argv = ["prob", f"--means={means}", "--sigma", sigma, "--json"]
+        out = subprocess.run(
+            [sys.executable, "-m", "selex.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        result = json.loads(out.stdout)
+        assert result["value"] == 0.0 and result["log_value"] == -math.inf
         assert "RuntimeWarning" not in out.stderr
 
     def test_single_mean_rejected(self, capsys):
@@ -448,9 +464,10 @@ class TestHelp:
         assert "--help" in out or "usage" in out
 
 
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize"])
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize", "scipy"])
 def test_cli_import_skips_scipy_integrate(module):
-    # set-up time and memory: the quadrature kernels and the p = 2 root are selex's own
+    # set-up time and memory: the quadrature kernels, the normal tail and the
+    # p = 2 root are selex's own, so no scipy module loads at all
     probe = f"import sys, selex.cli; print({module!r} in sys.modules)"
     # the fresh interpreter imports the same selex sources as this one
     env = dict(os.environ, PYTHONPATH=str(Path(selex.__file__).parent.parent))

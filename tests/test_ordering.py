@@ -556,6 +556,20 @@ class TestGradient:
             tracemalloc.stop()
         assert peak <= 8e6
 
+    def test_checked_path_runs_only_the_rows_it_reads(self):
+        # off the cone every row spans the whole layout, so the p - 1 weighted
+        # covariance sweeps, which only the solver's rule reads, would hold
+        # p^2 rows of it (24 MiB here); the checked path runs two
+        cfg = MeanConfig(tuple(np.random.default_rng(0).normal(0.0, 4.0, 30)), 1.0)
+        ordering_probability(cfg)  # once untraced, so that nothing is first built here
+        tracemalloc.start()
+        try:
+            ordering_probability(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
     def test_tiny_sigma_is_the_unit_gradient_scaled(self):
         # the means are standardized before any node is laid, so sigma^2 never
         # forms: at sigma = 1e-300 nu is (1, 0, -1) as at sigma = 1
