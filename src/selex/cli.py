@@ -9,7 +9,6 @@ Exit codes are a stable contract for scripting:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 
@@ -57,6 +56,7 @@ def _parse_reals(text: str, flag: str, kind=float) -> tuple:
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
+        import json
         print(json.dumps(payload, indent=2))
     else:
         for line in lines:
@@ -132,6 +132,7 @@ def cmd_estimate(args) -> int:
 def _load_config(path: str, cls, flag_values: dict):
     """Build an experiment config from a JSON file or from CLI flags."""
     if path is not None:
+        import json
         try:
             with open(path) as fh:
                 raw = json.load(fh)

@@ -7,7 +7,8 @@ quadrature, MaxIterationsExceeded in the optimizer) is redrawn from the stream
 of its next attempt; after MAX_RESAMPLE_ATTEMPTS draws its last failure is
 re-raised as itself, its message prefixed with (seed=..., b=...). The
 replicates are split into chunks over up to SELEX_THREADS worker processes,
-so summaries are identical for any worker count.
+so summaries are identical for any worker count; the process pool, and the
+normal quantiles of the bootstrap, are imported at their first use.
 
 Errors always reference the true mean of the population that actually
 occupied a given sample rank (the population *selected* as max/mid/min),
@@ -19,10 +20,8 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from statistics import NormalDist
 
 import numpy as np
 
@@ -163,6 +162,7 @@ def _replicates(draw, sigma: float, seed: int, count: int):
     bounds = np.linspace(0, count, n_chunks + 1).astype(int)
     jobs = [(draw, sigma, seed, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         import numpy.random  # loaded once here, not by every worker forked per call
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             parts = list(pool.map(_solve_chunk, jobs))
@@ -206,6 +206,7 @@ def run_mse(cfg: MseConfig) -> ResultTable:
 
 def _bc_interval(boots: np.ndarray, point: float, level: float) -> tuple[float, float]:
     """Bias-corrected percentile interval (median-bias constant, no acceleration)."""
+    from statistics import NormalDist
     b = boots.size
     frac = float(np.mean(boots < point))
     frac = min(max(frac, 1.0 / (b + 1)), b / (b + 1))

@@ -464,11 +464,26 @@ class TestHelp:
         assert "--help" in out or "usage" in out
 
 
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize", "scipy"])
-def test_cli_import_skips_scipy_integrate(module):
+@pytest.mark.parametrize(
+    "module",
+    [
+        "scipy.integrate",
+        "scipy.optimize",
+        "scipy",
+        "concurrent.futures",
+        "multiprocessing",
+        "statistics",
+        "json",
+    ],
+)
+def test_cli_import_loads_only_what_runs(module):
     # set-up time and memory: the quadrature kernels, the normal tail and the
-    # p = 2 root are selex's own, so no scipy module loads at all
-    probe = f"import sys, selex.cli; print({module!r} in sys.modules)"
+    # p = 2 root are selex's own, so no scipy module loads at all; the process
+    # pool, NormalDist and json load in the calls that use them
+    probe = (
+        "import sys, selex.cli; selex.cli.build_parser(); "
+        f"print({module!r} in sys.modules)"
+    )
     # the fresh interpreter imports the same selex sources as this one
     env = dict(os.environ, PYTHONPATH=str(Path(selex.__file__).parent.parent))
     out = subprocess.run(
@@ -476,3 +491,44 @@ def test_cli_import_skips_scipy_integrate(module):
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+def run_fresh(tmp_path, *argv, threads="1") -> str:
+    """``selex argv`` in a new interpreter, in ``tmp_path``: its stdout."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(selex.__file__).parent.parent),
+        SELEX_THREADS=threads,
+    )
+    out = subprocess.run(
+        [sys.executable, "-m", "selex.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-mse", "--mu", "3,0", "--reps", "200", "--seed", "7"],
+        ["bootstrap-ci", "--mu", "10,9.5,9", "--n-boot", "999", "--seed", "2"],
+    ],
+    ids=["simulate-mse", "bootstrap-ci"],
+)
+def test_deferred_imports_resolve_in_a_fresh_interpreter(tmp_path, argv):
+    # the pool and NormalDist are imported by the calls that use them, so
+    # they must resolve where nothing (pytest included) has loaded them
+    for threads in ("2", "1"):
+        run_fresh(tmp_path, *argv, "--out", f"out{threads}.csv", threads=threads)
+    assert (tmp_path / "out2.csv").read_bytes() == (tmp_path / "out1.csv").read_bytes()
+
+
+def test_json_loads_in_a_fresh_interpreter(tmp_path):
+    out = run_fresh(tmp_path, "estimate", "--obs", "10,9.5,9,0", "--sigma", "1", "--json")
+    assert json.loads(out)["converged"] is True
+    (tmp_path / "cfg.json").write_text(json.dumps({"mu_true": [3, 0], "n_reps": 200, "seed": 7}))
+    run_fresh(tmp_path, "simulate-mse", "--config", "cfg.json", "--out", "cfg.csv")
+    run_fresh(tmp_path, "simulate-mse", "--mu", "3,0", "--reps", "200", "--seed", "7",
+              "--out", "flags.csv")
+    assert (tmp_path / "cfg.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -158,7 +159,8 @@ class TestRunMse:
                 return map(fn, jobs)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        # _replicates imports the pool class from its module at the call
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setenv("SELEX_THREADS", "5000")
         assert worker_count() == 8
         cfg = MseConfig((0.5, 0.0), 1.0, 100, seed=13)
