@@ -44,9 +44,9 @@ At p = 3 and 4 it is exact, in closed form from the bivariate and the
 trivariate normal orthant of the gaps; those forms hold their accuracy only
 on the cone, where every iterate lies, so the checked
 ``ordering_probability`` and the public gradient keep the quadrature. For
-p >= 5 it is one quadrature sweep. z = (x - xbar)/sigma descends, so its
-ends z_1 and z_p bound it: a sample where either, or the span z_1 - z_p,
-overflows is rejected with a ValueError, as at p = 2.
+p >= 5 it sweeps each block (ordering, Blocks). z = (x - xbar)/sigma
+descends, so its ends z_1 and z_p bound it: a sample where either, or the
+span z_1 - z_p, overflows is rejected with a ValueError, as at p = 2.
 """
 
 from __future__ import annotations
@@ -147,12 +147,12 @@ class CcmleResult:
 
 
 def conditional_log_likelihood(mu: np.ndarray, obs: ObservedSample) -> float:
-    """Selection-conditioned log-likelihood, constant term dropped, in the
-    standardized coordinates of ``ccmle``; log P comes from the checked
+    """Selection-conditioned log-likelihood, constant term dropped (0, not -0.0, where both
+    terms are), in the standardized coordinates of ``ccmle``; log P comes from the checked
     ``ordering_probability``, which raises ConvergenceFailure off tolerance."""
     nu = (np.asarray(mu, dtype=float) - obs.xbar) / obs.sigma
     z = (obs.x - obs.xbar) / obs.sigma
-    return _objective(z, nu, ordering_probability(MeanConfig(tuple(nu), 1.0)).log_value)
+    return _objective(z, nu, ordering_probability(MeanConfig(tuple(nu), 1.0)).log_value) + 0.0
 
 
 def _pava(v: np.ndarray) -> tuple[np.ndarray, list[int]]:

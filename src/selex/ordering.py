@@ -1,12 +1,12 @@
 """Probability that independent normals come out in strictly decreasing order.
 
-Both public functions first standardize the means about their midrange,
-nu = (mu - (max + min) / 2) / sigma, and every private function works on
-such means at sigma = 1: an offset common to all the means drops out
-before any node is laid, and the gradient in mu is the one in nu divided by
-sigma. For p = 2 the probability has a closed form in the tail of ``_erfcx``.
-For p >= 3 we evaluate nested-conditioning recursions on shared quadrature
-nodes. With f_k(t) = phi(t - nu_k), the "below t" recursion
+Both public functions cut the means into blocks (Blocks) and standardize
+each about its midrange, nu = (mu - (max + min) / 2) / sigma; every private
+function works at sigma = 1, so a common offset drops out before any node is
+laid, and the gradient in mu is the one in nu over sigma. For p = 2, P has a
+closed form in the tail of ``_erfcx``. For p >= 3 we evaluate
+nested-conditioning recursions on shared quadrature nodes. With
+f_k(t) = phi(t - nu_k), the "below t" recursion
 
     H_{p+1}(t) = 1,   H_k(t) = integral_{-inf}^{t} f_k(s) H_{k+1}(s) ds
 
@@ -40,19 +40,20 @@ where U^(j) is the U sweep with f_j weighted by (s - nu_j). One linear-space
 kernel, ``_sweep``, runs those p - 1 weighted sweeps for the solver's rule in
 the same loop as the other two, which alone serve the checked quadrature.
 
-Layout. Each mean has a window [nu_k - R, nu_k + R] (R = TRUNCATION_RADIUS);
-overlapping windows merge. A gap between merged windows is skipped only when
-the populations above it are 1..j of the required order and those below it
-j+1..p: the ordered sample then leaves the gap empty. On the cone that is
-every gap that the last panel below does not reach across. Off the cone it
-need not be: for means (0, 0, 60) the mass of the ordered sample sits near
-t = 20, inside the gap, so such a gap is covered. Each covered stretch is
-tiled with equal panels PANEL_WIDTH wide, each carrying PANEL_NODES
-Gauss-Legendre nodes. The running integral is a spectral integration
-matrix inside each panel (Greengard 1991) plus an exclusive cumsum of the
-panel totals, so it holds constant across a skipped gap. The nodes are
-symmetric within equal panels, so reversing the node array gives the
-layout of the mirrored problem and one kernel runs both sweeps.
+Blocks. ``_blocks`` cuts the populations after j when every mean of 1..j
+lies more than 2R above every mean of j+1..p (R = TRUNCATION_RADIUS). The
+ordered sample leaves that gap empty, so P is the product of the two
+sides' and the gradient of log P stacks theirs, as Genz (2004) factors
+orthant probabilities. On the cone every gap wider than 2R is cut; off it,
+for means (0, 0, 60), the ordered sample sits near t = 20, inside the gap,
+which is not. Each block is standardized from the caller's means, so no
+node lies further from 0 than R plus half a block's span, which MAX_NODES
+caps. One mean has P = 1, and two, never cut, the exact closed form; more
+lay one stretch [min - R, max + R] of equal panels PANEL_WIDTH wide with
+PANEL_NODES Gauss-Legendre nodes each. The running integral is a spectral
+integration matrix inside each panel (Greengard 1991) plus an exclusive
+cumsum of the panel totals. The nodes are symmetric within panels, so
+reversed they lay out the mirrored problem and one kernel runs both sweeps.
 
 Windows. On the cone each row of a sweep runs only on its window: the
 2R / width + 1 panels that hold nu_k +- R, whatever the panel width. The
@@ -61,25 +62,23 @@ stochastically increasing in every mean. On the cone its upper tail is
 thus at most that of the largest of p - k + 1 normals of mean nu_k and its
 lower tail that of the smallest of k, each below p Phi(-R) past R, about
 1e-14 at R = 8: the window drops no more than the layout's edges do. Below
-the window a running integral of row k is 0, above it the row's total, as
-across a skipped gap, and between rows the integrals move to the next
-window by whole panels with that fill. A sweep takes O(p^2) window-long
-steps and holds p (p + 1) windows, whatever the spread. Off the cone, and
-on layouts no longer than _BANDED_FROM, the window is the whole layout.
+the window a running integral of row k is 0, above it the row's total, and
+between rows the integrals move to the next window by whole panels with
+that fill. A sweep takes O(p^2) window-long steps and holds p (p + 1)
+windows, whatever the spread. Off the cone, and on layouts no longer than
+_BANDED_FROM, the window is the whole layout.
 
 Accuracy. The rule's error falls as PANEL_WIDTH^(2 PANEL_NODES), so the
 same rule on halved panels estimates it: ``ordering_probability`` halves
 the panels until |log P_h - log P_{h/2}| is within QUADRATURE_RTOL, reports
 that and |P_h - P_{h/2}| for the coarser rule, and raises
 ConvergenceFailure when a sweep would need more than MAX_NODES nodes first,
-or when the means span so much (about 2^41, so that panel edges lie 2^40
-from 0) that rounding moves the nodes by more than _EDGE_ULP_LIMIT of a
-panel, which the estimate misses. Off the cone the mass can sit in the far
-tails, where one PANEL_WIDTH panel spans many e-folds of the integrand:
-(0, 0, 20) needs two halvings. The public gradient takes the same loop
-everywhere. Where P underflows, log P and the gradient come from both
-sweeps in log space, over the whole layout on panels LOG_SPACE_SPLIT times
-narrower, with a per-panel max shift.
+as a block whose span overflows does at once. Off the cone the mass can
+sit in the far tails, where one PANEL_WIDTH panel spans many e-folds of
+the integrand: (0, 0, 20) needs two halvings. The public gradient takes
+the same loop. Where P underflows, log P and the gradient come from both
+sweeps in log space, on panels LOG_SPACE_SPLIT times narrower, with a
+per-panel max shift.
 
 The solver's rule. ``conditional_moments`` runs only on the cone, where
 P >= 1/p!. At p = 3 and 4 it is exact. The order is the orthant {D > 0}
@@ -88,11 +87,11 @@ unit variances and correlation RHO = -1/2 between neighbours, 0 otherwise.
 Plackett's identity (Plackett 1954; Genz 2004) gives its probability and
 derivatives at h = J nu as smooth integrals that fixed Gauss-Legendre
 nodes take to rounding (the rule functions give the forms). That error is
-absolute, so relative only on the cone, and ``ordering_probability`` and
-the public gradient keep the checked quadrature at p = 3 and 4. For
-p >= 5 the rule is one ``_sweep`` of the unhalved panels with no error
-pass: the first halving converges there, and the solver stops on its own
-residual.
+absolute, so relative only on the cone, and the public functions keep the
+checked quadrature at p = 3 and 4. For p >= 5 C is block-diagonal: blocks
+of 3 and 4 take the exact rules, one mean (0, 0, 1), others one ``_sweep``
+of the unhalved panels with no error pass: the first halving converges
+there, and the solver stops on its own residual.
 """
 
 from __future__ import annotations
@@ -115,7 +114,6 @@ LOG_SPACE_SPLIT = 8  # log-space sweeps run on panels this many times narrower
 MAX_NODES = 2**16  # nodes of one sweep; more raise ConvergenceFailure
 QUADRATURE_RTOL = 1e-6  # bound on the error estimate of log P
 _UNDERFLOW_FLOOR = 1e-300
-_EDGE_ULP_LIMIT = 2.0**-13  # ulp of the outermost panel edge, in panel widths
 # the correlation of neighbouring gaps of the order, and sqrt(1 - RHO^2)
 _RHO = -0.5
 _RHO_S = math.sqrt(1.0 - _RHO**2)
@@ -246,42 +244,38 @@ class OrderingProb:
     degenerate: bool = False
 
 
-def _check_size(panels: int) -> None:
-    if panels * PANEL_NODES > MAX_NODES:
+def _check_size(panels) -> None:
+    if not panels * PANEL_NODES <= MAX_NODES:  # nan too
         raise ConvergenceFailure(
-            f"quadrature needs {panels * PANEL_NODES} nodes, over the cap of {MAX_NODES}"
+            f"quadrature needs {panels * PANEL_NODES:.0f} nodes, over the cap of {MAX_NODES}"
         )
 
 
+def _blocks(mu: np.ndarray, sigma: float = 1.0) -> list[slice]:
+    """The populations cut into blocks, as slices in order (module docstring, Blocks)."""
+    v, gap = mu.tolist(), 2.0 * TRUNCATION_RADIUS * sigma
+    # a cut needs its two neighbours that far apart, which rules out most gaps at once
+    cuts = [j for j in range(1, len(v)) if len(v) > 2
+            and v[j - 1] - v[j] > gap and min(v[:j]) - max(v[j:]) > gap]
+    return [slice(a, b) for a, b in zip([0] + cuts, cuts + [len(v)])]
+
+
+def _centred(mu: np.ndarray, sigma: float = 1.0) -> np.ndarray:
+    """The means standardized about their midrange; only the division by sigma can overflow."""
+    return (mu - (0.5 * mu.max() + 0.5 * mu.min())) / sigma
+
+
 def _layout(mu: np.ndarray) -> tuple[np.ndarray, float]:
-    """Left edges and width of the PANEL_WIDTH panels (module docstring,
-    Layout); raises ConvergenceFailure past _EDGE_ULP_LIMIT."""
-    r, width = TRUNCATION_RADIUS, PANEL_WIDTH
-    mu = mu.tolist()
-    s = sorted(mu)
-    lo, hi = [s[0] - r], []
-    edge = max(-lo[0], s[-1] + r)  # nodes there round by up to its ulp
-    if math.ulp(edge) > _EDGE_ULP_LIMIT * width:
-        msg = f"means {s[-1] - s[0]:.3g} sigma apart put a panel edge too far from 0"
-        raise ConvergenceFailure(msg)
-    for i in range(len(s) - 1):
-        # skip the gap if the means above it are 1..j and the stretch above
-        # starts at or past the end of the last panel below, rounded as below
-        skip = s[i + 1] - s[i] > 2.0 * r and min(mu[: len(s) - 1 - i]) > s[i]
-        end = lo[-1] + width * math.ceil((s[i] + r - lo[-1]) / width - 1e-9)
-        if skip and s[i + 1] - r >= end:
-            hi.append(s[i] + r)
-            lo.append(s[i + 1] - r)
-    hi.append(s[-1] + r)
+    """Left edges and width of the panels that tile [min - R, max + R] (Blocks)."""
+    lo, width = float(mu.min()) - TRUNCATION_RADIUS, PANEL_WIDTH
     # the tolerance keeps a whole number of panels from rounding up to one more
-    count = [math.ceil((b - a) / width - 1e-9) for a, b in zip(lo, hi)]
-    _check_size(sum(count))
-    edges = [a + width * np.arange(n) for a, n in zip(lo, count)]
-    return edges[0] if len(edges) == 1 else np.concatenate(edges), width
+    count = np.ceil((float(mu.max()) + TRUNCATION_RADIUS - lo) / width - 1e-9)
+    _check_size(count)
+    return lo + width * np.arange(count), width
 
 
 def _refine(edges: np.ndarray, width: float, split: int) -> tuple[np.ndarray, float]:
-    """The same stretches tiled with panels ``split`` times narrower."""
+    """The same stretch tiled with panels ``split`` times narrower."""
     _check_size(edges.size * split)
     width /= split
     return (edges[:, None] + width * np.arange(split)).ravel(), width
@@ -393,12 +387,8 @@ def _integrands(mu: np.ndarray, nodes: np.ndarray, width: float) -> np.ndarray:
 def _grid_recursion(
     mu: np.ndarray, edges: np.ndarray, width: float
 ) -> tuple[float, float, np.ndarray]:
-    """(P, log P, gradient of log P) on the panels at ``edges``.
-
-    P and the first moments are row s = 0 of ``_sweep``; when P falls below
-    the underflow floor, log P and the gradient come from log-space sweeps
-    on the same stretches cut into panels LOG_SPACE_SPLIT times narrower.
-    """
+    """(P, log P, gradient of log P) on the panels at ``edges``: row s = 0 of
+    ``_sweep``, or where P underflows, log-space sweeps (module docstring)."""
     moments = _sweep(mu, edges, width, covariance=False)[:, 0]
     value = float(moments[0, 0])
     if value >= _UNDERFLOW_FLOOR:
@@ -539,23 +529,35 @@ def _panel_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 def conditional_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """(log P, gradient of log P, Cov(X | order)) at sigma = 1, for means on
     the cone: the solver's rule (module docstring), exact at p = 3 and 4 and
-    one panel sweep for p >= 5."""
-    if mu.size == 3:
-        return _orthant_moments(mu)
-    return _trivariate_moments(mu) if mu.size == 4 else _panel_moments(mu)
+    for p >= 5 the blocks' rules stacked, C block-diagonal."""
+    if mu.size in (3, 4):
+        return _orthant_moments(mu) if mu.size == 3 else _trivariate_moments(mu)
+    blocks = _blocks(mu)
+    if len(blocks) == 1:
+        return _panel_moments(mu)
+    log_p, grad, cov = 0.0, np.zeros(mu.size), np.eye(mu.size)
+    for b in blocks:
+        if b.stop - b.start > 1:  # a single mean keeps (0, 0, 1)
+            nu = _centred(mu[b])
+            rule = {3: _orthant_moments, 4: _trivariate_moments}.get(nu.size, _panel_moments)
+            log_b, grad[b], cov[b, b] = rule(nu)
+            log_p += log_b
+    return log_p, grad, cov
 
 
-def _closed_form_p2(mu: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """(P, log P, gradient of log P) for two populations in closed form: P = Phi(-u) =
-    erfc(w) / 2 at w = u / sqrt(2), its smaller tail erfcx(|w|) e^(-w^2) / 2 from ``_erfcx``."""
+def _closed_form_p2(mu: np.ndarray) -> tuple:
+    """((P, log P, gradient of log P), err, log_err) for two populations, as ``_converged``
+    gives them, in closed form: P = Phi(-u) = erfc(w) / 2 at w = u / sqrt(2), its smaller
+    tail erfcx(|w|) e^(-w^2) / 2 from ``_erfcx``, and err 1e-16 P."""
     m1, m2 = mu.tolist()  # as Python floats, u overflows to -inf (P = 1) silently
     u = m2 / SQRT_2 - m1 / SQRT_2
     w, g = u * math.sqrt(0.5), inverse_mills(u) / SQRT_2
     half = 0.5 * float(_erfcx(np.array([abs(w)]))[0])  # 0 at |w| = inf
     tail = half * math.exp(-w * w)
     if w <= 0.0:
-        return 1.0 - tail, math.log1p(-tail), np.array([g, -g])
-    return tail, math.log(half) - w * w if half > 0.0 else -math.inf, np.array([g, -g])
+        return (1.0 - tail, math.log1p(-tail), np.array([g, -g])), 1e-16 * (1.0 - tail), 1e-16
+    log_value = math.log(half) - w * w if half > 0.0 else -math.inf
+    return (tail, log_value, np.array([g, -g])), 1e-16 * tail, 1e-16
 
 
 def _converged(mu: np.ndarray) -> tuple:
@@ -587,26 +589,33 @@ def _converged(mu: np.ndarray) -> tuple:
 
 
 def _checked(cfg: MeanConfig) -> tuple:
-    """((P, log P, gradient of log P in nu), err, log_err) at the means
-    standardized about their midrange (module docstring): the closed form
-    for p = 2, ``_converged`` otherwise."""
+    """((P, log P, gradient of log P in nu), err, log_err) from the blocks (module
+    docstring): exactly (1, 0, 0) for one mean, the closed form for two,
+    ``_converged`` for more; P and err by the product rule, the logs summed."""
     mu = np.asarray(cfg.mu, dtype=float)
-    with np.errstate(over="ignore"):  # p = 2 takes an infinite nu, _layout rejects it
-        nu = (mu - (0.5 * mu.max() + 0.5 * mu.min())) / cfg.sigma
-    if cfg.p == 2:
-        return _closed_form_p2(nu), 1e-16, 1e-16
-    return _converged(nu)
+    value, log_value, err, log_err, grad = 1.0, 0.0, 0.0, 0.0, np.zeros(cfg.p)
+    for b in _blocks(mu, cfg.sigma):
+        if b.stop - b.start == 1:
+            continue  # P = 1 exactly, and the gradient 0
+        with np.errstate(over="ignore"):  # a pair takes nu = inf; more means fail the node cap
+            nu = _centred(mu[b], cfg.sigma)
+        try:
+            rule, e, log_e = _closed_form_p2(nu) if nu.size == 2 else _converged(nu)
+        except ConvergenceFailure as exc:
+            if b.stop - b.start < cfg.p:  # the block's estimate is not one of P
+                exc.value, exc.err_est = math.nan, math.inf
+            raise
+        err, value = err * rule[0] + value * e, value * rule[0]
+        log_value, log_err = log_value + rule[1], log_err + log_e
+        grad[b] = rule[2]
+    return (value, log_value, grad), err, log_err
 
 
 def ordering_probability(cfg: MeanConfig) -> OrderingProb:
-    """P(X_1 > X_2 > ... > X_p) for independent X_i ~ N(mu_i, sigma^2).
-
-    Closed form for p = 2; panel quadrature (module docstring) otherwise,
-    with the panels halved until the error estimate of log P is within
-    QUADRATURE_RTOL. Raises ConvergenceFailure, with the last estimate, when
-    the nodes would exceed MAX_NODES first, or when the means span too many
-    sigma (Accuracy).
-    """
+    """P(X_1 > X_2 > ... > X_p) for independent X_i ~ N(mu_i, sigma^2): over the blocks
+    (module docstring), the product of the closed form for two means and of panel
+    quadrature, halved until the error estimate of log P is within QUADRATURE_RTOL, for
+    more. Raises ConvergenceFailure past MAX_NODES, with the last estimate of a one-block P."""
     (value, log_value, _), err, log_err = _checked(cfg)
     if value < _UNDERFLOW_FLOOR:
         warnings.warn("ordering probability underflowed", UnderflowWarning)
@@ -644,16 +653,7 @@ def mc_ordering_probability(cfg: MeanConfig, n_draws: int, seed: int) -> Orderin
 
 
 def grad_log_ordering_probability(cfg: MeanConfig) -> np.ndarray:
-    """Gradient of log P(X_1 > ... > X_p) with respect to the means.
-
-    Analytic for p = 2 (inverse Mills ratio of the scaled mean gap). For
-    p >= 3 it is the exact identity
-
-        d log P / d mu_k = (E[X_k | order] - mu_k) / sigma^2,
-
-    with the truncated mean taken from one "below t" and one "above t"
-    sweep (module docstring), on the panels ``ordering_probability``
-    converges on. When P underflows both sweeps run in log space, so the
-    gradient stays finite.
-    """
+    """Gradient of log P(X_1 > ... > X_p) in the means, (E[X | order] - mu) /
+    sigma^2, from the rules ``ordering_probability`` converges on: the
+    inverse Mills ratio for two means, both sweeps for more (module docstring)."""
     return _checked(cfg)[0][2] / cfg.sigma

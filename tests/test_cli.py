@@ -12,7 +12,7 @@ import selex
 from selex import estimator, experiments
 from selex.cli import main
 from selex.estimator import MaxIterationsExceeded
-from selex.ordering import UnderflowWarning
+from selex.ordering import ConvergenceFailure, UnderflowWarning
 
 
 def run(capsys, argv):
@@ -91,11 +91,33 @@ class TestProb:
         ],
         ids=["prob-1e16", "prob-1e17", "estimate-1e17", "estimate-tiny-sigma"],
     )
-    def test_nodes_too_far_from_zero_exit_3(self, capsys, argv):
-        # nodes there round by more than the quadrature's error estimate can see
-        code, _, err = run(capsys, argv)
-        assert code == 3
-        assert "too far from 0" in err
+    def test_far_apart_means_factor_into_blocks(self, capsys, argv):
+        # every gap is cut, so each mean is a block of its own with P = 1: the
+        # order is certain, and the estimates are the observations
+        code, out, _ = run(capsys, argv + ["--json"])
+        assert code == 0
+        payload = json.loads(out)
+        if argv[0] == "prob":
+            assert (payload["value"], payload["log_value"]) == (1.0, 0.0)
+        else:
+            assert payload["estimates"] == [float(v) for v in argv[2].split(",")]
+            assert payload["log_likelihood"] == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sigma", ["1", "1e-10"])
+    @pytest.mark.parametrize(
+        "means,value",
+        [("1e308,0,-1e308", 1.0), ("1e308,1e308,-1e308", 0.5), ("-1e308,0,1e308", None)],
+    )
+    def test_means_past_the_largest_float_apart(self, capsys, means, value, sigma):
+        # each block is standardized from the means themselves, so a span that
+        # overflows reaches no block on the cone; off it, the one block's span
+        # is not finite, and the node cap rejects it
+        code, out, err = run(capsys, ["prob", f"--means={means}", "--sigma", sigma, "--json"])
+        if value is None:
+            assert code == 3 and "over the cap" in err
+        else:
+            assert code == 0 and json.loads(out)["value"] == value
 
     def test_offset_of_all_means_changes_nothing(self, capsys):
         # the means are standardized about their midrange before any node is
@@ -333,8 +355,13 @@ class TestSimulateMse:
         assert "(seed=1, b=" in err
 
     def test_failing_replicate_exits_quadrature(self, capsys, monkeypatch, tmp_path):
-        # every p = 5 draw is too far from 0 for the panels; the pool returns
-        # the quadrature error of replicate 0 once its redraws run out
+        # every solver's rule fails, and no draw 2e12 sigma apart pools; pool
+        # workers inherit the failure, and the pool returns the quadrature
+        # error of replicate 0 once its redraws run out
+        def fail(mu):
+            raise ConvergenceFailure("injected")
+
+        monkeypatch.setattr(estimator, "conditional_moments", fail)
         monkeypatch.setenv("SELEX_THREADS", "2")
         code, _, err = run(
             capsys,

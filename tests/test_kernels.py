@@ -57,7 +57,7 @@ class TestAgainstScipy:
         gaps, values, log_values = [], [], []
         for u in targets.tolist():
             h = u / SQRT_2  # the means (-h, h) put u as the scaled gap
-            value, log_value, _ = _closed_form_p2(np.array([-h, h]))
+            (value, log_value, _), _, _ = _closed_form_p2(np.array([-h, h]))
             gaps.append(h / SQRT_2 - -h / SQRT_2)  # as _closed_form_p2 forms it
             values.append(value)
             log_values.append(log_value)

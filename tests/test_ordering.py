@@ -18,6 +18,9 @@ from selex.ordering import (
     UnderflowWarning,
     _RUNNING,
     _WEIGHTS,
+    _blocks,
+    _centred,
+    _closed_form_p2,
     _converged,
     _cumulative,
     _integral,
@@ -112,17 +115,17 @@ def running_integral(y: np.ndarray, width: float) -> np.ndarray:
 
 def wide_means(name: str) -> np.ndarray:
     """Standardized means wider than one window of the solver's rule. On the
-    cone: "spread20", p = 20 with gaps of 3-6 sigma; "ladder30", -20 sigma
-    (0..29), every gap skipped; "pairs30", the same with pairs 0.5 sigma
-    apart, whose windows move by a whole window or more at the skipped gaps.
-    Off it: "off5", (2, 1, 0, -1, 12)."""
+    cone: "spread20", p = 20 with gaps of 3-6 sigma; "ladder30", -15 sigma
+    (0..29), every gap just short of a cut (2R = 16 sigma); "pairs30", the
+    same with pairs 0.5 sigma apart, whose windows move by 15 of their 17
+    panels at the wide gaps. Off it: "off5", (2, 1, 0, -1, 12)."""
     steps = np.arange(30.0)
     if name == "spread20":
         x = -np.cumsum(np.random.default_rng(20).uniform(3.0, 6.0, 20))
     elif name == "ladder30":
-        x = -20.0 * steps
+        x = -15.0 * steps
     elif name == "pairs30":
-        x = -20.0 * (steps // 2) - 0.5 * (steps % 2)
+        x = -15.0 * (steps // 2) - 0.5 * (steps % 2)
     else:
         x = np.array([2.0, 1.0, 0.0, -1.0, 12.0])
     return x - x.mean()
@@ -249,10 +252,12 @@ class TestOrderingProbability:
         near = ordering_probability(MeanConfig(tuple(moved - 1e13), 1.0))
         far = ordering_probability(MeanConfig(tuple(moved), 1.0))
         assert far.log_value == near.log_value
-        # means 2^41 sigma apart put the outer panel edges 2^40 sigma from 0,
-        # where nodes round by 2^-13 of a panel, past what the estimate sees
-        with pytest.raises(ConvergenceFailure, match="too far from 0"):
-            ordering_probability(MeanConfig((2.0**40, 0.0, -(2.0**40)), 1.0))
+        # means 2^41 sigma apart are cut into blocks of one, each at 0: the
+        # order is certain, and no node is laid
+        cfg = MeanConfig((2.0**40, 0.0, -(2.0**40)), 1.0)
+        prob = ordering_probability(cfg)
+        assert (prob.value, prob.log_value, prob.err_est) == (1.0, 0.0, 0.0)
+        assert np.array_equal(grad_log_ordering_probability(cfg), np.zeros(3))
 
     def test_missed_tolerance_raises(self, monkeypatch):
         monkeypatch.setattr(ordering, "QUADRATURE_RTOL", 0.0)
@@ -260,6 +265,14 @@ class TestOrderingProbability:
             ordering_probability(MeanConfig((2.0, 1.0, 0.0), 1.0))
         assert info.value.value == pytest.approx(0.5361516, abs=1e-7)
         assert info.value.err_est > 0.0
+
+    def test_missed_tolerance_in_a_block_carries_no_estimate(self, monkeypatch):
+        # the failing block's P is not the whole P, which the pair below it
+        # scales by 0.76, so the failure carries none
+        monkeypatch.setattr(ordering, "QUADRATURE_RTOL", 0.0)
+        with pytest.raises(ConvergenceFailure) as info:
+            ordering_probability(MeanConfig((2.0, 1.0, 0.0, -40.0, -41.0), 1.0))
+        assert math.isnan(info.value.value) and info.value.err_est == math.inf
 
     def test_log_pass_matches_direct(self, monkeypatch):
         # force the log-space sweeps where the direct value is still
@@ -313,16 +326,20 @@ class TestPanelKernels:
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-15)
 
     def test_constant_across_skipped_gap(self):
-        # on the cone the gap (9, 32) between the windows of 1 and 40 is
-        # skipped, so the running integral of t^3 leaves its integral out
-        edges = _layout(np.array([40.0, 1.0, 0.0]))[0]
+        # (40, 1, 0) is cut at the gap (9, 32) between the windows of 1 and 40:
+        # across it the running integral of a density on the windows below
+        # holds constant, so P factors there; one stretch tiles all of it
+        mu = np.array([40.0, 1.0, 0.0])
+        assert _blocks(mu) == [slice(0, 1), slice(1, 3)]
+        edges = _layout(mu)[0]
         assert edges[0] == -8.0 and edges[-1] + PANEL_WIDTH == 48.0
-        assert not np.any((edges > 9.0 - PANEL_WIDTH) & (edges < 32.0))
+        np.testing.assert_allclose(np.diff(edges), PANEL_WIDTH)
         t = _nodes(edges, PANEL_WIDTH)
-        expected = (t**4 - edges[0] ** 4) / 4
-        expected[t > 32.0] -= (32.0**4 - 9.0**4) / 4
         got = running_integral(t**3, PANEL_WIDTH)
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
+        np.testing.assert_allclose(got, (t**4 - edges[0] ** 4) / 4, rtol=1e-12)
+        below = running_integral(INV_SQRT_2PI * np.exp(-0.5 * (t - 0.5) ** 2), PANEL_WIDTH)
+        across = below[(t > 9.0) & (t < 32.0)]
+        assert across.max() - across.min() <= 1e-15
 
     def test_mirrored_sweep_is_complement(self):
         edges = _layout(np.array([40.0, 1.0, 0.0]))[0]
@@ -338,12 +355,14 @@ class TestPanelKernels:
         edges = _layout(np.array([0.0, 0.0, 60.0]))[0]
         np.testing.assert_allclose(np.diff(edges), PANEL_WIDTH)
         assert edges[0] == -8.0 and edges[-1] + PANEL_WIDTH == 68.0
-        # on the cone the same means leave it out
-        assert _layout(np.array([60.0, 0.0, 0.0]))[0].size == 2 * 16
+        assert len(_blocks(np.array([0.0, 0.0, 60.0]))) == 1
+        # on the cone the same means are cut there, into blocks of 16 panels
+        mu = np.array([60.0, 0.0, 0.0])
+        assert [_layout(_centred(mu[b]))[0].size for b in _blocks(mu)] == [16, 16]
 
     def test_no_panels_overlap_past_a_skipped_gap(self):
-        # the windows of 0.2 and 16.3 leave a gap (8.2, 8.3), but the panels
-        # below it end at 9: the gap is covered, not skipped into an overlap
+        # the windows of 0.2 and 16.3 leave a gap (8.2, 8.3), narrower than a
+        # panel: the layout is one stretch, and P factors at the cut there
         mu = np.array([16.3, 0.2, 0.0])
         edges, width = _layout(mu)
         assert np.diff(edges).min() >= width - 1e-12
@@ -351,36 +370,35 @@ class TestPanelKernels:
         assert abs(log_p - _orthant_moments(mu)[0]) <= 1e-14
 
     def test_layout_matches_array_reference(self):
-        """The panels of ``_layout`` against the rule written with arrays: a
-        gap wider than both windows is skipped iff the means above it are
-        the first ones in the required order and the panels below it end
-        at or before the window above."""
+        """The blocks of ``_blocks`` against a brute-force reference, which cuts
+        after population j iff every mean before j is more than 2R sigma above
+        every mean from j on, and each block's panels against one stretch
+        written with arrays."""
 
-        def reference(mu):
-            r, width, s = TRUNCATION_RADIUS, PANEL_WIDTH, np.sort(mu)
-            lo, hi = [s[0] - r], []
-            for i in np.flatnonzero(np.diff(s) > 2.0 * r):
-                above = mu > s[i]
-                end = lo[-1] + width * math.ceil((s[i] + r - lo[-1]) / width - 1e-9)
-                if not np.any(above[1:] & ~above[:-1]) and s[i + 1] - r >= end:
-                    hi.append(s[i] + r)
-                    lo.append(s[i + 1] - r)
-            hi.append(s[-1] + r)
-            count = [math.ceil((b - a) / width - 1e-9) for a, b in zip(lo, hi)]
-            return np.concatenate([a + width * np.arange(n) for a, n in zip(lo, count)])
+        def reference(mu, sigma):
+            p, gap = mu.size, 2.0 * TRUNCATION_RADIUS * sigma
+            cuts = [j for j in range(1, p) if all(a - b > gap for a in mu[:j] for b in mu[j:])]
+            return np.split(mu, [] if p == 2 else cuts)
 
         rng = np.random.default_rng(17)
-        skipped = set()
+        cut = set()
         for _ in range(300):
             p = int(rng.integers(2, 7))
             sigma = float(10.0 ** rng.uniform(-1.0, 1.0))
             centres = 20.0 * sigma * rng.integers(0, 4, p)  # far apart or tied
-            mu = rng.permutation(centres + rng.normal(0.0, sigma, p)) / sigma
-            edges, width = _layout(mu)
-            expected = reference(mu)
-            assert width == PANEL_WIDTH and np.array_equal(edges, expected)
-            skipped.add(bool(np.any(np.diff(edges) > 1.5 * width)))
-        assert skipped == {True, False}
+            mu = rng.permutation(centres + rng.normal(0.0, sigma, p))
+            blocks, expected = _blocks(mu, sigma), reference(mu, sigma)
+            assert len(blocks) == len(expected)
+            for b, want in zip(blocks, expected):
+                assert np.array_equal(mu[b], want)
+                nu = _centred(mu[b], sigma)
+                assert np.array_equal(nu, (want - (0.5 * want.max() + 0.5 * want.min())) / sigma)
+                edges, width = _layout(nu)
+                lo, hi = nu.min() - TRUNCATION_RADIUS, nu.max() + TRUNCATION_RADIUS
+                stretch = lo + PANEL_WIDTH * np.arange(math.ceil((hi - lo) / PANEL_WIDTH - 1e-9))
+                assert width == PANEL_WIDTH and np.array_equal(edges, stretch)
+            cut.add(len(blocks) > 1)
+        assert cut == {True, False}
 
 
 class TestSimpsonKernels:
@@ -440,6 +458,17 @@ class TestGradient:
         assert grad[1] == pytest.approx(-expected, abs=1e-12)
         # frozen value of the analytic expression g(-1/sqrt(2))/sqrt(2)
         assert grad[0] == pytest.approx(0.2889781813726, abs=1e-10)
+
+    def test_p2_is_never_cut(self):
+        # the closed form holds at any distance: 17 sigma apart, past the 16
+        # sigma that cuts more means, log P and the gradient are not 0
+        cfg = MeanConfig((17.0, 0.0), 1.0)
+        assert _blocks(np.array(cfg.mu)) == [slice(0, 2)]
+        prob = ordering_probability(cfg)
+        assert prob.method == "closed_form_p2" and -1e-33 > prob.log_value > -1e-32
+        grad = grad_log_ordering_probability(cfg)
+        expected = inverse_mills(-17.0 / math.sqrt(2.0)) / math.sqrt(2.0)
+        assert grad[0] == expected > 0.0 and grad[1] == -expected
 
     def test_p2_equal_means(self):
         grad = grad_log_ordering_probability(MeanConfig((0.0, 0.0), 1.0))
@@ -531,8 +560,8 @@ class TestGradient:
         assert np.abs(cov - np.eye(p) - jacobian).max() <= 1e-8
 
     def test_solver_rule_holds_windows_not_the_layout(self):
-        # the ladder's layout has 4,800 nodes: p (p + 1) = 930 floats on each
-        # would take 36 MB
+        # the ladder's layout has 4,510 nodes: p (p + 1) = 930 floats on each
+        # would take 34 MB
         mu = wide_means("ladder30")
         conditional_moments(mu)  # once untraced, so that nothing is first built here
         tracemalloc.start()
@@ -623,19 +652,67 @@ def cone_points_p3(seed: int = 0):
         yield mu - mu.mean()
 
 
+def panel_reference(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """``_panel_moments`` of the means, or where ``_blocks`` cuts them, of each
+    block, stacked: log P summed, the gradients and a block-diagonal C, (0, 1)
+    for a single mean."""
+    blocks = _blocks(mu)
+    if len(blocks) == 1:
+        return _panel_moments(mu)
+    log_p, grad, cov = 0.0, np.zeros(mu.size), np.eye(mu.size)
+    for b in blocks:
+        if b.stop - b.start > 1:
+            log_b, grad[b], cov[b, b] = _panel_moments(_centred(mu[b]))
+            log_p += log_b
+    return log_p, grad, cov
+
+
 class TestOrthantRule:
     """The solver's rule at p = 3: closed forms from the bivariate normal
     orthant of the two gaps (ordering module docstring)."""
 
     def test_matches_panel_rule(self):
-        # the panel sweep that the rule replaced is still the rule for p >= 4
+        # the panel sweep that the rule replaced is still the rule for p >= 5,
+        # per block where a gap wider than 2R cuts the means
         points, worst = list(cone_points_p3()), np.zeros(3)
         assert len(points) >= 300
         for mu in points:
-            exact, panels = _orthant_moments(mu), _panel_moments(mu)
+            exact, panels = _orthant_moments(mu), panel_reference(mu)
             for i in range(3):
                 worst[i] = max(worst[i], np.abs(np.subtract(exact[i], panels[i])).max())
         assert worst.max() <= 1e-12, worst
+
+    def test_stacks_into_the_rule_of_five_means(self):
+        # (2e12, 0.3, 0, -0.4, -2e12) is cut at both wide gaps: the outer means
+        # are certain, the middle block takes this rule, and C is block-diagonal
+        mu = np.array([2e12, 0.3, 0.0, -0.4, -2e12])
+        assert _blocks(mu) == [slice(0, 1), slice(1, 4), slice(4, 5)]
+        log_p, grad, cov = conditional_moments(mu)
+        log_b, grad_b, cov_b = _orthant_moments(_centred(mu[1:4]))
+        assert log_p == log_b
+        assert np.array_equal(grad, np.r_[0.0, grad_b, 0.0])
+        expected = np.eye(5)
+        expected[1:4, 1:4] = cov_b
+        assert np.array_equal(cov, expected)
+
+    def test_pair_blocks_match_the_closed_form(self):
+        # (40, 39.5, 0, -0.3, -40) is cut into two pairs and a single mean; a
+        # pair block takes one panel sweep of two means, whose log P and
+        # gradient are the p = 2 closed form's, and C = I + the Hessian of log P
+        mu = np.array([40.0, 39.5, 0.0, -0.3, -40.0])
+        assert _blocks(mu) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+        log_p, grad, cov = conditional_moments(mu)
+        expected_log_p, expected_cov = 0.0, np.eye(5)
+        for rows in (slice(0, 2), slice(2, 4)):
+            (_, log_b, grad_b), _, _ = _closed_form_p2(mu[rows])
+            expected_log_p += log_b
+            assert np.abs(grad[rows] - grad_b).max() <= 1e-12
+            u = (mu[rows][1] - mu[rows][0]) / math.sqrt(2.0)
+            lam = inverse_mills(u)
+            expected_cov[rows, rows] -= 0.5 * lam * (lam - u) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        assert abs(log_p - expected_log_p) <= 1e-12
+        assert np.abs(cov - expected_cov).max() <= 1e-12
+        assert grad[4] == 0.0 and cov[4, 4] == 1.0
 
     def test_matches_its_own_differences(self):
         """The gradient against central differences of log P, and
@@ -695,11 +772,12 @@ class TestTrivariateOrthantRule:
     orthant of the three gaps (ordering module docstring)."""
 
     def test_matches_panel_rule(self):
-        # the panel sweep that the rule replaced is still the rule for p >= 5
+        # the panel sweep that the rule replaced is still the rule for p >= 5,
+        # per block where a gap wider than 2R cuts the means
         points, worst = list(cone_points_p4()), np.zeros(3)
         assert len(points) >= 300
         for mu in points:
-            exact, panels = _trivariate_moments(mu), _panel_moments(mu)
+            exact, panels = _trivariate_moments(mu), panel_reference(mu)
             for i in range(3):
                 worst[i] = max(worst[i], np.abs(np.subtract(exact[i], panels[i])).max())
         assert worst.max() <= 1e-12, worst
