@@ -41,17 +41,19 @@ EXIT_OPTIMIZER = 4
 EXIT_REPLICATE = 5
 
 
-class CliError(ValueError):
-    """Argument/config problem surfaced with exit code 2."""
-
-
-def _parse_reals(text: str, flag: str, kind=float) -> tuple:
-    """A comma-separated flag value as a tuple of ``kind``. Finiteness is left
+def _listed(kind=float):
+    """The argparse type of a comma-separated list of ``kind``: a tuple. Finiteness is left
     to the config or sample that takes the values."""
-    try:
-        return tuple(kind(t) for t in text.split(",") if t.strip() != "")
-    except ValueError:
-        raise CliError(f"{flag} must be a comma-separated list of {kind.__name__}s")
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(t) for t in text.split(",") if t.strip() != "")
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be a comma-separated list of {kind.__name__}s"
+            ) from None
+
+    return parse
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
@@ -64,10 +66,9 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def cmd_prob(args) -> int:
-    means = _parse_reals(args.means, "--means")
-    if len(means) < 2:
-        raise CliError("--means needs at least 2 values")
-    cfg = MeanConfig(means, args.sigma)
+    if len(args.means) < 2:
+        raise ValueError("--means needs at least 2 values")
+    cfg = MeanConfig(args.means, args.sigma)
     if args.mc is not None:
         prob = mc_ordering_probability(cfg, args.mc, args.seed)
     else:
@@ -87,10 +88,9 @@ def cmd_prob(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    obs_values = _parse_reals(args.obs, "--obs")
-    if len(obs_values) < 2:
-        raise CliError("--obs needs at least 2 values")
-    obs = ObservedSample(np.array(obs_values), args.sigma)
+    if len(args.obs) < 2:
+        raise ValueError("--obs needs at least 2 values")
+    obs = ObservedSample(np.array(args.obs), args.sigma)
     try:
         result = ccmle(obs)
     except MaxIterationsExceeded as exc:
@@ -129,67 +129,41 @@ def cmd_estimate(args) -> int:
     return EXIT_OK if result.converged else EXIT_OPTIMIZER
 
 
-def _load_config(path: str, cls, flag_values: dict):
-    """Build an experiment config from a JSON file or from CLI flags."""
-    if path is not None:
+def _run_experiment(args) -> int:
+    """The flow of both experiment commands: the config's fields from the --config file,
+    if any, each replaced by its flag where one is given; run, export, print the summary;
+    with --strict any redraw exits 5."""
+    cls, fields = args.config_class, {}
+    if args.config is not None:
         import json
         try:
-            with open(path) as fh:
-                raw = json.load(fh)
+            with open(args.config) as fh:
+                fields = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read config {path}: {exc}")
-        if not isinstance(raw, dict):
-            raise CliError(f"config {path} must be a JSON object")
-        unknown = set(raw) - set(cls.__dataclass_fields__)
+            raise ValueError(f"cannot read config {args.config}: {exc}")
+        if not isinstance(fields, dict):
+            raise ValueError(f"config {args.config} must be a JSON object")
+        unknown = set(fields) - set(cls.__dataclass_fields__)
         if unknown:
-            raise CliError(f"unknown config field(s): {', '.join(sorted(unknown))}")
-        flag_values = raw
+            raise ValueError(f"unknown config field(s): {', '.join(sorted(unknown))}")
+    for name in cls.__dataclass_fields__:
+        if getattr(args, name) is not None:
+            fields[name] = getattr(args, name)
     try:
-        return cls(**{k: v for k, v in flag_values.items() if v is not None})
+        cfg = cls(**fields)
     except (TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
-        raise CliError(f"invalid config: {exc}")
-
-
-def _run_experiment(args, cls, run, flags: dict, rows: str, what: str) -> int:
-    """The flow of both experiment commands: config from --config or the
-    flags, run, export, print the summary; with --strict any redraw exits 5."""
-    table = run(_load_config(args.config, cls, flags))
+        raise ValueError(f"invalid config: {exc}")
+    table = globals()[args.runner](cfg)  # looked up now, where a tracer may have wrapped it
     fmt = args.format or ("json" if str(args.out).endswith(".json") else "csv")
     export_results(table.rows, fmt, args.out)
     print(
-        f"{args.command}: {len(table.rows)} {rows} written to {args.out} "
-        f"({table.n_failures} redrawn {what})"
+        f"{args.command}: {len(table.rows)} {args.rows} written to {args.out} "
+        f"({table.n_failures} redrawn {args.what}s)"
     )
     if args.strict and table.n_failures > 0:
-        print(f"ERROR: {what} redrawn in strict mode", file=sys.stderr)
+        print(f"ERROR: {args.what}s redrawn in strict mode", file=sys.stderr)
         return EXIT_REPLICATE
     return EXIT_OK
-
-
-def cmd_simulate_mse(args) -> int:
-    flags = {
-        "mu_true": _parse_reals(args.mu, "--mu") if args.mu else None,
-        "sigma": args.sigma,
-        "n_reps": args.reps,
-        "seed": args.seed,
-        "ranks": _parse_reals(args.ranks, "--ranks", int) if args.ranks else None,
-        "config_id": args.config_id,
-    }
-    return _run_experiment(args, MseConfig, run_mse, flags, "rows", "replicates")
-
-
-def cmd_bootstrap_ci(args) -> int:
-    flags = {
-        "mu_true": _parse_reals(args.mu, "--mu") if args.mu else None,
-        "n_per_group": args.n_per_group,
-        "obs_sd": args.obs_sd,
-        "n_boot": args.n_boot,
-        "level": args.level,
-        "seed": args.seed,
-    }
-    return _run_experiment(
-        args, BootstrapConfig, run_bootstrap_ci, flags, "ranks", "resamples"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prob", help="ordering probability P(X1 > ... > Xp)")
-    p.add_argument("--means", required=True, help="comma-separated population means")
+    p.add_argument("--means", type=_listed(), required=True,
+                   help="comma-separated population means")
     p.add_argument("--sigma", type=float, required=True, help="common std deviation")
     p.add_argument("--mc", type=int, default=None, metavar="N",
                    help="use Monte Carlo with N draws instead of quadrature")
@@ -210,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_prob)
 
     e = sub.add_parser("estimate", help="constrained conditional MLE")
-    e.add_argument("--obs", required=True,
+    e.add_argument("--obs", type=_listed(), required=True,
                    help="comma-separated observed values (any order)")
     e.add_argument("--sigma", type=float, required=True, help="common std deviation")
     e.add_argument("--json", action="store_true", help="emit a JSON document")
@@ -221,31 +196,37 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(fn=cmd_estimate)
 
     m = sub.add_parser("simulate-mse", help="selection-respecting MSE experiment")
-    m.add_argument("--mu", help="comma-separated true means")
+    m.add_argument("--mu", type=_listed(), dest="mu_true", metavar="MU",
+                   help="comma-separated true means")
     m.add_argument("--sigma", type=float, help="common std deviation (default 1)")
-    m.add_argument("--reps", type=int, help="number of replicates (default 1000)")
+    m.add_argument("--reps", type=int, dest="n_reps", metavar="REPS",
+                   help="number of replicates (default 1000)")
     m.add_argument("--seed", type=int, help="replicate seed (default 0)")
-    m.add_argument("--ranks", help="comma-separated 1-based ranks (default all)")
+    m.add_argument("--ranks", type=_listed(int),
+                   help="comma-separated 1-based ranks (default all)")
     m.add_argument("--config-id", help="config_id column value (default 0)")
-    m.set_defaults(fn=cmd_simulate_mse)
 
     b = sub.add_parser("bootstrap-ci", help="stratified bootstrap intervals")
-    b.add_argument("--mu", help="comma-separated true means")
+    b.add_argument("--mu", type=_listed(), dest="mu_true", metavar="MU",
+                   help="comma-separated true means")
     b.add_argument("--n-per-group", type=int, help="observations per group (default 50)")
     b.add_argument("--obs-sd", type=float,
                    help="per-observation std deviation (default sqrt(50))")
     b.add_argument("--n-boot", type=int, help="bootstrap resamples (default 9999)")
     b.add_argument("--level", type=float, help="confidence level (default 0.95)")
     b.add_argument("--seed", type=int, help="seed (default 0)")
-    b.set_defaults(fn=cmd_bootstrap_ci)
 
-    for sp, cls, what in ((m, "MseConfig", "replicate"), (b, "BootstrapConfig", "resample")):
-        sp.add_argument("--config", help=f"JSON config file (exact {cls} fields)")
+    for sp, cls, runner, rows, what in (
+        (m, MseConfig, "run_mse", "rows", "replicate"),
+        (b, BootstrapConfig, "run_bootstrap_ci", "ranks", "resample"),
+    ):
+        sp.add_argument("--config", help=f"JSON config file (exact {cls.__name__} fields)")
         sp.add_argument("--out", required=True, help="output file path")
         sp.add_argument("--format", choices=["csv", "json"],
                         help="output format (default from extension)")
         sp.add_argument("--strict", action="store_true",
                         help=f"exit 5 if any {what} had to be redrawn")
+        sp.set_defaults(fn=_run_experiment, config_class=cls, runner=runner, rows=rows, what=what)
 
     return parser
 

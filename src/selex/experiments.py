@@ -276,31 +276,32 @@ def export_results(rows: list[dict], format: str, path) -> None:
     """Write result rows as CSV or JSON with bit-stable formatting.
 
     CSV: header row, declared column order, floats at 10 significant digits,
-    '\\n' line endings. JSON mirrors the CSV columns as an array of objects.
+    '\\n' line endings, a field quoted only where it holds a comma, quote or line
+    break. JSON mirrors the CSV columns as an array of objects.
     """
     if not rows:
         raise ValueError("refusing to export an empty table")
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format {format!r}")
     try:
-        if format == "csv":
-            header = list(rows[0].keys())
-            lines = [",".join(header)]
-            for row in rows:
-                lines.append(",".join(_format_value(row[k]) for k in header))
-            text = "\n".join(lines) + "\n"
-        else:
-            import json
-
-            clean = [
-                {
-                    k: float(f"{v:.10g}") if isinstance(v, float) else v
-                    for k, v in row.items()
-                }
-                for row in rows
-            ]
-            text = json.dumps(clean, indent=2) + "\n"
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            if format == "csv":
+                import csv
+
+                header = list(rows[0].keys())
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows([_format_value(row[k]) for k in header] for row in rows)
+            else:
+                import json
+
+                clean = [
+                    {
+                        k: float(f"{v:.10g}") if isinstance(v, float) else v
+                        for k, v in row.items()
+                    }
+                    for row in rows
+                ]
+                fh.write(json.dumps(clean, indent=2) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing results to {path}: {exc}") from exc

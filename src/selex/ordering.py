@@ -138,13 +138,7 @@ class UnderflowWarning(UserWarning):
 
 
 class ConvergenceFailure(RuntimeError):
-    """Quadrature failed to meet tolerance; carries the best estimate found,
-    if any (nan, with err_est inf, when none was computed)."""
-
-    def __init__(self, message: str, value: float = math.nan, err_est: float = math.inf):
-        super().__init__(message)
-        self.value = value
-        self.err_est = err_est
+    """Quadrature failed to meet tolerance."""
 
 
 # W. J. Cody's rational Chebyshev approximations (Math. Comp. 23, 1969) of exp(x^2) erfc(x) on
@@ -564,12 +558,12 @@ def _converged(mu: np.ndarray) -> tuple:
     """((P, log P, gradient), err, log_err) of ``_grid_recursion`` on the
     panels of ``_layout``, halved until log P_h and log P_{h/2} agree within
     QUADRATURE_RTOL: the coarser rule, |P_h - P_{h/2}| + eps P and
-    |log P_h - log P_{h/2}| + eps. Raises ConvergenceFailure, with the last
-    estimate, when the nodes would exceed MAX_NODES first."""
+    |log P_h - log P_{h/2}| + eps. Raises ConvergenceFailure, naming the last
+    error estimate, when the nodes would exceed MAX_NODES first."""
     eps = np.finfo(float).eps
     edges, width = _layout(mu)
     coarse = _grid_recursion(mu, edges, width)
-    err = log_err = math.inf
+    log_err = math.inf
     while True:
         try:
             edges, width = _refine(edges, width, 2)
@@ -577,9 +571,7 @@ def _converged(mu: np.ndarray) -> tuple:
         except ConvergenceFailure as exc:
             raise ConvergenceFailure(
                 f"quadrature error estimate {log_err:.3g} of log P exceeds "
-                f"{QUADRATURE_RTOL:g} ({exc})",
-                coarse[0],
-                err,
+                f"{QUADRATURE_RTOL:g} ({exc})"
             ) from None
         err = abs(coarse[0] - fine[0]) + eps * coarse[0]
         log_err = abs(coarse[1] - fine[1]) + eps
@@ -589,37 +581,36 @@ def _converged(mu: np.ndarray) -> tuple:
 
 
 def _checked(cfg: MeanConfig) -> tuple:
-    """((P, log P, gradient of log P in nu), err, log_err) from the blocks (module
+    """((P, log P, gradient of log P in nu), err, log_err, method) from the blocks (module
     docstring): exactly (1, 0, 0) for one mean, the closed form for two,
-    ``_converged`` for more; P and err by the product rule, the logs summed."""
+    ``_converged`` for more; P and err by the product rule, the logs summed. The method
+    is quadrature if any block took it."""
     mu = np.asarray(cfg.mu, dtype=float)
     value, log_value, err, log_err, grad = 1.0, 0.0, 0.0, 0.0, np.zeros(cfg.p)
+    method = "closed_form_p2"
     for b in _blocks(mu, cfg.sigma):
         if b.stop - b.start == 1:
             continue  # P = 1 exactly, and the gradient 0
         with np.errstate(over="ignore"):  # a pair takes nu = inf; more means fail the node cap
             nu = _centred(mu[b], cfg.sigma)
-        try:
-            rule, e, log_e = _closed_form_p2(nu) if nu.size == 2 else _converged(nu)
-        except ConvergenceFailure as exc:
-            if b.stop - b.start < cfg.p:  # the block's estimate is not one of P
-                exc.value, exc.err_est = math.nan, math.inf
-            raise
+        if nu.size == 2:
+            rule, e, log_e = _closed_form_p2(nu)
+        else:
+            (rule, e, log_e), method = _converged(nu), "quadrature"
         err, value = err * rule[0] + value * e, value * rule[0]
         log_value, log_err = log_value + rule[1], log_err + log_e
         grad[b] = rule[2]
-    return (value, log_value, grad), err, log_err
+    return (value, log_value, grad), err, log_err, method
 
 
 def ordering_probability(cfg: MeanConfig) -> OrderingProb:
     """P(X_1 > X_2 > ... > X_p) for independent X_i ~ N(mu_i, sigma^2): over the blocks
     (module docstring), the product of the closed form for two means and of panel
     quadrature, halved until the error estimate of log P is within QUADRATURE_RTOL, for
-    more. Raises ConvergenceFailure past MAX_NODES, with the last estimate of a one-block P."""
-    (value, log_value, _), err, log_err = _checked(cfg)
+    more. Raises ConvergenceFailure past MAX_NODES."""
+    (value, log_value, _), err, log_err, method = _checked(cfg)
     if value < _UNDERFLOW_FLOOR:
         warnings.warn("ordering probability underflowed", UnderflowWarning)
-    method = "closed_form_p2" if cfg.p == 2 else "quadrature"
     return OrderingProb(value, log_value, method, err, log_err)
 
 

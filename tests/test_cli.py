@@ -168,6 +168,11 @@ class TestProb:
 
 
 class TestEstimate:
+    def test_single_observation_rejected(self, capsys):
+        code, _, err = run(capsys, ["estimate", "--obs", "1", "--sigma", "1"])
+        assert code == 2
+        assert "--obs needs at least 2 values" in err
+
     def test_table_config(self, capsys):
         code, out, _ = run(
             capsys, ["estimate", "--obs", "10,9.5,9,0", "--sigma", "1", "--json"]
@@ -305,6 +310,61 @@ class TestSimulateMse:
         )
         assert code == 2
         assert "config" in err
+
+    def test_config_file_unreadable(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, _, err = run(
+            capsys, ["simulate-mse", "--config", str(missing), "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 2
+        assert f"cannot read config {missing}" in err
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "no" / "such" / "dir" / "x.csv"
+        code, _, err = run(
+            capsys, ["simulate-mse", "--mu", "0,0", "--reps", "150", "--out", str(out)]
+        )
+        assert code == 2
+        assert f"failed writing results to {out}" in err
+
+    @pytest.mark.parametrize(
+        "command,config,flags,as_flags",
+        [
+            (
+                "simulate-mse",
+                {"mu_true": [1, 0.5, 0], "n_reps": 150, "seed": 3, "ranks": [1, 3],
+                 "config_id": "x"},
+                ["--reps", "200", "--seed", "5"],
+                ["--mu", "1,0.5,0", "--reps", "200", "--seed", "5", "--ranks", "1,3",
+                 "--config-id", "x"],
+            ),
+            (
+                "bootstrap-ci",
+                {"mu_true": [10, 9.5, 9], "n_boot": 999, "seed": 4, "level": 0.9},
+                ["--n-boot", "1200", "--seed", "5", "--mu", "10,9.6,9"],
+                ["--mu", "10,9.6,9", "--n-boot", "1200", "--seed", "5", "--level", "0.9"],
+            ),
+        ],
+        ids=["simulate-mse", "bootstrap-ci"],
+    )
+    def test_flags_override_the_config_file(
+        self, capsys, tmp_path, command, config, flags, as_flags
+    ):
+        # each flag given replaces its field of the file; the rest come from the file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        runs = {
+            "overridden": ["--config", str(cfg), *flags],
+            "flags": as_flags,
+            "file": ["--config", str(cfg)],
+        }
+        for name, argv in runs.items():
+            code, _, _ = run(capsys, [command, *argv, "--out", str(tmp_path / f"{name}.csv")])
+            assert code == 0
+        overridden, flags_only, file_only = (
+            (tmp_path / f"{name}.csv").read_bytes() for name in runs
+        )
+        assert overridden == flags_only != file_only
 
     def test_config_file_roundtrip(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -479,6 +539,24 @@ class TestBootstrapCi:
         assert code == expected
         assert "(1 redrawn resamples)" in out
         assert ("redrawn in strict mode" in err) == strict
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["prob", "--means", "1,x", "--sigma", "1"], "--means"),
+        (["estimate", "--obs", "1,,x", "--sigma", "1"], "--obs"),
+        (["simulate-mse", "--mu", "1,0x", "--out", "x.csv"], "--mu"),
+        (["simulate-mse", "--mu", "1,0", "--ranks", "1.5", "--out", "x.csv"], "--ranks"),
+        (["bootstrap-ci", "--mu", "nan,one", "--out", "x.csv"], "--mu"),
+    ],
+    ids=["means", "obs", "mu", "ranks", "bootstrap-mu"],
+)
+def test_bad_list_value_exits_2_naming_its_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a comma-separated list of" in capsys.readouterr().err
 
 
 class TestHelp:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import json
 import math
 import os
@@ -282,6 +283,19 @@ class TestExport:
         export_results(rows, "csv", path)
         text = path.read_bytes().decode()
         assert text == "config_id,mse,n_reps\n0,0.123456789,100\n"
+
+    def test_csv_quotes_a_field_that_holds_a_comma_or_quote(self, tmp_path):
+        # a bare join would split 'a,"b' into two fields under one header
+        table = run_mse(MseConfig((0.5, 0.0), 1.0, 150, seed=23, config_id='a,"b'))
+        path = tmp_path / "out.csv"
+        export_results(table.rows, "csv", path)
+        assert path.read_text().splitlines()[1].startswith('"a,""b",0.5,0,')
+        with open(path, newline="") as fh:
+            loaded = list(csv.DictReader(fh))
+        assert [list(row) for row in loaded] == [list(row) for row in table.rows]
+        for got, want in zip(loaded, table.rows):
+            assert got["config_id"] == 'a,"b' and None not in got
+            assert float(got["mse"]) == pytest.approx(want["mse"], rel=1e-9)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = MseConfig((0.5, 0.0), 1.0, 150, seed=23)
