@@ -5,7 +5,6 @@ from .estimator import (
     MaxIterationsExceeded,
     ObservedSample,
     ccmle,
-    ccmle_p2,
     conditional_log_likelihood,
 )
 from .experiments import (
@@ -41,7 +40,6 @@ __all__ = [
     "ResultTable",
     "UnderflowWarning",
     "ccmle",
-    "ccmle_p2",
     "conditional_log_likelihood",
     "export_results",
     "grad_log_ordering_probability",

@@ -153,7 +153,7 @@ def _run_experiment(args) -> int:
         cfg = cls(**fields)
     except (TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
         raise ValueError(f"invalid config: {exc}")
-    table = globals()[args.runner](cfg)  # looked up now, where a tracer may have wrapped it
+    table = args.runner(cfg)
     fmt = args.format or ("json" if str(args.out).endswith(".json") else "csv")
     export_results(table.rows, fmt, args.out)
     print(
@@ -217,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, help="seed (default 0)")
 
     for sp, cls, runner, rows, what in (
-        (m, MseConfig, "run_mse", "rows", "replicate"),
-        (b, BootstrapConfig, "run_bootstrap_ci", "ranks", "resample"),
+        (m, MseConfig, run_mse, "rows", "replicate"),
+        (b, BootstrapConfig, run_bootstrap_ci, "ranks", "resample"),
     ):
         sp.add_argument("--config", help=f"JSON config file (exact {cls.__name__} fields)")
         sp.add_argument("--out", required=True, help="output file path")
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = build_parser()  # per call: binds cli.run_mse as it is now, a tracer's wrapper too
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

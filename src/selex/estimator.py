@@ -7,14 +7,16 @@ The estimate maximizes the selection-conditioned log-likelihood
 over the monotone cone {mu : mu_1 >= mu_2 >= ... >= mu_p}. Two populations
 admit an exact solution: observations closer than 2 sigma / sqrt(pi) pool at
 the grand mean, wider gaps shrink toward each other through a single
-transcendental root, which ``ccmle_p2_rows`` finds for many samples at once.
+transcendental root, which ``ccmle_p2_rows`` finds for many samples at once
+(``ccmle`` takes one sample as one row).
 
-The general case solves in standardized coordinates z = (x - xbar)/sigma,
-nu = (mu - xbar)/sigma, where the objective is the same function with
-sigma = 1, and maps back with mu = xbar + sigma nu; shifting or scaling the
-input therefore leaves the solve unchanged. The objective is concave with
-Hessian -C, C = Cov(X | order) in these units, and C <= I for a normal
-conditioned on the convex order cone (Brascamp-Lieb). So the unit step
+The general case (``_ascent``; ``ccmle`` at p >= 3) solves in standardized
+coordinates z = (x - xbar)/sigma, nu = (mu - xbar)/sigma, where the
+objective is the same function with sigma = 1, and maps back with
+mu = xbar + sigma nu; shifting or scaling the input therefore leaves the
+solve unchanged. The objective is concave with Hessian -C, C = Cov(X |
+order) in these units, and C <= I for a normal conditioned on the convex
+order cone (Brascamp-Lieb). So the unit step
 
     nu_pg = Pi(z - grad log P_1(nu)),
 
@@ -221,16 +223,6 @@ def ccmle_p2_rows(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     raise RuntimeError(f"p = 2 root unconverged after {P2_MAX_STEPS} steps, d = {d[todo]}")
 
 
-def ccmle_p2(obs: ObservedSample) -> CcmleResult:
-    """``ccmle_p2_rows`` on one sample, its |f(nu_1)| as ``kkt_residual``."""
-    if obs.p != 2:
-        raise ValueError("ccmle_p2 requires exactly 2 observations")
-    mu_hat, residual = ccmle_p2_rows(obs.x[None, :], obs.sigma)
-    groups = [[0, 1]] if mu_hat[0, 0] == mu_hat[0, 1] else [[0], [1]]
-    path = "closed_form_pooled" if len(groups) == 1 else "closed_form_interior"
-    return CcmleResult(mu_hat[0], groups, path, 0, float(residual[0]), obs.permutation)
-
-
 def _objective(z: np.ndarray, nu: np.ndarray, log_p: float) -> float:
     """The log-likelihood at ``nu`` in standardized coordinates, given log P."""
     r = z - nu
@@ -245,26 +237,31 @@ def _expected_order_statistics(p: int) -> np.ndarray:
     return e
 
 
-def ccmle(obs: ObservedSample, method: str = "auto") -> CcmleResult:
-    """Constrained conditional MLE for any number of populations.
+def ccmle(obs: ObservedSample) -> CcmleResult:
+    """Constrained conditional MLE of one sample: one ``ccmle_p2_rows`` row at p = 2, its
+    |f(nu_1)| as ``kkt_residual``, else ``_ascent``. Raises ValueError when the
+    standardization overflows, and MaxIterationsExceeded, carrying the last unit step,
+    past MAX_ITERATIONS."""
+    if obs.p > 2:
+        return _ascent(obs)
+    mu_hat, residual = ccmle_p2_rows(obs.x[None, :], obs.sigma)
+    groups = [[0, 1]] if mu_hat[0, 0] == mu_hat[0, 1] else [[0], [1]]
+    path = "closed_form_pooled" if len(groups) == 1 else "closed_form_interior"
+    return CcmleResult(mu_hat[0], groups, path, 0, float(residual[0]), obs.permutation)
 
-    Dispatches to the exact path for p = 2 (``method="numeric"`` forces the
-    general optimizer). The general path standardizes the sample, tests the
-    grand mean with the cached e_p, and else iterates from the observations
-    as the module docstring says, one ``conditional_moments`` call per
-    iterate and per Newton candidate (``iterations`` counts these sweeps, 0
-    for a pooled sample; ``fallbacks`` the candidates not kept). It returns
-    the unit step nu_pg once ||nu_pg - nu|| is within ``KKT_TOL`` (in sigma
-    units, ``kkt_residual``); capped at one sweep, a sample that does not
-    pool gets the Taylor step at the observations. Raises ValueError when
-    the standardization overflows, and MaxIterationsExceeded, carrying the
-    last unit step, past MAX_ITERATIONS.
+
+def _ascent(obs: ObservedSample) -> CcmleResult:
+    """The projected-Newton ascent of the module docstring, at any p.
+
+    It standardizes the sample, tests the grand mean with the cached e_p,
+    and else iterates from the observations, one ``conditional_moments``
+    call per iterate and per Newton candidate (``iterations`` counts these
+    sweeps, 0 for a pooled sample; ``fallbacks`` the candidates not kept).
+    It returns the unit step nu_pg once ||nu_pg - nu|| is within
+    ``KKT_TOL`` (in sigma units, ``kkt_residual``); capped at one sweep, a
+    sample that does not pool gets the Taylor step at the observations.
+    Raises as ``ccmle`` does.
     """
-    if method not in ("auto", "numeric"):
-        raise ValueError("method must be 'auto' or 'numeric'")
-    if obs.p == 2 and method == "auto":
-        return ccmle_p2(obs)
-
     x, xbar, sigma = obs.x, obs.xbar, obs.sigma
     # z descends, so it is finite where its ends and their span are
     if not math.isfinite((float(x[0]) - xbar) / sigma - (float(x[-1]) - xbar) / sigma):

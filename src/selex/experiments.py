@@ -81,9 +81,12 @@ class MseConfig:
         object.__setattr__(self, "n_reps", _integer(self.n_reps, "n_reps", 100))
         object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
         ranks = range(1, self.p + 1) if self.ranks is None else self.ranks
-        object.__setattr__(self, "ranks", tuple(_integer(r, "ranks", 1) for r in ranks))
-        if not self.ranks or max(self.ranks) > self.p:  # before any replicate is drawn
-            raise ValueError(f"ranks must be a non-empty list from 1..{self.p}")
+        ranks = tuple(_integer(r, "ranks", 1) for r in ranks)
+        if not ranks or max(ranks) > self.p or len(set(ranks)) < len(ranks):  # before any draw
+            raise ValueError(f"ranks must be a non-empty list of distinct ranks from 1..{self.p}")
+        object.__setattr__(self, "ranks", ranks)
+        if not isinstance(self.config_id, str):
+            raise ValueError(f"config_id must be a string, not {self.config_id!r}")
 
     @property
     def p(self) -> int:

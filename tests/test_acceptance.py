@@ -11,12 +11,12 @@ import time
 import numpy as np
 import pytest
 
+from selex import estimator
 from selex.cli import main as cli_main
 from selex.estimator import (
     POOLING_THRESHOLD,
     ObservedSample,
     ccmle,
-    ccmle_p2,
 )
 from selex.experiments import BootstrapConfig, MseConfig, run_bootstrap_ci, run_mse
 from selex.ordering import (
@@ -69,7 +69,7 @@ class TestAcceptance:
             configs.append((thr * (1 - 1e-3), sigma))
             configs.append((thr * (1 + 1e-3), sigma))
         for gap, sigma in configs:
-            res = ccmle_p2(ObservedSample(np.array([gap, 0.0]), sigma))
+            res = ccmle(ObservedSample(np.array([gap, 0.0]), sigma))
             if gap <= POOLING_THRESHOLD * sigma:
                 ok = ok and res.path == "closed_form_pooled"
                 ok = ok and abs(res.mu_hat[0] - gap / 2) < 1e-12
@@ -156,8 +156,8 @@ class TestAcceptance:
             gap = float(rng.uniform(0.0, 3.0 * sigma))
             base = float(rng.normal(0.0, 2.0))
             obs = ObservedSample(np.array([base + gap, base]), sigma)
-            exact = ccmle_p2(obs).mu_hat
-            numeric = ccmle(obs, method="numeric").mu_hat
+            exact = ccmle(obs).mu_hat
+            numeric = estimator._ascent(obs).mu_hat
             worst = max(worst, float(np.max(np.abs(exact - numeric))))
         _report(
             6,

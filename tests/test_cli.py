@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import selex
-from selex import estimator, experiments
+from selex import cli, estimator, experiments
 from selex.cli import main
 from selex.estimator import MaxIterationsExceeded
 from selex.ordering import ConvergenceFailure, UnderflowWarning
@@ -216,7 +216,17 @@ class TestEstimate:
         payload = json.loads(out)
         assert code == 0 and payload["iterations"] == 0
         assert payload["groups"] == [[0, 1, 2]]
-        assert payload["estimates"] == pytest.approx([(10 + 9.8 + 9.7) / 3] * 3, rel=1e-15)
+        assert payload["estimates"] == [(10 + 9.8 + 9.7) / 3] * 3  # the grand mean, exactly
+
+    def test_p20_spread_converges_in_few_sweeps(self, capsys):
+        # gaps of 3-6 sigma: wider than one window of the panel rule, so each
+        # row of the rule runs on its own window
+        obs = "100,97,93,88,82,79,75,70,64,61,57,52,46,43,39,34,28,25,21,16"
+        argv = ["estimate", "--obs", obs, "--sigma", "1", "--json", "--diagnostics"]
+        code, out, _ = run(capsys, argv)
+        payload = json.loads(out)
+        assert code == 0 and payload["converged"]
+        assert payload["iterations"] <= 8
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -293,13 +303,13 @@ class TestSimulateMse:
             '{"mu_true": [NaN, 0], "n_reps": 200}', '{"mu_true": [Infinity, 0]}',
             '{"mu_true": [0, 0], "ranks": [Infinity]}',
             '{"mu_true": [0, 0], "n_reps": 150.5}', '{"mu_true": [0, 0], "seed": 1.5}',
-            '{"mu_true": [0, 0], "ranks": [1.7]}',
+            '{"mu_true": [0, 0], "ranks": [1.7]}', '{"mu_true": [0, 0], "config_id": null}',
         )] + [("bootstrap-ci", '{"mu_true": [0, 0], "n_per_group": Infinity}')],
         ids=[
             "list", "list-of-names", "number", "scalar-means", "string-means",
             "string-ranks", "infinite-sigma", "nan-means", "infinite-means",
             "infinite-ranks", "fractional-reps", "fractional-seed", "fractional-rank",
-            "infinite-group-size",
+            "null-config-id", "infinite-group-size",
         ],
     )
     def test_config_file_malformed(self, capsys, tmp_path, command, text):
@@ -318,6 +328,28 @@ class TestSimulateMse:
         )
         assert code == 2
         assert f"cannot read config {missing}" in err
+
+    def test_repeated_ranks_exit_2(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys,
+            ["simulate-mse", "--mu", "0,0", "--reps", "150", "--ranks", "1,1",
+             "--out", str(tmp_path / "x.csv")],
+        )
+        assert code == 2
+        assert "ranks must be a non-empty list of distinct ranks" in err
+
+    def test_runner_bound_when_main_runs(self, capsys, monkeypatch, tmp_path):
+        # a wrapper set on selex.cli.run_mse, as a tracer sets one, is the runner called
+        calls = []
+
+        def wrapped(cfg):
+            calls.append(cfg)
+            return experiments.run_mse(cfg)
+
+        monkeypatch.setattr(cli, "run_mse", wrapped)
+        argv = ["simulate-mse", "--mu", "0,0", "--reps", "150", "--out", str(tmp_path / "x.csv")]
+        assert run(capsys, argv)[0] == 0
+        assert [cfg.mu_true for cfg in calls] == [(0.0, 0.0)]
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         out = tmp_path / "no" / "such" / "dir" / "x.csv"
@@ -433,21 +465,22 @@ class TestSimulateMse:
 
     def test_far_apart_p3_needs_no_panels(self, capsys, monkeypatch, tmp_path):
         # the p = 3 solver's rule is exact at any scale: 2e12 sigma apart the
-        # conditioning has no effect, so the CCMLE rows equal the MLE rows
+        # conditioning has no effect, so the CCMLE rows equal the MLE rows; at
+        # p = 5 the outer means are blocks of their own around a p = 3 block
         monkeypatch.setenv("SELEX_THREADS", "2")
         out_path = tmp_path / "x.csv"
-        code, _, _ = run(
-            capsys,
-            ["simulate-mse", "--mu", "2e12,0,-2e12", "--reps", "100",
-             "--out", str(out_path)],
-        )
-        assert code == 0
-        with out_path.open() as fh:
-            rows = list(csv.DictReader(fh))
-        estimates = {(r["rank"], r["estimator"]): (r["mse"], r["se"]) for r in rows}
-        assert len(rows) == 6
-        for rank in ("1", "2", "3"):
-            assert estimates[rank, "ccmle"] == estimates[rank, "mle"]
+        for mu, ranks in (("2e12,0,-2e12", "123"), ("2e12,0,0,0,-2e12", "15")):
+            code, _, _ = run(
+                capsys,
+                ["simulate-mse", "--mu", mu, "--reps", "100", "--out", str(out_path)],
+            )
+            assert code == 0
+            with out_path.open() as fh:
+                rows = list(csv.DictReader(fh))
+            estimates = {(r["rank"], r["estimator"]): (r["mse"], r["se"]) for r in rows}
+            assert len(rows) == 2 * len(mu.split(","))
+            for rank in ranks:
+                assert estimates[rank, "ccmle"] == estimates[rank, "mle"]
 
     def test_far_apart_p4_needs_no_panels(self, capsys, monkeypatch, tmp_path):
         # the p = 4 solver's rule is exact too; the outer estimates, near

@@ -17,7 +17,6 @@ from selex.estimator import (
     MaxIterationsExceeded,
     ObservedSample,
     ccmle,
-    ccmle_p2,
     ccmle_p2_rows,
     conditional_log_likelihood,
 )
@@ -65,7 +64,7 @@ def first_step(obs: ObservedSample, monkeypatch) -> CcmleResult:
     """The general path capped at one step: the Taylor step from the observations."""
     monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)
     try:
-        res = ccmle(obs, method="numeric")
+        res = estimator._ascent(obs)
     except MaxIterationsExceeded as exc:
         res = exc.result
     assert res.iterations == 1
@@ -128,7 +127,7 @@ class TestProjectMonotone:
 
 class TestCcmleP2:
     def test_pools_below_threshold(self):
-        res = ccmle_p2(ObservedSample(np.array([1.0, 0.5]), 1.0))
+        res = ccmle(ObservedSample(np.array([1.0, 0.5]), 1.0))
         assert np.allclose(res.mu_hat, [0.75, 0.75])
         assert res.path == "closed_form_pooled"
         assert res.groups == [[0, 1]]
@@ -136,12 +135,12 @@ class TestCcmleP2:
     def test_threshold_boundary_inclusive(self):
         for sigma in (0.5, 1.0, 2.0):
             gap = POOLING_THRESHOLD * sigma
-            res = ccmle_p2(ObservedSample(np.array([gap, 0.0]), sigma))
+            res = ccmle(ObservedSample(np.array([gap, 0.0]), sigma))
             assert res.path == "closed_form_pooled"
             assert np.allclose(res.mu_hat, [gap / 2, gap / 2])
 
     def test_wide_gap_negligible_shrinkage(self):
-        res = ccmle_p2(ObservedSample(np.array([10.0, 0.0]), 1.0))
+        res = ccmle(ObservedSample(np.array([10.0, 0.0]), 1.0))
         assert res.path == "closed_form_interior"
         assert 9.999 < res.mu_hat[0] < 10.0
         assert res.mu_hat[1] == pytest.approx(10.0 - res.mu_hat[0], abs=1e-12)
@@ -151,7 +150,7 @@ class TestCcmleP2:
         for _ in range(20):
             sigma = rng.uniform(0.2, 3.0)
             gap = POOLING_THRESHOLD * sigma * rng.uniform(1.001, 4.0)
-            res = ccmle_p2(ObservedSample(np.array([gap, 0.0]), sigma))
+            res = ccmle(ObservedSample(np.array([gap, 0.0]), sigma))
             assert res.path == "closed_form_interior"
             assert res.kkt_residual <= 1e-10
 
@@ -159,29 +158,25 @@ class TestCcmleP2:
         eps = 1e-3
         sigma = 1.3
         gap = POOLING_THRESHOLD * sigma
-        pooled = ccmle_p2(ObservedSample(np.array([gap * (1 - eps), 0.0]), sigma))
-        interior = ccmle_p2(ObservedSample(np.array([gap * (1 + eps), 0.0]), sigma))
+        pooled = ccmle(ObservedSample(np.array([gap * (1 - eps), 0.0]), sigma))
+        interior = ccmle(ObservedSample(np.array([gap * (1 + eps), 0.0]), sigma))
         assert pooled.path == "closed_form_pooled"
         assert interior.path == "closed_form_interior"
         assert interior.mu_hat[0] > interior.mu_hat.mean()
-
-    def test_rejects_wrong_p(self):
-        with pytest.raises(ValueError):
-            ccmle_p2(ObservedSample(np.array([3.0, 2.0, 1.0]), 1.0))
 
     @pytest.mark.parametrize(
         "x,sigma", [((5.0, 0.0), 1e-200), ((1e300, -1e300), 1.0)], ids=["tiny-sigma", "huge-x"]
     )
     def test_extreme_scales_keep_the_bracket(self, x, sigma):
         # the shrinkage g(-sqrt(2) d) / sqrt(2) underflows: the estimate is x
-        res = ccmle_p2(ObservedSample(np.array(x), sigma))
+        res = ccmle(ObservedSample(np.array(x), sigma))
         assert res.path == "closed_form_interior"
         assert np.all(np.abs(res.mu_hat - x) <= 4 * np.spacing(max(x)))
 
     def test_sigma_below_data_ulp_returns_the_observations(self):
         # the shrinkage underflows, so the estimate is the observations exactly
         obs = ObservedSample(np.array([5.0, 0.1]), 1e-15)
-        res = ccmle_p2(obs)
+        res = ccmle(obs)
         assert res.mu_hat.tolist() == [5.0, 0.1]
         assert conditional_log_likelihood(res.mu_hat, obs) == 0.0
 
@@ -194,7 +189,7 @@ class TestCcmleP2:
         for x, s in zip(np.column_stack((low + gap, low)), sigma):
             if x[0] - x[1] <= POOLING_THRESHOLD * s:
                 obs = ObservedSample(x, s)
-                res = ccmle_p2(obs)
+                res = ccmle(obs)
                 assert res.groups == [[0, 1]]
                 assert res.mu_hat.tolist() == [obs.xbar, obs.xbar]
                 pooled += 1
@@ -202,7 +197,18 @@ class TestCcmleP2:
 
     def test_gap_beyond_float_range_in_sigma_units_is_rejected(self):
         with pytest.raises(ValueError, match="too far apart"):
-            ccmle_p2(ObservedSample(np.array([1e300, 0.0]), 1e-10))
+            ccmle(ObservedSample(np.array([1e300, 0.0]), 1e-10))
+
+    def test_rows_reject_a_non_finite_row(self):
+        x = np.array([[1.0, 0.0], [np.inf, 0.0]])
+        with pytest.raises(ValueError, match="observations must be finite"):
+            ccmle_p2_rows(x, 1.0)
+
+    def test_rows_raise_when_the_root_runs_out_of_steps(self, monkeypatch):
+        # an interior row moves on its first Halley step, so one step cannot settle it
+        monkeypatch.setattr(estimator, "P2_MAX_STEPS", 1)
+        with pytest.raises(RuntimeError, match="unconverged after 1 steps"):
+            ccmle_p2_rows(np.array([[3.0, 0.0]]), 1.0)
 
     @pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0, 2.0, 3.0])
     def test_rows_match_single_solves(self, sigma):
@@ -215,7 +221,7 @@ class TestCcmleP2:
         x = np.column_stack((units * sigma, np.zeros_like(units)))
         rows, residual = ccmle_p2_rows(x, sigma)
         for sample, est in zip(x, rows):
-            single = ccmle_p2(ObservedSample(sample, sigma)).mu_hat
+            single = ccmle(ObservedSample(sample, sigma)).mu_hat
             assert np.all(np.abs(est - single) <= 1e-14 * sigma)
         assert np.all(residual <= 1e-10)
         pooled = rows[:, 0] == rows[:, 1]
@@ -259,7 +265,7 @@ class TestTaylorStart:
 
     def test_small_gap_projected_to_pool(self, monkeypatch):
         monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)
-        res = ccmle(ObservedSample(np.array([0.1, 0.0]), 1.0), method="numeric")
+        res = estimator._ascent(ObservedSample(np.array([0.1, 0.0]), 1.0))
         assert res.converged and res.iterations == 0
         assert res.groups == [[0, 1]]
         assert res.mu_hat == pytest.approx([0.05, 0.05], rel=1e-15)
@@ -409,8 +415,8 @@ class TestCcmleGeneral:
             gap = float(rng.uniform(0.0, 3.0 * sigma))
             x2 = float(rng.normal(0, 2))
             obs = ObservedSample(np.array([x2 + gap, x2]), sigma)
-            exact = ccmle_p2(obs).mu_hat
-            numeric = ccmle(obs, method="numeric").mu_hat
+            exact = ccmle(obs).mu_hat
+            numeric = estimator._ascent(obs).mu_hat
             assert np.allclose(numeric, exact, atol=1e-4)
 
     def test_ascends_from_start(self, monkeypatch):
@@ -580,10 +586,6 @@ class TestCcmleGeneral:
     def test_duplicate_observations_pool(self):
         res = ccmle(ObservedSample(np.array([5.0, 5.0, 0.0]), 1.0))
         assert res.mu_hat[0] == res.mu_hat[1]
-
-    def test_bad_method_rejected(self):
-        with pytest.raises(ValueError):
-            ccmle(ObservedSample(np.array([1.0, 0.0]), 1.0), method="newton")
 
     def test_far_outlier_leaves_block_alone(self):
         # one observation 1e3 sigma above a p = 5 block: the gap between them

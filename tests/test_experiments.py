@@ -54,6 +54,8 @@ class TestConfigs:
             {"mu_true": (0.0, 0.0), "seed": True},
             {"mu_true": (0.0, 0.0), "ranks": (1.7,)},
             {"mu_true": (0.0, 0.0), "ranks": ()},
+            {"mu_true": (0.0, 0.0), "ranks": (1, 1)},
+            {"mu_true": (0.0, 0.0), "config_id": None},
         ],
     )
     def test_mse_invalid(self, kwargs):
@@ -63,6 +65,7 @@ class TestConfigs:
     @pytest.mark.parametrize(
         "kwargs",
         [
+            {"mu_true": (0.0,)},
             {"mu_true": (0.0, 0.0), "n_boot": 100},
             {"mu_true": (0.0, 0.0), "level": 1.2},
             {"mu_true": (0.0, 0.0), "obs_sd": -1.0},
@@ -235,6 +238,11 @@ class TestRunBootstrap:
             assert r90["ccmle_upper"] <= r95["ccmle_upper"]
             assert r95["trad_lower"] <= r90["trad_lower"]
             assert r90["trad_upper"] <= r95["trad_upper"]
+
+    def test_data_of_the_wrong_shape_rejected(self):
+        cfg = BootstrapConfig((1.0, 0.0), n_per_group=10, obs_sd=1.0, n_boot=999)
+        with pytest.raises(ValueError, match=r"data must have shape \(2, 10\)"):
+            run_bootstrap_ci(cfg, data=np.zeros((2, 9)))
 
     def test_degenerate_data_collapses_intervals(self):
         cfg = BootstrapConfig((1.0, 0.0), n_per_group=10, obs_sd=1.0,
