@@ -1,9 +1,9 @@
 """Command-line interface: probability evaluation, estimation, experiments.
 
 Exit codes are a stable contract for scripting:
-  0 success, 2 usage/config error, 3 quadrature failure,
-  4 optimizer non-convergence, 5 an experiment replicate was redrawn
-  (with --strict).
+  0 success, 2 usage/config error, 3 quadrature failure, 4 optimizer
+  non-convergence; an experiment's first failing replicate stops it with 3 or
+  4, naming the ``selex estimate`` command that replays it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_QUADRATURE = 3
 EXIT_OPTIMIZER = 4
-EXIT_REPLICATE = 5
 
 
 def _listed(kind=float):
@@ -131,8 +130,8 @@ def cmd_estimate(args) -> int:
 
 def _run_experiment(args) -> int:
     """The flow of both experiment commands: the config's fields from the --config file,
-    if any, each replaced by its flag where one is given; run, export, print the summary;
-    with --strict any redraw exits 5."""
+    if any, each replaced by its flag where one is given; run, export, print the summary.
+    A failing replicate stops the run before any export, and ``main`` maps its error."""
     cls, fields = args.config_class, {}
     if args.config is not None:
         import json
@@ -156,13 +155,7 @@ def _run_experiment(args) -> int:
     table = args.runner(cfg)
     fmt = args.format or ("json" if str(args.out).endswith(".json") else "csv")
     export_results(table.rows, fmt, args.out)
-    print(
-        f"{args.command}: {len(table.rows)} {args.rows} written to {args.out} "
-        f"({table.n_failures} redrawn {args.what}s)"
-    )
-    if args.strict and table.n_failures > 0:
-        print(f"ERROR: {args.what}s redrawn in strict mode", file=sys.stderr)
-        return EXIT_REPLICATE
+    print(f"{args.command}: {len(table.rows)} {args.rows} written to {args.out}")
     return EXIT_OK
 
 
@@ -216,17 +209,15 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--level", type=float, help="confidence level (default 0.95)")
     b.add_argument("--seed", type=int, help="seed (default 0)")
 
-    for sp, cls, runner, rows, what in (
-        (m, MseConfig, run_mse, "rows", "replicate"),
-        (b, BootstrapConfig, run_bootstrap_ci, "ranks", "resample"),
+    for sp, cls, runner, rows in (
+        (m, MseConfig, run_mse, "rows"),
+        (b, BootstrapConfig, run_bootstrap_ci, "ranks"),
     ):
         sp.add_argument("--config", help=f"JSON config file (exact {cls.__name__} fields)")
         sp.add_argument("--out", required=True, help="output file path")
         sp.add_argument("--format", choices=["csv", "json"],
                         help="output format (default from extension)")
-        sp.add_argument("--strict", action="store_true",
-                        help=f"exit 5 if any {what} had to be redrawn")
-        sp.set_defaults(fn=_run_experiment, config_class=cls, runner=runner, rows=rows, what=what)
+        sp.set_defaults(fn=_run_experiment, config_class=cls, runner=runner, rows=rows)
 
     return parser
 

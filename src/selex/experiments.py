@@ -1,11 +1,11 @@
 """Simulation studies: selection-respecting MSE comparison and bootstrap CIs.
 
 Both studies run on one replicate engine. Replicate b is drawn from its own
-random stream, keyed by (seed, b) and the attempt number, ranked, and solved
-by the CCMLE. A replicate whose solve fails (ConvergenceFailure in the
-quadrature, MaxIterationsExceeded in the optimizer) is redrawn from the stream
-of its next attempt; after MAX_RESAMPLE_ATTEMPTS draws its last failure is
-re-raised as itself, its message prefixed with (seed=..., b=...). The
+random stream, keyed by (seed, b), ranked, and solved by the CCMLE. The first
+replicate whose solve fails (ConvergenceFailure in the quadrature,
+MaxIterationsExceeded in the optimizer) stops the run, so no study is
+conditioned on the solver's success: its error is re-raised as itself, with
+(seed=..., b=...) and the ``selex estimate`` command that replays it. The
 replicates are split into chunks over up to SELEX_THREADS worker processes,
 so summaries are identical for any worker count; the process pool, and the
 normal quantiles of the bootstrap, are imported at their first use.
@@ -27,8 +27,6 @@ import numpy as np
 
 from .estimator import MaxIterationsExceeded, ObservedSample, ccmle, ccmle_p2_rows
 from .ordering import ConvergenceFailure
-
-MAX_RESAMPLE_ATTEMPTS = 10  # draws per replicate before giving up
 
 
 def worker_count() -> int:
@@ -121,44 +119,39 @@ class BootstrapConfig:
 
 @dataclass
 class ResultTable:
-    """Result rows of an experiment and the number of redrawn replicates."""
+    """Result rows of an experiment; ``n_failures`` is always 0 (a failure stops the run)."""
 
     rows: list[dict]
-    n_failures: int
+    n_failures: int = 0
 
 
-def _solve_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Solve replicates start..stop-1: sorted samples, estimates, labels, redraws."""
+def _solve_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve replicates start..stop-1: sorted samples, estimates, labels."""
     draw, sigma, seed, start, stop = args
-    first = np.array([draw(b, 0) for b in range(start, stop)])
+    first = np.array([draw(b) for b in range(start, stop)])
     if first.shape[1] == 2:  # one exact solve for the chunk, which cannot fail
         order = np.argsort(-first, axis=1, kind="stable")  # as ObservedSample
         x = np.take_along_axis(first, order, axis=1)
-        return x, ccmle_p2_rows(x, sigma)[0], order, 0
-    samples, estimates, labels = [], [], []
-    redraws = 0
-    for b in range(start, stop):
-        for attempt in range(MAX_RESAMPLE_ATTEMPTS):
-            obs = ObservedSample(draw(b, attempt) if attempt else first[b - start], sigma)
-            try:
-                estimates.append(ccmle(obs).mu_hat)
-                break
-            except (ConvergenceFailure, MaxIterationsExceeded) as exc:
-                redraws += 1
-                if attempt + 1 == MAX_RESAMPLE_ATTEMPTS:
-                    exc.args = (f"replicate (seed={seed}, b={b}): {exc}",)
-                    raise
-        samples.append(obs.x)
-        labels.append(obs.permutation)
-    return np.array(samples), np.array(estimates), np.array(labels), redraws
+        return x, ccmle_p2_rows(x, sigma)[0], order
+    samples = [ObservedSample(row, sigma) for row in first]
+    estimates = []
+    for b, obs in enumerate(samples, start):
+        try:
+            estimates.append(ccmle(obs).mu_hat)
+        except (ConvergenceFailure, MaxIterationsExceeded) as exc:
+            exc.args = (f"replicate (seed={seed}, b={b}): {exc}; replay: selex estimate --obs="
+                        f"{','.join(map(repr, obs.x.tolist()))} --sigma={float(obs.sigma)!r}",)
+            raise
+    return (np.array([obs.x for obs in samples]), np.array(estimates),
+            np.array([obs.permutation for obs in samples]))
 
 
 def _replicates(draw, sigma: float, seed: int, count: int):
-    """Solve replicates 0..count-1 of ``draw(b, attempt)`` with the CCMLE.
+    """Solve replicates 0..count-1 of ``draw(b)`` with the CCMLE.
 
     ``draw`` must pickle (a module-level function or a partial of one).
     Returns the sorted samples, the estimates and the selected labels, each
-    (count, p) in rank order and replicate order, and the number of redraws.
+    (count, p) in rank order and replicate order.
     """
     workers = worker_count()
     n_chunks = max(1, min(workers * 4, count // 25)) if workers > 1 else 1
@@ -171,22 +164,20 @@ def _replicates(draw, sigma: float, seed: int, count: int):
             parts = list(pool.map(_solve_chunk, jobs))
     else:
         parts = [_solve_chunk(job) for job in jobs]
-    x, mu_hat, labels = (np.concatenate([part[k] for part in parts]) for k in range(3))
-    return x, mu_hat, labels, sum(part[3] for part in parts)
+    return tuple(np.concatenate([part[k] for part in parts]) for k in range(3))
 
 
-def _mse_draw(mu_true, sigma, seed, b, attempt):
-    """Replicate b from stream [seed, b]; a redraw from [seed, b, attempt]."""
-    key = [seed, b, attempt] if attempt else [seed, b]
+def _mse_draw(mu_true, sigma, seed, b):
+    """Replicate b from stream [seed, b]."""
     # the same numbers as rng.normal(mu_true, sigma), without its broadcasting cost
-    return mu_true + sigma * np.random.default_rng(key).standard_normal(mu_true.size)
+    return mu_true + sigma * np.random.default_rng([seed, b]).standard_normal(mu_true.size)
 
 
 def run_mse(cfg: MseConfig) -> ResultTable:
     """Per-rank MSE for the naive MLE and the CCMLE, with Monte Carlo SEs."""
     mu_true = np.asarray(cfg.mu_true, dtype=float)
     draw = partial(_mse_draw, mu_true, cfg.sigma, cfg.seed)
-    x, mu_hat, labels, redraws = _replicates(draw, cfg.sigma, cfg.seed, cfg.n_reps)
+    x, mu_hat, labels = _replicates(draw, cfg.sigma, cfg.seed, cfg.n_reps)
     truth = mu_true[labels]  # true mean of the population selected at each rank
 
     rows = []
@@ -204,7 +195,7 @@ def run_mse(cfg: MseConfig) -> ResultTable:
                 n_reps=cfg.n_reps,
             )
             rows.append(row)
-    return ResultTable(rows, redraws)
+    return ResultTable(rows)
 
 
 def _bc_interval(boots: np.ndarray, point: float, level: float) -> tuple[float, float]:
@@ -220,9 +211,9 @@ def _bc_interval(boots: np.ndarray, point: float, level: float) -> tuple[float, 
     return float(np.quantile(boots, a1)), float(np.quantile(boots, a2))
 
 
-def _resample_draw(data, seed, b, attempt):
-    """Group means of stratified resample b, from stream [seed, 1, b, attempt]."""
-    rng = np.random.default_rng([seed, 1, b, attempt])
+def _resample_draw(data, seed, b):
+    """Group means of stratified resample b, from stream [seed, 1, b, 0]."""
+    rng = np.random.default_rng([seed, 1, b, 0])
     idx = rng.integers(0, data.shape[1], size=data.shape)
     return np.take_along_axis(data, idx, axis=1).mean(axis=1)
 
@@ -249,7 +240,7 @@ def run_bootstrap_ci(cfg: BootstrapConfig, data: np.ndarray | None = None) -> Re
     point_ccmle, point_trad = ccmle(obs).mu_hat, obs.x
 
     draw = partial(_resample_draw, data, cfg.seed)
-    boots_trad, boots_ccmle, _, redraws = _replicates(draw, sigma_eff, cfg.seed, cfg.n_boot)
+    boots_trad, boots_ccmle, _ = _replicates(draw, sigma_eff, cfg.seed, cfg.n_boot)
 
     rows = []
     alpha = 1.0 - cfg.level
@@ -266,7 +257,7 @@ def run_bootstrap_ci(cfg: BootstrapConfig, data: np.ndarray | None = None) -> Re
                 "trad_upper": float(np.quantile(boots_trad[:, r], 1.0 - alpha / 2.0)),
             }
         )
-    return ResultTable(rows, redraws)
+    return ResultTable(rows)
 
 
 def _format_value(v) -> str:

@@ -394,7 +394,8 @@ def _grid_recursion(
     w = np.exp(logw - shifts)
     mass = _integral(w, width)
     moment = _integral((nodes[None, :] - mu[:, None]) * w, width)
-    return value, float(shifts[0, 0]) + math.log(mass[0]), moment / mass
+    log_value = float(shifts[0, 0]) + math.log(mass[0])
+    return math.exp(log_value), log_value, moment / mass
 
 
 def _plackett_rule(rho: float) -> list[tuple[float, float, float]]:
@@ -513,6 +514,8 @@ def _panel_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     P that the row integrates to, and give the gradient and the covariance."""
     moments = _sweep(mu, *_layout(mu), covariance=True)
     mass = moments[:, 0, 0].copy()
+    if not mass[0] > 0.0:  # NaN too: 1-sigma panels lose P in large clustered blocks
+        raise ConvergenceFailure(f"the solver's rule lost P (got {mass[0]:.3g}) at p = {mu.size}")
     moments /= mass[:, None, None]
     grad, cov = moments[:, 0, 1], np.zeros((mu.size, mu.size))
     cov[:-1] = moments[:, 1:, 1].T  # E[(X_j - mu_j)(X_k - mu_k) | order], j < k

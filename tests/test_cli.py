@@ -2,8 +2,11 @@ import csv
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,19 +24,26 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def fail_once(monkeypatch, call: int) -> None:
-    """Serial experiments whose ``call``-th solve (1-based) fails, once."""
+def fail_on(monkeypatch, call: int, error) -> list:
+    """Serial runs, experiments and ``estimate`` alike, whose ``call``-th solve (1-based)
+    fails with ``error``, and so does every later solve of a bit-equal sample; returns the
+    samples solved."""
     monkeypatch.setenv("SELEX_THREADS", "1")
-    real = experiments.ccmle
+    real = estimator.ccmle
     calls = []
 
     def flaky(obs):
         calls.append(obs)
-        if len(calls) == call:
-            raise MaxIterationsExceeded("forced failure", None)
-        return real(obs)
+        if len(calls) < call or obs.x.tobytes() != calls[call - 1].x.tobytes():
+            return real(obs)
+        if error is ConvergenceFailure:
+            raise ConvergenceFailure("forced failure")
+        # as the solver raises it: with its last iterate, which estimate prints
+        raise MaxIterationsExceeded("forced failure", replace(real(obs), converged=False))
 
-    monkeypatch.setattr(experiments, "ccmle", flaky)
+    for module in (experiments, cli):
+        monkeypatch.setattr(module, "ccmle", flaky)
+    return calls
 
 
 class TestProb:
@@ -79,6 +89,18 @@ class TestProb:
         code, _, err = run(capsys, ["prob", "--means", "0,0,1e6", "--sigma", "1"])
         assert code == 3
         assert "quadrature failure" in err
+
+    def test_log_space_sweep_reports_a_positive_p(self, capsys):
+        # 150 equal means: P = 1/150! = 1.75e-263 is representable, and comes
+        # from the log-space sweep's log P, not from the linear sweep below it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no UnderflowWarning
+            code, out, _ = run(capsys, ["prob", "--means", ",".join(["0"] * 150),
+                                        "--sigma", "1", "--json"])
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["value"] == pytest.approx(math.exp(-math.lgamma(151)), rel=1e-9)
+        assert payload["log_value"] == pytest.approx(-605.0201061, abs=1e-6)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -249,6 +271,20 @@ class TestEstimate:
         assert code == 0
         assert json.loads(out)["estimates"] == [1.7e308, 1.7e308]
 
+    @pytest.mark.parametrize(
+        "obs",
+        [[200.0 - i for i in range(150)], [round(100.0 - 0.05 * i, 2) for i in range(100)]],
+        ids=["p150-gap1", "p100-gap0.05"],
+    )
+    def test_large_block_that_loses_p_exits_3(self, capsys, obs):
+        # the 1-sigma panels of the solver's rule lose P in a block this
+        # large: a quadrature failure, not math.log of P <= 0 (exit 2)
+        argv = ["estimate", "--obs", ",".join(map(repr, obs)), "--sigma", "1"]
+        code, _, err = run(capsys, argv)
+        assert code == 3
+        assert err.startswith("quadrature failure: the solver's rule lost P")
+        assert f"at p = {len(obs)}" in err
+
     def test_unconverged_solve_exits_4_with_last_iterate(self, capsys, monkeypatch):
         monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)
         with pytest.raises(MaxIterationsExceeded) as info:
@@ -273,6 +309,7 @@ class TestSimulateMse:
              "--seed", "7", "--out", str(out_path)],
         )
         assert code == 0
+        assert out == f"simulate-mse: 4 rows written to {out_path}\n"  # no tail of failed replicates
         lines = out_path.read_text().splitlines()
         assert lines[0] == "config_id,mu_true_1,mu_true_2,rank,estimator,mse,se,n_reps"
         assert len(lines) == 5
@@ -449,7 +486,7 @@ class TestSimulateMse:
     def test_failing_replicate_exits_quadrature(self, capsys, monkeypatch, tmp_path):
         # every solver's rule fails, and no draw 2e12 sigma apart pools; pool
         # workers inherit the failure, and the pool returns the quadrature
-        # error of replicate 0 once its redraws run out
+        # error of replicate 0, the first to fail
         def fail(mu):
             raise ConvergenceFailure("injected")
 
@@ -501,20 +538,6 @@ class TestSimulateMse:
         for rank in ("1", "4"):
             assert mse[rank, "ccmle"] == pytest.approx(mse[rank, "mle"], rel=1e-4)
 
-    @pytest.mark.parametrize("strict,expected", [(False, 0), (True, 5)])
-    def test_strict_exits_5_on_a_redraw(
-        self, capsys, monkeypatch, tmp_path, strict, expected
-    ):
-        fail_once(monkeypatch, 5)
-        code, out, err = run(
-            capsys,
-            ["simulate-mse", "--mu", "1,0.5,0", "--reps", "100", "--seed", "1",
-             "--out", str(tmp_path / "x.csv")] + ["--strict"] * strict,
-        )
-        assert code == expected
-        assert "(1 redrawn replicates)" in out
-        assert ("redrawn in strict mode" in err) == strict
-
 
 class TestBootstrapCi:
     def test_writes_output(self, capsys, tmp_path):
@@ -525,6 +548,7 @@ class TestBootstrapCi:
              "--n-boot", "999", "--seed", "2", "--out", str(out_path)],
         )
         assert code == 0
+        assert out == f"bootstrap-ci: 2 ranks written to {out_path}\n"
         lines = out_path.read_text().splitlines()
         assert lines[0].startswith("rank,ccmle_point,ccmle_lower,ccmle_upper")
         assert len(lines) == 3
@@ -558,20 +582,38 @@ class TestBootstrapCi:
         assert code == 4
         assert "(seed=3, b=0)" in err
 
-    @pytest.mark.parametrize("strict,expected", [(False, 0), (True, 5)])
-    def test_strict_exits_5_on_a_redraw(
-        self, capsys, monkeypatch, tmp_path, strict, expected
-    ):
-        fail_once(monkeypatch, 2)  # resample 0; the first solve is the point estimate
-        code, out, err = run(
-            capsys,
-            ["bootstrap-ci", "--mu", "1,0.5,0", "--n-per-group", "15", "--obs-sd", "1",
-             "--n-boot", "999", "--seed", "2", "--out", str(tmp_path / "ci.csv")]
-            + ["--strict"] * strict,
-        )
-        assert code == expected
-        assert "(1 redrawn resamples)" in out
-        assert ("redrawn in strict mode" in err) == strict
+
+@pytest.mark.parametrize(
+    "error,code", [(ConvergenceFailure, 3), (MaxIterationsExceeded, 4)],
+    ids=["quadrature", "optimizer"],
+)
+@pytest.mark.parametrize(
+    "argv,b",
+    [
+        # negative means: --obs= takes a list that starts with a minus sign
+        (["simulate-mse", "--mu=-1,-1.5,-2", "--reps", "100", "--seed", "1"], 4),
+        # the first solve is the point estimate, so the fifth is resample 3
+        (["bootstrap-ci", "--mu", "1,0.5,0", "--n-per-group", "15", "--obs-sd", "1",
+          "--n-boot", "999", "--seed", "2"], 3),
+    ],
+    ids=["simulate-mse", "bootstrap-ci"],
+)
+def test_failing_replicate_replays_with_estimate(
+    capsys, monkeypatch, tmp_path, argv, b, error, code
+):
+    calls = fail_on(monkeypatch, 5, error)
+    out_path = tmp_path / "x.csv"
+    stopped, out, err = run(capsys, argv + ["--out", str(out_path)])
+    assert stopped == code and out == "" and not out_path.exists()
+    assert len(calls) == 5  # the run stops at the first failure
+    assert f"replicate (seed={argv[-1]}, b={b}): forced failure; replay: " in err
+    command = shlex.split(err.split("; replay: ")[1])
+    assert command[:2] == ["selex", "estimate"] and command[2].startswith("--obs=")
+    replayed, _, _ = run(capsys, command[1:])
+    assert replayed == code
+    assert len(calls) == 6
+    assert calls[5].x.tobytes() == calls[4].x.tobytes()  # the failing sample, bit for bit
+    assert calls[5].sigma == calls[4].sigma
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ import pytest
 from selex import experiments
 from selex.estimator import MaxIterationsExceeded
 from selex.experiments import (
-    MAX_RESAMPLE_ATTEMPTS,
     BootstrapConfig,
     MseConfig,
     export_results,
@@ -20,7 +19,7 @@ from selex.experiments import (
 )
 from selex.ordering import ConvergenceFailure
 
-# either solver failure is redrawn, then re-raised as itself
+# either solver failure stops the run, re-raised as itself
 solver_errors = pytest.mark.parametrize(
     "error", [MaxIterationsExceeded, ConvergenceFailure], ids=["max-iterations", "convergence"]
 )
@@ -83,8 +82,8 @@ class TestConfigs:
 def worked_example():
     """Errors of the paper's worked example, scored as run_mse scores them:
     true means (3, 2, 1), one replicate drawn as (2.1, 2.2, 1.8)."""
-    x, mu_hat, labels, _ = experiments._replicates(
-        lambda b, attempt: np.array([2.1, 2.2, 1.8]), 1.0, 0, 1
+    x, mu_hat, labels = experiments._replicates(
+        lambda b: np.array([2.1, 2.2, 1.8]), 1.0, 0, 1
     )
     truth = np.array([3.0, 2.0, 1.0])[labels[0]]
     return labels[0], truth - x[0], truth - mu_hat[0], mu_hat[0]
@@ -112,11 +111,9 @@ class TestRunMse:
     @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
     def test_draw_matches_generator_normal(self, sigma):
         mu_true = np.array([0.5, 0.0, -2.0])
-        for b, attempt in ((0, 0), (7, 0), (7, 3)):
-            key = [11, b, attempt] if attempt else [11, b]
-            expected = np.random.default_rng(key).normal(mu_true, sigma)
-            drawn = experiments._mse_draw(mu_true, sigma, 11, b, attempt)
-            assert np.array_equal(drawn, expected)
+        for b in (0, 7):
+            expected = np.random.default_rng([11, b]).normal(mu_true, sigma)
+            assert np.array_equal(experiments._mse_draw(mu_true, sigma, 11, b), expected)
 
     def test_deterministic_and_worker_independent(self, monkeypatch):
         cfg = MseConfig((0.5, 0.0), 1.0, 200, seed=13)
@@ -174,39 +171,23 @@ class TestRunMse:
         assert rows == run_mse(cfg).rows
 
     @solver_errors
-    def test_failed_replicate_is_redrawn(self, monkeypatch, error):
+    def test_first_failure_stops_the_run(self, monkeypatch, error):
         real = experiments.ccmle
-        calls = []
-
-        def fail_once(obs):
-            calls.append(obs)
-            if len(calls) == 5:  # replicate 4, first attempt
-                raise error("forced failure")
-            return real(obs)
-
-        monkeypatch.setattr(experiments, "ccmle", fail_once)
-        cfg = MseConfig((1.0, 0.5, 0.0), 1.0, 100, seed=13)
-        table = run_mse(cfg)
-        assert table.n_failures == 1
-        assert all(row["n_reps"] == cfg.n_reps for row in table.rows)
-        assert len(calls) == cfg.n_reps + 1
-        assert not np.array_equal(calls[4].x, calls[5].x)  # a fresh draw
-
-    @solver_errors
-    def test_retries_are_bounded(self, monkeypatch, error):
         calls, raised = [], []
 
-        def fail_all(obs):
+        def fail_fifth(obs):
             calls.append(obs)
-            raised.append(error("forced failure"))
-            raise raised[-1]
+            if len(calls) == 5:  # replicate 4
+                raised.append(error("forced failure"))
+                raise raised[-1]
+            return real(obs)
 
-        monkeypatch.setattr(experiments, "ccmle", fail_all)
+        monkeypatch.setattr(experiments, "ccmle", fail_fifth)
         cfg = MseConfig((1.0, 0.5, 0.0), 1.0, 100, seed=13)
-        with pytest.raises(error, match=r"\(seed=13, b=0\): forced failure$") as info:
+        with pytest.raises(error, match=r"^replicate \(seed=13, b=4\): forced failure; ") as info:
             run_mse(cfg)
-        assert len(calls) == MAX_RESAMPLE_ATTEMPTS
-        assert info.value is raised[-1]  # the solver's own error, not a rebuilt one
+        assert len(calls) == 5  # replicate 4 solved once, and none after it
+        assert info.value is raised[0]  # the solver's own error, not a rebuilt one
 
 
 class TestRunBootstrap:
@@ -254,25 +235,24 @@ class TestRunBootstrap:
             assert row["trad_lower"] == row["trad_upper"] == row["trad_point"]
 
     @solver_errors
-    def test_retries_are_bounded(self, monkeypatch, error):
+    def test_first_failure_stops_the_run(self, monkeypatch, error):
         real = experiments.ccmle
-        calls = []
+        calls, raised = [], []
 
         def fail_resamples(obs):
             calls.append(obs)
             if len(calls) == 1:  # the point estimate
                 return real(obs)
-            if len(calls) > MAX_RESAMPLE_ATTEMPTS + 1:
-                raise RuntimeError("retries are not bounded")
-            raise error("forced failure")
+            raised.append(error("forced failure"))
+            raise raised[-1]
 
         monkeypatch.setattr(experiments, "ccmle", fail_resamples)
         cfg = BootstrapConfig((1.0, 0.5, 0.0), n_per_group=10, obs_sd=1.0,
                               n_boot=999, seed=7)
-        with pytest.raises(error, match=r"seed=7, b=0\)") as info:
+        with pytest.raises(error, match=r"^replicate \(seed=7, b=0\): forced failure; ") as info:
             run_bootstrap_ci(cfg)
-        assert type(info.value) is error
-        assert len(calls) == 1 + MAX_RESAMPLE_ATTEMPTS
+        assert len(calls) == 2  # resample 0 solved once, and none after it
+        assert info.value is raised[0]
 
 
 class TestExport:
