@@ -80,8 +80,8 @@ class MaxIterationsExceeded(RuntimeError):
     """Ascent hit the iteration cap.
 
     Carries the result at the last iterate. Every step ascends, so it is
-    also the best iterate found. ``result`` has a default because unpickling
-    calls the class with the message alone and then restores the fields.
+    also the best iterate found. ``result`` may be left out where only the
+    message is known.
     """
 
     def __init__(self, message: str, result: "CcmleResult | None" = None):

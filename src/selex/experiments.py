@@ -1,14 +1,12 @@
 """Simulation studies: selection-respecting MSE comparison and bootstrap CIs.
 
-Both studies run on one replicate engine. Replicate b is drawn from its own
-random stream, keyed by (seed, b), ranked, and solved by the CCMLE. The first
-replicate whose solve fails (ConvergenceFailure in the quadrature,
-MaxIterationsExceeded in the optimizer) stops the run, so no study is
-conditioned on the solver's success: its error is re-raised as itself, with
+Both studies run on one replicate engine, in this process. Replicate b is
+drawn from its own random stream, keyed by (seed, b), ranked, and solved by
+the CCMLE. The first replicate whose solve fails (ConvergenceFailure in the
+quadrature, MaxIterationsExceeded in the optimizer) stops the run, so no study
+is conditioned on the solver's success: its error is re-raised as itself, with
 (seed=..., b=...) and the ``selex estimate`` command that replays it. The
-replicates are split into chunks over up to SELEX_THREADS worker processes,
-so summaries are identical for any worker count; the process pool, and the
-normal quantiles of the bootstrap, are imported at their first use.
+normal quantiles of the bootstrap are imported at their first use.
 
 Errors always reference the true mean of the population that actually
 occupied a given sample rank (the population *selected* as max/mid/min),
@@ -19,27 +17,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .estimator import MaxIterationsExceeded, ObservedSample, ccmle, ccmle_p2_rows
 from .ordering import ConvergenceFailure
-
-
-def worker_count() -> int:
-    """Worker cap from SELEX_THREADS (0 = all cores; unset = 1), at most the cores."""
-    raw = os.environ.get("SELEX_THREADS", "1").strip() or "1"
-    try:
-        n = int(raw)
-    except ValueError:
-        n = -1  # reported below, by name
-    if n < 0:
-        raise ValueError(f"SELEX_THREADS must be an integer >= 0, not {raw!r}")
-    cores = os.cpu_count() or 1
-    return cores if n == 0 else min(n, cores)
 
 
 def _tuple_of(values, name: str) -> tuple[float, ...]:
@@ -61,6 +44,16 @@ def _integer(value, name: str, least: int) -> int:
     return int(value)
 
 
+def _real(value, name: str, positive: bool = True) -> float:
+    """A real config field as a float, unless told otherwise positive and finite:
+    a Python or numpy real, no bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    if positive and not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class MseConfig:
     mu_true: tuple[float, ...]
@@ -74,9 +67,10 @@ class MseConfig:
         object.__setattr__(self, "mu_true", _tuple_of(self.mu_true, "mu_true"))
         if len(self.mu_true) < 2:
             raise ValueError("mu_true needs at least 2 populations")
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError("sigma must be positive and finite")
+        object.__setattr__(self, "sigma", _real(self.sigma, "sigma"))
         object.__setattr__(self, "n_reps", _integer(self.n_reps, "n_reps", 100))
+        if self.n_reps >= 2**32:  # b is one uint32 word of its stream's key
+            raise ValueError("n_reps must be below 2**32")
         object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
         ranks = range(1, self.p + 1) if self.ranks is None else self.ranks
         ranks = tuple(_integer(r, "ranks", 1) for r in ranks)
@@ -105,9 +99,9 @@ class BootstrapConfig:
         if len(self.mu_true) < 2:
             raise ValueError("mu_true needs at least 2 populations")
         object.__setattr__(self, "n_per_group", _integer(self.n_per_group, "n_per_group", 2))
-        if not (self.obs_sd > 0 and math.isfinite(self.obs_sd)):
-            raise ValueError("obs_sd must be positive and finite")
+        object.__setattr__(self, "obs_sd", _real(self.obs_sd, "obs_sd"))
         object.__setattr__(self, "n_boot", _integer(self.n_boot, "n_boot", 999))
+        object.__setattr__(self, "level", _real(self.level, "level", positive=False))
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must be in (0, 1)")
         object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
@@ -125,59 +119,56 @@ class ResultTable:
     n_failures: int = 0
 
 
-def _solve_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve replicates start..stop-1: sorted samples, estimates, labels."""
-    draw, sigma, seed, start, stop = args
-    first = np.array([draw(b) for b in range(start, stop)])
-    if first.shape[1] == 2:  # one exact solve for the chunk, which cannot fail
+def _solve(obs: ObservedSample, what: str) -> np.ndarray:
+    """``ccmle(obs).mu_hat``; a solver failure is re-raised as itself, its message
+    led by ``what`` and followed by the ``selex estimate`` command that replays it."""
+    try:
+        return ccmle(obs).mu_hat
+    except (ConvergenceFailure, MaxIterationsExceeded) as exc:
+        exc.args = (f"{what}: {exc}; replay: selex estimate --obs="
+                    f"{','.join(map(repr, obs.x.tolist()))} --sigma={float(obs.sigma)!r}",)
+        raise
+
+
+def _replicates(first: np.ndarray, sigma: float, seed: int):
+    """Solve the drawn (count, p) rows with the CCMLE, replicate b in row b.
+
+    Returns the sorted samples, the estimates and the selected labels, each
+    (count, p) in rank order and replicate order.
+    """
+    if first.shape[1] == 2:  # one exact solve for all rows, which cannot fail
         order = np.argsort(-first, axis=1, kind="stable")  # as ObservedSample
         x = np.take_along_axis(first, order, axis=1)
         return x, ccmle_p2_rows(x, sigma)[0], order
     samples = [ObservedSample(row, sigma) for row in first]
-    estimates = []
-    for b, obs in enumerate(samples, start):
-        try:
-            estimates.append(ccmle(obs).mu_hat)
-        except (ConvergenceFailure, MaxIterationsExceeded) as exc:
-            exc.args = (f"replicate (seed={seed}, b={b}): {exc}; replay: selex estimate --obs="
-                        f"{','.join(map(repr, obs.x.tolist()))} --sigma={float(obs.sigma)!r}",)
-            raise
+    estimates = [_solve(obs, f"replicate (seed={seed}, b={b})") for b, obs in enumerate(samples)]
     return (np.array([obs.x for obs in samples]), np.array(estimates),
             np.array([obs.permutation for obs in samples]))
 
 
-def _replicates(draw, sigma: float, seed: int, count: int):
-    """Solve replicates 0..count-1 of ``draw(b)`` with the CCMLE.
-
-    ``draw`` must pickle (a module-level function or a partial of one).
-    Returns the sorted samples, the estimates and the selected labels, each
-    (count, p) in rank order and replicate order.
-    """
-    workers = worker_count()
-    n_chunks = max(1, min(workers * 4, count // 25)) if workers > 1 else 1
-    bounds = np.linspace(0, count, n_chunks + 1).astype(int)
-    jobs = [(draw, sigma, seed, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        import numpy.random  # loaded once here, not by every worker forked per call
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            parts = list(pool.map(_solve_chunk, jobs))
-    else:
-        parts = [_solve_chunk(job) for job in jobs]
-    return tuple(np.concatenate([part[k] for part in parts]) for k in range(3))
+def _keys(seed: int, count: int) -> np.ndarray:
+    """Row b: the uint32 words that ``SeedSequence([seed, b])`` hashes, seed's
+    lowest first, then b. numpy takes a uint32 array's words as they are, so a
+    stream keyed by a row skips turning a list into them."""
+    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    keys = np.empty((count, len(words) + 1), dtype=np.uint32)
+    keys[:, :-1] = words
+    keys[:, -1] = np.arange(count)
+    return keys
 
 
-def _mse_draw(mu_true, sigma, seed, b):
-    """Replicate b from stream [seed, b]."""
-    # the same numbers as rng.normal(mu_true, sigma), without its broadcasting cost
-    return mu_true + sigma * np.random.default_rng([seed, b]).standard_normal(mu_true.size)
+def _mse_draws(mu_true: np.ndarray, sigma: float, seed: int, count: int) -> np.ndarray:
+    """Replicates 0..count-1: row b is ``default_rng([seed, b]).normal(mu_true, sigma)``."""
+    z = np.array([np.random.default_rng(key).standard_normal(mu_true.size)
+                  for key in _keys(seed, count)])
+    return mu_true + sigma * z
 
 
 def run_mse(cfg: MseConfig) -> ResultTable:
     """Per-rank MSE for the naive MLE and the CCMLE, with Monte Carlo SEs."""
     mu_true = np.asarray(cfg.mu_true, dtype=float)
-    draw = partial(_mse_draw, mu_true, cfg.sigma, cfg.seed)
-    x, mu_hat, labels = _replicates(draw, cfg.sigma, cfg.seed, cfg.n_reps)
+    first = _mse_draws(mu_true, cfg.sigma, cfg.seed, cfg.n_reps)
+    x, mu_hat, labels = _replicates(first, cfg.sigma, cfg.seed)
     truth = mu_true[labels]  # true mean of the population selected at each rank
 
     rows = []
@@ -237,10 +228,10 @@ def run_bootstrap_ci(cfg: BootstrapConfig, data: np.ndarray | None = None) -> Re
     elif data.shape != (p, n):
         raise ValueError(f"data must have shape {(p, n)}")
     obs = ObservedSample(data.mean(axis=1), sigma_eff)
-    point_ccmle, point_trad = ccmle(obs).mu_hat, obs.x
+    point_ccmle, point_trad = _solve(obs, f"point estimate (seed={cfg.seed})"), obs.x
 
-    draw = partial(_resample_draw, data, cfg.seed)
-    boots_trad, boots_ccmle, _ = _replicates(draw, sigma_eff, cfg.seed, cfg.n_boot)
+    resamples = np.array([_resample_draw(data, cfg.seed, b) for b in range(cfg.n_boot)])
+    boots_trad, boots_ccmle, _ = _replicates(resamples, sigma_eff, cfg.seed)
 
     rows = []
     alpha = 1.0 - cfg.level

@@ -25,10 +25,9 @@ def run(capsys, argv):
 
 
 def fail_on(monkeypatch, call: int, error) -> list:
-    """Serial runs, experiments and ``estimate`` alike, whose ``call``-th solve (1-based)
-    fails with ``error``, and so does every later solve of a bit-equal sample; returns the
-    samples solved."""
-    monkeypatch.setenv("SELEX_THREADS", "1")
+    """Experiments and ``estimate`` alike, whose ``call``-th solve (1-based) fails with
+    ``error``, and so does every later solve of a bit-equal sample; returns the samples
+    solved."""
     real = estimator.ccmle
     calls = []
 
@@ -333,30 +332,41 @@ class TestSimulateMse:
         assert "bogus" in err
 
     @pytest.mark.parametrize(
-        "command,text",
-        [("simulate-mse", text) for text in (
+        "command,text,expected",
+        [("simulate-mse", text, "config") for text in (
             "[1, 2]", '["mu_true"]', "3", '{"mu_true": 5}', '{"mu_true": "12"}',
             '{"mu_true": [0, 0], "ranks": "1"}', '{"mu_true": [0, 0], "sigma": Infinity}',
             '{"mu_true": [NaN, 0], "n_reps": 200}', '{"mu_true": [Infinity, 0]}',
             '{"mu_true": [0, 0], "ranks": [Infinity]}',
             '{"mu_true": [0, 0], "n_reps": 150.5}', '{"mu_true": [0, 0], "seed": 1.5}',
             '{"mu_true": [0, 0], "ranks": [1.7]}', '{"mu_true": [0, 0], "config_id": null}',
-        )] + [("bootstrap-ci", '{"mu_true": [0, 0], "n_per_group": Infinity}')],
+        )] + [("bootstrap-ci", '{"mu_true": [0, 0], "n_per_group": Infinity}', "config")] + [
+            # a float field of the wrong type is named: true is no sigma of 1, "1" no number
+            (command, f'{{"mu_true": [0, 0], "{field}": {value}}}',
+             f"invalid config: {field} must be a number, not {shown}")
+            for command, field, value, shown in (
+                ("simulate-mse", "sigma", "true", "True"),
+                ("simulate-mse", "sigma", '"1"', "'1'"),
+                ("bootstrap-ci", "obs_sd", "true", "True"),
+                ("bootstrap-ci", "level", '"0.9"', "'0.9'"),
+            )
+        ],
         ids=[
             "list", "list-of-names", "number", "scalar-means", "string-means",
             "string-ranks", "infinite-sigma", "nan-means", "infinite-means",
             "infinite-ranks", "fractional-reps", "fractional-seed", "fractional-rank",
-            "null-config-id", "infinite-group-size",
+            "null-config-id", "infinite-group-size", "bool-sigma", "string-sigma",
+            "bool-obs-sd", "string-level",
         ],
     )
-    def test_config_file_malformed(self, capsys, tmp_path, command, text):
+    def test_config_file_malformed(self, capsys, tmp_path, command, text, expected):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         code, _, err = run(
             capsys, [command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
-        assert "config" in err
+        assert expected in err
 
     def test_config_file_unreadable(self, capsys, tmp_path):
         missing = tmp_path / "missing.json"
@@ -447,34 +457,9 @@ class TestSimulateMse:
         assert code == 0
         assert json.loads(out_path.read_text())
 
-    def test_deterministic_across_thread_caps(self, capsys, tmp_path, monkeypatch):
-        paths = []
-        for threads in ("1", "8"):
-            monkeypatch.setenv("SELEX_THREADS", threads)
-            p = tmp_path / f"mse_{threads}.csv"
-            code, _, _ = run(
-                capsys,
-                ["simulate-mse", "--mu", "0.5,0", "--reps", "150", "--seed", "3",
-                 "--out", str(p)],
-            )
-            assert code == 0
-            paths.append(p)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    @pytest.mark.parametrize("threads", ["abc", "-1"])
-    def test_bad_thread_cap_exits_usage(self, capsys, tmp_path, monkeypatch, threads):
-        monkeypatch.setenv("SELEX_THREADS", threads)
-        code, _, err = run(
-            capsys,
-            ["simulate-mse", "--mu", "0.5,0", "--reps", "100", "--out", str(tmp_path / "x.csv")],
-        )
-        assert code == 2
-        assert "SELEX_THREADS" in err and repr(threads) in err
-
     def test_failing_replicate_exits_optimizer(self, capsys, monkeypatch, tmp_path):
-        # every p = 3 solve stops after one step; pool workers inherit the cap
+        # every p = 3 solve stops after one step
         monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)
-        monkeypatch.setenv("SELEX_THREADS", "2")
         code, _, err = run(
             capsys,
             ["simulate-mse", "--mu", "1,0.5,0", "--reps", "100", "--seed", "1",
@@ -484,14 +469,12 @@ class TestSimulateMse:
         assert "(seed=1, b=" in err
 
     def test_failing_replicate_exits_quadrature(self, capsys, monkeypatch, tmp_path):
-        # every solver's rule fails, and no draw 2e12 sigma apart pools; pool
-        # workers inherit the failure, and the pool returns the quadrature
-        # error of replicate 0, the first to fail
+        # every solver's rule fails, and no draw 2e12 sigma apart pools, so
+        # replicate 0 is the first to fail
         def fail(mu):
             raise ConvergenceFailure("injected")
 
         monkeypatch.setattr(estimator, "conditional_moments", fail)
-        monkeypatch.setenv("SELEX_THREADS", "2")
         code, _, err = run(
             capsys,
             ["simulate-mse", "--mu", "2e12,0,0,0,-2e12", "--reps", "100",
@@ -504,7 +487,6 @@ class TestSimulateMse:
         # the p = 3 solver's rule is exact at any scale: 2e12 sigma apart the
         # conditioning has no effect, so the CCMLE rows equal the MLE rows; at
         # p = 5 the outer means are blocks of their own around a p = 3 block
-        monkeypatch.setenv("SELEX_THREADS", "2")
         out_path = tmp_path / "x.csv"
         for mu, ranks in (("2e12,0,-2e12", "123"), ("2e12,0,0,0,-2e12", "15")):
             code, _, _ = run(
@@ -523,7 +505,6 @@ class TestSimulateMse:
         # the p = 4 solver's rule is exact too; the outer estimates, near
         # +-2e12, round by about 2.4e-4 sigma, so their CCMLE and MLE rows
         # agree to ~5e-6, not exactly
-        monkeypatch.setenv("SELEX_THREADS", "2")
         out_path = tmp_path / "x.csv"
         code, _, _ = run(
             capsys,
@@ -588,32 +569,35 @@ class TestBootstrapCi:
     ids=["quadrature", "optimizer"],
 )
 @pytest.mark.parametrize(
-    "argv,b",
+    "argv,call,what",
     [
         # negative means: --obs= takes a list that starts with a minus sign
-        (["simulate-mse", "--mu=-1,-1.5,-2", "--reps", "100", "--seed", "1"], 4),
+        (["simulate-mse", "--mu=-1,-1.5,-2", "--reps", "100", "--seed", "1"], 5,
+         "replicate (seed=1, b=4)"),
         # the first solve is the point estimate, so the fifth is resample 3
         (["bootstrap-ci", "--mu", "1,0.5,0", "--n-per-group", "15", "--obs-sd", "1",
-          "--n-boot", "999", "--seed", "2"], 3),
+          "--n-boot", "999", "--seed", "2"], 5, "replicate (seed=2, b=3)"),
+        (["bootstrap-ci", "--mu", "1,0.5,0", "--n-per-group", "15", "--obs-sd", "1",
+          "--n-boot", "999", "--seed", "2"], 1, "point estimate (seed=2)"),
     ],
-    ids=["simulate-mse", "bootstrap-ci"],
+    ids=["simulate-mse", "bootstrap-ci", "bootstrap-ci-point"],
 )
 def test_failing_replicate_replays_with_estimate(
-    capsys, monkeypatch, tmp_path, argv, b, error, code
+    capsys, monkeypatch, tmp_path, argv, call, what, error, code
 ):
-    calls = fail_on(monkeypatch, 5, error)
+    calls = fail_on(monkeypatch, call, error)
     out_path = tmp_path / "x.csv"
     stopped, out, err = run(capsys, argv + ["--out", str(out_path)])
     assert stopped == code and out == "" and not out_path.exists()
-    assert len(calls) == 5  # the run stops at the first failure
-    assert f"replicate (seed={argv[-1]}, b={b}): forced failure; replay: " in err
+    assert len(calls) == call  # the run stops at the first failure
+    assert f": {what}: forced failure; replay: " in err
     command = shlex.split(err.split("; replay: ")[1])
     assert command[:2] == ["selex", "estimate"] and command[2].startswith("--obs=")
     replayed, _, _ = run(capsys, command[1:])
     assert replayed == code
-    assert len(calls) == 6
-    assert calls[5].x.tobytes() == calls[4].x.tobytes()  # the failing sample, bit for bit
-    assert calls[5].sigma == calls[4].sigma
+    assert len(calls) == call + 1
+    assert calls[call].x.tobytes() == calls[call - 1].x.tobytes()  # bit for bit
+    assert calls[call].sigma == calls[call - 1].sigma
 
 
 @pytest.mark.parametrize(
@@ -658,8 +642,8 @@ class TestHelp:
 )
 def test_cli_import_loads_only_what_runs(module):
     # set-up time and memory: the quadrature kernels, the normal tail and the
-    # p = 2 root are selex's own, so no scipy module loads at all; the process
-    # pool, NormalDist and json load in the calls that use them
+    # p = 2 root are selex's own, so no scipy module loads at all; NormalDist
+    # and json load in the calls that use them, and no call loads a process pool
     probe = (
         "import sys, selex.cli; selex.cli.build_parser(); "
         f"print({module!r} in sys.modules)"
@@ -673,13 +657,9 @@ def test_cli_import_loads_only_what_runs(module):
     assert out.strip() == "False"
 
 
-def run_fresh(tmp_path, *argv, threads="1") -> str:
+def run_fresh(tmp_path, *argv) -> str:
     """``selex argv`` in a new interpreter, in ``tmp_path``: its stdout."""
-    env = dict(
-        os.environ,
-        PYTHONPATH=str(Path(selex.__file__).parent.parent),
-        SELEX_THREADS=threads,
-    )
+    env = dict(os.environ, PYTHONPATH=str(Path(selex.__file__).parent.parent))
     out = subprocess.run(
         [sys.executable, "-m", "selex.cli", *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True,
@@ -697,11 +677,27 @@ def run_fresh(tmp_path, *argv, threads="1") -> str:
     ids=["simulate-mse", "bootstrap-ci"],
 )
 def test_deferred_imports_resolve_in_a_fresh_interpreter(tmp_path, argv):
-    # the pool and NormalDist are imported by the calls that use them, so
-    # they must resolve where nothing (pytest included) has loaded them
-    for threads in ("2", "1"):
-        run_fresh(tmp_path, *argv, "--out", f"out{threads}.csv", threads=threads)
-    assert (tmp_path / "out2.csv").read_bytes() == (tmp_path / "out1.csv").read_bytes()
+    # NormalDist is imported by the call that uses it, so it must resolve
+    # where nothing (pytest included) has loaded it
+    out = run_fresh(tmp_path, *argv, "--out", "out.csv")
+    assert out.endswith(" written to out.csv\n")
+
+
+def test_experiments_run_in_one_process(tmp_path):
+    # a SELEX_THREADS left in the environment from older releases starts no pool
+    probe = (
+        "import sys, selex.cli; "
+        "code = selex.cli.main(['simulate-mse', '--mu', '1,0.5,0', '--reps', '100', "
+        "'--out', 'x.csv']); "
+        "print(code, sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(selex.__file__).parent.parent),
+               SELEX_THREADS="2")
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "0 []"
 
 
 def test_json_loads_in_a_fresh_interpreter(tmp_path):

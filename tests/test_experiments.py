@@ -1,8 +1,6 @@
-import concurrent.futures
 import csv
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -15,7 +13,6 @@ from selex.experiments import (
     export_results,
     run_bootstrap_ci,
     run_mse,
-    worker_count,
 )
 from selex.ordering import ConvergenceFailure
 
@@ -23,12 +20,6 @@ from selex.ordering import ConvergenceFailure
 solver_errors = pytest.mark.parametrize(
     "error", [MaxIterationsExceeded, ConvergenceFailure], ids=["max-iterations", "convergence"]
 )
-
-
-@pytest.fixture(autouse=True)
-def serial(monkeypatch):
-    """Run in this process unless a test sets SELEX_THREADS itself."""
-    monkeypatch.setenv("SELEX_THREADS", "1")
 
 
 class TestConfigs:
@@ -55,6 +46,9 @@ class TestConfigs:
             {"mu_true": (0.0, 0.0), "ranks": ()},
             {"mu_true": (0.0, 0.0), "ranks": (1, 1)},
             {"mu_true": (0.0, 0.0), "config_id": None},
+            {"mu_true": (0.0, 0.0), "n_reps": 2**32},  # b would wrap in its uint32 key word
+            {"mu_true": (0.0, 0.0), "sigma": True},
+            {"mu_true": (0.0, 0.0), "sigma": "1"},
         ],
     )
     def test_mse_invalid(self, kwargs):
@@ -72,19 +66,26 @@ class TestConfigs:
             {"mu_true": (0.0, 0.0), "n_per_group": math.inf},
             {"mu_true": (0.0, 0.0), "n_boot": 999.5},
             {"mu_true": (0.0, 0.0), "seed": 1.5},
+            {"mu_true": (0.0, 0.0), "obs_sd": True},
+            {"mu_true": (0.0, 0.0), "obs_sd": "1"},
+            {"mu_true": (0.0, 0.0), "level": "0.9"},
         ],
     )
     def test_bootstrap_invalid(self, kwargs):
         with pytest.raises(ValueError):
             BootstrapConfig(**kwargs)
 
+    @pytest.mark.parametrize("cls,field", [(MseConfig, "sigma"), (BootstrapConfig, "obs_sd"),
+                                           (BootstrapConfig, "level")])
+    def test_real_fields_are_stored_as_floats(self, cls, field):
+        cfg = cls((0.0, 0.0), **{field: np.float32(0.5)})
+        assert type(getattr(cfg, field)) is float and getattr(cfg, field) == 0.5
+
 
 def worked_example():
     """Errors of the paper's worked example, scored as run_mse scores them:
     true means (3, 2, 1), one replicate drawn as (2.1, 2.2, 1.8)."""
-    x, mu_hat, labels = experiments._replicates(
-        lambda b: np.array([2.1, 2.2, 1.8]), 1.0, 0, 1
-    )
+    x, mu_hat, labels = experiments._replicates(np.array([[2.1, 2.2, 1.8]]), 1.0, 0)
     truth = np.array([3.0, 2.0, 1.0])[labels[0]]
     return labels[0], truth - x[0], truth - mu_hat[0], mu_hat[0]
 
@@ -110,18 +111,17 @@ class TestSelectionAccounting:
 class TestRunMse:
     @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
     def test_draw_matches_generator_normal(self, sigma):
+        # 2**32 - 1 is the largest one-word seed; 2**32 and 2**70 + 3 take two and three words
         mu_true = np.array([0.5, 0.0, -2.0])
-        for b in (0, 7):
-            expected = np.random.default_rng([11, b]).normal(mu_true, sigma)
-            assert np.array_equal(experiments._mse_draw(mu_true, sigma, 11, b), expected)
+        for seed in (11, 2**32 - 1, 2**32, 2**70 + 3):
+            draws = experiments._mse_draws(mu_true, sigma, seed, 100)
+            for b in (0, 7, 99):
+                expected = np.random.default_rng([seed, b]).normal(mu_true, sigma)
+                assert np.array_equal(draws[b], expected)
 
-    def test_deterministic_and_worker_independent(self, monkeypatch):
+    def test_deterministic(self):
         cfg = MseConfig((0.5, 0.0), 1.0, 200, seed=13)
-        a = run_mse(cfg)
-        b = run_mse(cfg)
-        monkeypatch.setenv("SELEX_THREADS", "2")
-        c = run_mse(cfg)
-        assert a.rows == b.rows == c.rows
+        assert run_mse(cfg).rows == run_mse(cfg).rows
 
     def test_row_schema(self):
         cfg = MseConfig((0.5, 0.0), 1.0, 150, seed=3, ranks=(1,), config_id="g7")
@@ -140,35 +140,6 @@ class TestRunMse:
         table = run_mse(cfg)
         mse = {(r["rank"], r["estimator"]): r["mse"] for r in table.rows}
         assert mse[(1, "ccmle")] < mse[(1, "mle")]
-
-    def test_pool_is_bounded(self, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            """Records the pool size and maps in this process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        # _replicates imports the pool class from its module at the call
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setenv("SELEX_THREADS", "5000")
-        assert worker_count() == 8
-        cfg = MseConfig((0.5, 0.0), 1.0, 100, seed=13)
-        rows = run_mse(cfg).rows
-        assert sizes == [4]  # one worker per chunk
-        monkeypatch.setenv("SELEX_THREADS", "1")
-        assert rows == run_mse(cfg).rows
 
     @solver_errors
     def test_first_failure_stops_the_run(self, monkeypatch, error):
@@ -200,14 +171,10 @@ class TestRunBootstrap:
             assert row["ccmle_lower"] <= row["ccmle_upper"]
             assert row["trad_lower"] <= row["trad_point"] <= row["trad_upper"]
 
-    def test_deterministic(self, monkeypatch):
+    def test_deterministic(self):
         cfg = BootstrapConfig((1.0, 0.0), n_per_group=15, obs_sd=1.0,
                               n_boot=999, seed=8)
-        runs = []
-        for threads in ("1", "1", "2"):
-            monkeypatch.setenv("SELEX_THREADS", threads)
-            runs.append(run_bootstrap_ci(cfg).rows)
-        assert runs[0] == runs[1] == runs[2]
+        assert run_bootstrap_ci(cfg).rows == run_bootstrap_ci(cfg).rows
 
     def test_level_nesting(self):
         wide = BootstrapConfig((1.0, 0.0), n_per_group=20, obs_sd=1.0,
