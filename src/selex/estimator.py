@@ -63,6 +63,8 @@ import numpy as np
 from .ordering import (
     SQRT_2,
     MeanConfig,
+    _real,
+    _reals,
     conditional_moments,
     grad_log_ordering_probability,  # only the benchmark's tracer looks it up here
     inverse_mills,
@@ -104,13 +106,8 @@ class ObservedSample:
     xbar: float = field(init=False)
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1 or x.size < 2:
-            raise ValueError("need a 1-d vector of at least 2 observations")
-        if not np.isfinite(x).all():
-            raise ValueError("observations must be finite")
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError("sigma must be positive and finite")
+        x = _reals(self.x, "observations")
+        self.sigma = _real(self.sigma, "sigma")
         order = np.argsort(-x, kind="stable")
         self.permutation = order
         self.x = x[order]
@@ -154,7 +151,7 @@ def conditional_log_likelihood(mu: np.ndarray, obs: ObservedSample) -> float:
     ``ordering_probability``, which raises ConvergenceFailure off tolerance."""
     nu = (np.asarray(mu, dtype=float) - obs.xbar) / obs.sigma
     z = (obs.x - obs.xbar) / obs.sigma
-    return _objective(z, nu, ordering_probability(MeanConfig(tuple(nu), 1.0)).log_value) + 0.0
+    return _objective(z, nu, ordering_probability(MeanConfig(nu, 1.0)).log_value) + 0.0
 
 
 def _pava(v: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -195,6 +192,7 @@ def ccmle_p2_rows(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
         g = inverse_mills(-SQRT_2 * nu)
         return g - SQRT_2 * (d - nu), g
 
+    sigma = _real(sigma, "sigma")
     if not np.all(np.isfinite(x)):
         raise ValueError("observations must be finite")
     with np.errstate(over="ignore"):  # an overflow is caught here

@@ -16,42 +16,12 @@ never the population with the truly extreme mean.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimator import MaxIterationsExceeded, ObservedSample, ccmle, ccmle_p2_rows
-from .ordering import ConvergenceFailure
-
-
-def _tuple_of(values, name: str) -> tuple[float, ...]:
-    """A sequence config field as a tuple of finite floats; a string is not one."""
-    if isinstance(values, str):
-        raise ValueError(f"{name} must be a list, not a string")
-    out = tuple(float(v) for v in values)
-    if not all(math.isfinite(v) for v in out):
-        raise ValueError(f"{name} must be finite")
-    return out
-
-
-def _integer(value, name: str, least: int) -> int:
-    """An integer config field, at least ``least``: a Python or numpy int, no bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}")
-    return int(value)
-
-
-def _real(value, name: str, positive: bool = True) -> float:
-    """A real config field as a float, unless told otherwise positive and finite:
-    a Python or numpy real, no bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, not {value!r}")
-    if positive and not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite")
-    return float(value)
+from .ordering import ConvergenceFailure, _integer, _real, _reals
 
 
 @dataclass(frozen=True)
@@ -64,9 +34,7 @@ class MseConfig:
     config_id: str = "0"
 
     def __post_init__(self):
-        object.__setattr__(self, "mu_true", _tuple_of(self.mu_true, "mu_true"))
-        if len(self.mu_true) < 2:
-            raise ValueError("mu_true needs at least 2 populations")
+        object.__setattr__(self, "mu_true", tuple(_reals(self.mu_true, "mu_true").tolist()))
         object.__setattr__(self, "sigma", _real(self.sigma, "sigma"))
         object.__setattr__(self, "n_reps", _integer(self.n_reps, "n_reps", 100))
         if self.n_reps >= 2**32:  # b is one uint32 word of its stream's key
@@ -95,9 +63,7 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "mu_true", _tuple_of(self.mu_true, "mu_true"))
-        if len(self.mu_true) < 2:
-            raise ValueError("mu_true needs at least 2 populations")
+        object.__setattr__(self, "mu_true", tuple(_reals(self.mu_true, "mu_true").tolist()))
         object.__setattr__(self, "n_per_group", _integer(self.n_per_group, "n_per_group", 2))
         object.__setattr__(self, "obs_sd", _real(self.obs_sd, "obs_sd"))
         object.__setattr__(self, "n_boot", _integer(self.n_boot, "n_boot", 999))
@@ -126,7 +92,7 @@ def _solve(obs: ObservedSample, what: str) -> np.ndarray:
         return ccmle(obs).mu_hat
     except (ConvergenceFailure, MaxIterationsExceeded) as exc:
         exc.args = (f"{what}: {exc}; replay: selex estimate --obs="
-                    f"{','.join(map(repr, obs.x.tolist()))} --sigma={float(obs.sigma)!r}",)
+                    f"{','.join(map(repr, obs.x.tolist()))} --sigma={obs.sigma!r}",)
         raise
 
 
@@ -225,7 +191,7 @@ def run_bootstrap_ci(cfg: BootstrapConfig, data: np.ndarray | None = None) -> Re
     if data is None:
         rng_data = np.random.default_rng([cfg.seed, 0])
         data = rng_data.normal(np.asarray(cfg.mu_true)[:, None], cfg.obs_sd, size=(p, n))
-    elif data.shape != (p, n):
+    elif (data := np.asarray(data, dtype=float)).shape != (p, n):
         raise ValueError(f"data must have shape {(p, n)}")
     obs = ObservedSample(data.mean(axis=1), sigma_eff)
     point_ccmle, point_trad = _solve(obs, f"point estimate (seed={cfg.seed})"), obs.x

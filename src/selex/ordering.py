@@ -97,6 +97,7 @@ there, and the solver stops on its own residual.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -205,6 +206,40 @@ def inverse_mills(z):
     return np.where(z >= 0, right, left)[()]  # a scalar for a scalar
 
 
+def _integer(value, name: str, least: int) -> int:
+    """An integer input, at least ``least``: a Python or numpy int, no bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return int(value)
+
+
+def _real(value, name: str, positive: bool = True) -> float:
+    """A real input as a float, unless told otherwise positive and finite: a Python or
+    numpy real, no bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    if positive and not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite")
+    return float(value)
+
+
+def _reals(values, name: str) -> np.ndarray:
+    """At least two finite reals as a 1-d float array: a float or integer array as it is,
+    else a sequence of reals each checked by ``_real``, so no bool and no string."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        if isinstance(values, str) or not hasattr(values, "__iter__"):
+            raise ValueError(f"{name} must be a list of numbers, not {values!r}")
+        values = [_real(v, name, positive=False) for v in values]
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError(f"{name} must be a 1-d list of at least 2 numbers")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
+    return x
+
+
 @dataclass(frozen=True)
 class MeanConfig:
     """Population means plus the common standard deviation of one observation."""
@@ -213,13 +248,8 @@ class MeanConfig:
     sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", tuple(float(m) for m in self.mu))
-        if len(self.mu) < 2:
-            raise ValueError("need at least 2 populations")
-        if not all(math.isfinite(m) for m in self.mu):
-            raise ValueError("means must be finite")
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError("sigma must be positive and finite")
+        object.__setattr__(self, "mu", tuple(_reals(self.mu, "means").tolist()))
+        object.__setattr__(self, "sigma", _real(self.sigma, "sigma"))
 
     @property
     def p(self) -> int:
@@ -563,7 +593,7 @@ def _converged(mu: np.ndarray) -> tuple:
     QUADRATURE_RTOL: the coarser rule, |P_h - P_{h/2}| + eps P and
     |log P_h - log P_{h/2}| + eps. Raises ConvergenceFailure, naming the last
     error estimate, when the nodes would exceed MAX_NODES first."""
-    eps = np.finfo(float).eps
+    eps = math.ulp(1.0)  # a float, as the fields of OrderingProb are
     edges, width = _layout(mu)
     coarse = _grid_recursion(mu, edges, width)
     log_err = math.inf
@@ -624,8 +654,7 @@ def mc_ordering_probability(cfg: MeanConfig, n_draws: int, seed: int) -> Orderin
     single sequential stream in fixed-size blocks. The log's error estimate
     is the delta-method se / P (nan when no draw was in order).
     """
-    if n_draws < 10_000:
-        raise ValueError("n_draws must be at least 10^4")
+    n_draws = _integer(n_draws, "n_draws", 10_000)
     rng = np.random.default_rng(seed)
     mu = np.asarray(cfg.mu, dtype=float)
     hits = 0

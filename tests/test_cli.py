@@ -350,13 +350,20 @@ class TestSimulateMse:
                 ("bootstrap-ci", "obs_sd", "true", "True"),
                 ("bootstrap-ci", "level", '"0.9"', "'0.9'"),
             )
+        ] + [
+            # and no mean, in any place of the list
+            ("simulate-mse", f'{{"mu_true": {means}, "n_reps": 100}}',
+             f"invalid config: mu_true must be a number, not {shown}")
+            for means, shown in (("[true, false]", "True"), ('["1", "0"]', "'1'"),
+                                 ("[1, true]", "True"))
         ],
         ids=[
             "list", "list-of-names", "number", "scalar-means", "string-means",
             "string-ranks", "infinite-sigma", "nan-means", "infinite-means",
             "infinite-ranks", "fractional-reps", "fractional-seed", "fractional-rank",
             "null-config-id", "infinite-group-size", "bool-sigma", "string-sigma",
-            "bool-obs-sd", "string-level",
+            "bool-obs-sd", "string-level", "bool-means", "string-list-means",
+            "mixed-bool-means",
         ],
     )
     def test_config_file_malformed(self, capsys, tmp_path, command, text, expected):

@@ -86,10 +86,16 @@ class TestObservedSample:
         assert "xbar" in {f.name for f in dataclasses.fields(obs)}
         assert obs.xbar == np.mean([1.0, 3.0, 2.5])
 
-    @pytest.mark.parametrize("x,sigma", [([1.0], 1.0), ([1.0, np.inf], 1.0), ([1.0, 0.0], 0.0)])
+    @pytest.mark.parametrize(
+        "x,sigma",
+        [(np.array([1.0]), 1.0), (np.array([1.0, np.inf]), 1.0), (np.array([1.0, 0.0]), 0.0),
+         # a bool or a string is no number; np.asarray would read [1, True] as ints
+         (np.array([True, False]), 1.0), (np.array([1.0, 0.0]), True),
+         (np.array([1.0, 0.0]), "1"), ([1, True], 1.0)],
+    )
     def test_invalid(self, x, sigma):
         with pytest.raises(ValueError):
-            ObservedSample(np.array(x), sigma)
+            ObservedSample(x, sigma)
 
 
 class TestProjectMonotone:
@@ -203,6 +209,11 @@ class TestCcmleP2:
         x = np.array([[1.0, 0.0], [np.inf, 0.0]])
         with pytest.raises(ValueError, match="observations must be finite"):
             ccmle_p2_rows(x, 1.0)
+
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, math.nan, True])
+    def test_rows_reject_a_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be"):  # not "too far apart"
+            ccmle_p2_rows(np.array([[1.0, 0.0], [3.0, 0.0]]), sigma)
 
     def test_rows_raise_when_the_root_runs_out_of_steps(self, monkeypatch):
         # an interior row moves on its first Halley step, so one step cannot settle it

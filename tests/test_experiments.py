@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from selex import experiments
-from selex.estimator import MaxIterationsExceeded
+from selex.estimator import MaxIterationsExceeded, ObservedSample
 from selex.experiments import (
     BootstrapConfig,
     MseConfig,
@@ -14,7 +14,7 @@ from selex.experiments import (
     run_bootstrap_ci,
     run_mse,
 )
-from selex.ordering import ConvergenceFailure
+from selex.ordering import ConvergenceFailure, MeanConfig
 
 # either solver failure stops the run, re-raised as itself
 solver_errors = pytest.mark.parametrize(
@@ -49,6 +49,9 @@ class TestConfigs:
             {"mu_true": (0.0, 0.0), "n_reps": 2**32},  # b would wrap in its uint32 key word
             {"mu_true": (0.0, 0.0), "sigma": True},
             {"mu_true": (0.0, 0.0), "sigma": "1"},
+            {"mu_true": [True, False]},  # a bool or a string is no mean
+            {"mu_true": ["1", "0"]},
+            {"mu_true": [1, True]},
         ],
     )
     def test_mse_invalid(self, kwargs):
@@ -69,6 +72,9 @@ class TestConfigs:
             {"mu_true": (0.0, 0.0), "obs_sd": True},
             {"mu_true": (0.0, 0.0), "obs_sd": "1"},
             {"mu_true": (0.0, 0.0), "level": "0.9"},
+            {"mu_true": [True, False]},
+            {"mu_true": ["1", "0"]},
+            {"mu_true": [1, True]},
         ],
     )
     def test_bootstrap_invalid(self, kwargs):
@@ -76,7 +82,8 @@ class TestConfigs:
             BootstrapConfig(**kwargs)
 
     @pytest.mark.parametrize("cls,field", [(MseConfig, "sigma"), (BootstrapConfig, "obs_sd"),
-                                           (BootstrapConfig, "level")])
+                                           (BootstrapConfig, "level"), (MeanConfig, "sigma"),
+                                           (ObservedSample, "sigma")])
     def test_real_fields_are_stored_as_floats(self, cls, field):
         cfg = cls((0.0, 0.0), **{field: np.float32(0.5)})
         assert type(getattr(cfg, field)) is float and getattr(cfg, field) == 0.5
@@ -191,6 +198,12 @@ class TestRunBootstrap:
         cfg = BootstrapConfig((1.0, 0.0), n_per_group=10, obs_sd=1.0, n_boot=999)
         with pytest.raises(ValueError, match=r"data must have shape \(2, 10\)"):
             run_bootstrap_ci(cfg, data=np.zeros((2, 9)))
+
+    def test_nested_list_data_reads_as_its_array(self):
+        cfg = BootstrapConfig((1.0, 0.0), n_per_group=3, obs_sd=1.0, n_boot=999, seed=5)
+        data = [[1, 2, 3], [0, 1, 2]]
+        assert run_bootstrap_ci(cfg, data=data).rows == run_bootstrap_ci(
+            cfg, data=np.array(data, dtype=float)).rows
 
     def test_degenerate_data_collapses_intervals(self):
         cfg = BootstrapConfig((1.0, 0.0), n_per_group=10, obs_sd=1.0,

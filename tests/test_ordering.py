@@ -147,7 +147,9 @@ class TestMeanConfig:
 
     @pytest.mark.parametrize(
         "mu,sigma",
-        [((1.0,), 1.0), ((1.0, math.nan), 1.0), ((1.0, 0.0), 0.0), ((1.0, 0.0), -1.0)],
+        [((1.0,), 1.0), ((1.0, math.nan), 1.0), ((1.0, 0.0), 0.0), ((1.0, 0.0), -1.0),
+         # a bool or a string is no number, as mean or as sigma
+         ((True, False), 1.0), (("1", "0"), 1.0), ((1.0, 0.0), True), ((1.0, 0.0), "1")],
     )
     def test_invalid(self, mu, sigma):
         with pytest.raises(ValueError):
@@ -155,6 +157,14 @@ class TestMeanConfig:
 
 
 class TestOrderingProbability:
+    @pytest.mark.parametrize("mu,mc", [((1.0, 0.0), False), ((1.0, 0.3, 0.0), False),
+                                       ((1.0, 0.3, 0.0), True)], ids=["p2", "p3", "monte-carlo"])
+    def test_fields_are_floats(self, mu, mc):
+        cfg = MeanConfig(mu, 1.0)
+        prob = mc_ordering_probability(cfg, 10**4, seed=0) if mc else ordering_probability(cfg)
+        for name in ("value", "log_value", "err_est", "log_err_est"):
+            assert type(getattr(prob, name)) is float, name
+
     def test_two_equal_means(self):
         prob = ordering_probability(MeanConfig((0.0, 0.0), 1.0))
         assert prob.value == 0.5
@@ -451,8 +461,9 @@ class TestMonteCarlo:
         assert math.isnan(prob.log_value)
 
     def test_min_draws_enforced(self):
-        with pytest.raises(ValueError):
-            mc_ordering_probability(MeanConfig((0.0, 0.0), 1.0), 100, seed=0)
+        for n_draws in (100, 10_000.5):  # an integer of at least 10^4
+            with pytest.raises(ValueError, match="n_draws"):
+                mc_ordering_probability(MeanConfig((0.0, 0.0), 1.0), n_draws, seed=0)
 
 
 class TestGradient:
