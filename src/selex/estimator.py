@@ -25,12 +25,13 @@ from any point, and ||nu_pg - nu|| is the stopping rule. At nu = 0
 the gradient is e_p, the expected order statistics of p standard normals
 (Harter 1961; e_2 gives the p = 2 threshold), so the grand mean is tested
 with no sweep: the sample pools at xbar iff every top partial sum of z - e_p
-is <= 0 (nu_pg = 0). Else the ascent starts at the observations. Where C has
-small eigenvalues, as on clustered cones, that step is slow, so each
-iteration also takes a Newton step on the face of the cone that nu_pg lies
-on (projected Newton, Bertsekas 1982): with B the tie-group matrix of
-nu_pg (the identity when no entries tie), and C and the gradient at nu
-from one sweep, the candidate is Pi(B w) with
+is <= 0 (nu_pg = 0). Else the ascent starts SURROGATE_STEPS unit steps from z
+on the log P of independent gaps, sum_k log Phi((nu_k - nu_{k+1}) / sqrt(2)),
+exact at p = 2, at no sweep. Where C has small eigenvalues, as on clustered
+cones, the unit step is slow, so each iteration also takes a Newton step on
+the face of the cone that nu_pg lies on (projected Newton, Bertsekas 1982):
+with B the tie-group matrix of nu_pg (the identity when no entries tie),
+and C and the gradient at nu from one sweep, the candidate is Pi(B w) with
 
     (B^T C B) w = B^T (z - nu - grad log P_1(nu) + C nu),
 
@@ -71,8 +72,10 @@ from .ordering import (
     ordering_probability,
 )
 
-POOLING_THRESHOLD = 2.0 / math.sqrt(math.pi)  # times sigma
+SQRT_PI = math.sqrt(math.pi)
+POOLING_THRESHOLD = 2.0 / SQRT_PI  # times sigma
 KKT_TOL = 1e-7  # bound on the last unit step ||mu+ - mu|| / sigma
+SURROGATE_STEPS = 2  # unit steps on the independent-gaps surrogate before the first sweep
 MAX_ITERATIONS = 500  # sweeps of the solver's rule
 P2_XTOL = 1e-12  # last step of the p = 2 root, relative to max(1, nu)
 P2_MAX_STEPS = 100  # steps of one p = 2 root
@@ -159,22 +162,41 @@ def _pava(v: np.ndarray) -> tuple[np.ndarray, list[int]]:
     pool-adjacent-violators, each pooled block at its mean, and the sizes
     of its maximal runs of equal entries: its blocks, joined where two meet
     at one value."""
+    values, counts = _pool(v.tolist())
+    return np.array(values), counts
+
+
+def _pool(v: list[float]) -> tuple[list[float], list[int]]:
+    """``_pava`` on a list of floats, returning a list."""
     sums, counts = [], []
-    for value in v.tolist():
+    for value in v:
         count = 1
         while sums and sums[-1] * count < value * counts[-1]:  # the last block's mean is larger
             value += sums.pop()
             count += counts.pop()
         sums.append(value)
         counts.append(count)
-    if len(sums) == v.size:  # nothing pooled
+    if len(sums) == len(v):  # nothing pooled
         means = values = sums
     else:
         means = [s / c for s, c in zip(sums, counts)]
         values = [m for m, c in zip(means, counts) for _ in range(c)]
     if len(set(means)) < len(means):  # blocks that meet at one value join
         counts = [len(list(run)) for _, run in itertools.groupby(values)]
-    return np.array(values), counts
+    return values, counts
+
+
+def _surrogate_start(z: np.ndarray) -> np.ndarray:
+    """SURROGATE_STEPS unit steps from z on psi(nu) = sum_k log Phi(h_k), h_k = (nu_k -
+    nu_{k+1}) / sqrt(2): log P with the correlation of neighbouring gaps dropped, exact at
+    p = 2. On the cone h >= 0, and gap k pulls nu_k down and nu_{k+1} up by phi(h_k) /
+    Phi(h_k) / sqrt(2), here in Python floats, as one ``inverse_mills`` call costs more."""
+    target = nu = z.tolist()
+    for _ in range(SURROGATE_STEPS):
+        gaps = [a - b for a, b in zip(nu, nu[1:])]  # sqrt(2) h; a square may be inf
+        pull = [0.0, *(math.exp(-0.25 * d * d) / (SQRT_PI * math.erfc(-0.5 * d)) for d in gaps), 0.0]
+        nu = _pool([t - down + up for t, up, down in zip(target, pull, pull[1:])])[0]
+    return np.array(nu)
 
 
 def ccmle_p2_rows(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -252,13 +274,13 @@ def _ascent(obs: ObservedSample) -> CcmleResult:
     """The projected-Newton ascent of the module docstring, at any p.
 
     It standardizes the sample, tests the grand mean with the cached e_p,
-    and else iterates from the observations, one ``conditional_moments``
+    and else iterates from ``_surrogate_start``, one ``conditional_moments``
     call per iterate and per Newton candidate (``iterations`` counts these
     sweeps, 0 for a pooled sample; ``fallbacks`` the candidates not kept).
     It returns the unit step nu_pg once ||nu_pg - nu|| is within
     ``KKT_TOL`` (in sigma units, ``kkt_residual``); capped at one sweep, a
-    sample that does not pool gets the Taylor step at the observations.
-    Raises as ``ccmle`` does.
+    sample that does not pool gets the unit step at the start. Raises as
+    ``ccmle`` does.
     """
     x, xbar, sigma = obs.x, obs.xbar, obs.sigma
     # z descends, so it is finite where its ends and their span are
@@ -269,7 +291,7 @@ def _ascent(obs: ObservedSample) -> CcmleResult:
     kkt = math.hypot(*nu_pg.tolist())  # the unit step from nu = 0; hypot as z may not square
     iterations = fallbacks = 0
     if kkt > KKT_TOL:
-        nu, rule, iterations = z, conditional_moments(z), 1
+        rule, iterations = conditional_moments(nu := _surrogate_start(z)), 1
         value = _objective(z, nu, rule[0])
     while kkt > KKT_TOL:
         _, grad, cov = rule

@@ -217,12 +217,16 @@ def _integer(value, name: str, least: int) -> int:
 
 def _real(value, name: str, positive: bool = True) -> float:
     """A real input as a float, unless told otherwise positive and finite: a Python or
-    numpy real, no bool."""
+    numpy real, no bool. An int past the float range reads as an infinity."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, not {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf if value > 0 else -math.inf
     if positive and not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite")
-    return float(value)
+    return value
 
 
 def _reals(values, name: str) -> np.ndarray:
@@ -655,6 +659,7 @@ def mc_ordering_probability(cfg: MeanConfig, n_draws: int, seed: int) -> Orderin
     is the delta-method se / P (nan when no draw was in order).
     """
     n_draws = _integer(n_draws, "n_draws", 10_000)
+    seed = _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     mu = np.asarray(cfg.mu, dtype=float)
     hits = 0

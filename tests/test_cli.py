@@ -285,12 +285,14 @@ class TestEstimate:
         assert f"at p = {len(obs)}" in err
 
     def test_unconverged_solve_exits_4_with_last_iterate(self, capsys, monkeypatch):
+        obs = estimator.ObservedSample([10.0, 9.0, 8.5, 0.0], 1.0)
+        assert estimator.ccmle(obs).iterations >= 2
         monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)
         with pytest.raises(MaxIterationsExceeded) as info:
-            estimator.ccmle(estimator.ObservedSample([10.0, 9.5, 9.0, 0.0], 1.0))
+            estimator.ccmle(obs)
         code, out, _ = run(
             capsys,
-            ["estimate", "--obs", "10,9.5,9,0", "--sigma", "1", "--json", "--diagnostics"],
+            ["estimate", "--obs", "10,9,8.5,0", "--sigma", "1", "--json", "--diagnostics"],
         )
         payload = json.loads(out)
         assert code == 4

@@ -61,7 +61,7 @@ def shrink_covariance(monkeypatch, factor: float = 0.2) -> None:
 
 
 def first_step(obs: ObservedSample, monkeypatch) -> CcmleResult:
-    """The general path capped at one step: the Taylor step from the observations."""
+    """The general path capped at one sweep: the unit step at the surrogate start."""
     monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)
     try:
         res = estimator._ascent(obs)
@@ -91,7 +91,8 @@ class TestObservedSample:
         [(np.array([1.0]), 1.0), (np.array([1.0, np.inf]), 1.0), (np.array([1.0, 0.0]), 0.0),
          # a bool or a string is no number; np.asarray would read [1, True] as ints
          (np.array([True, False]), 1.0), (np.array([1.0, 0.0]), True),
-         (np.array([1.0, 0.0]), "1"), ([1, True], 1.0)],
+         (np.array([1.0, 0.0]), "1"), ([1, True], 1.0),
+         ([10**400, 0], 1.0)],  # an int past the float range is not finite
     )
     def test_invalid(self, x, sigma):
         with pytest.raises(ValueError):
@@ -260,15 +261,20 @@ class TestLogLikelihood:
         assert lo > hi
 
 
-class TestTaylorStart:
-    """A sample that does not pool at the grand mean starts with the Taylor
-    step from the observations; one that does stops there, with no sweep."""
+class TestSurrogateStart:
+    """A sample that does not pool at the grand mean starts SURROGATE_STEPS unit
+    steps from the observations on the independent-gaps surrogate; one that does
+    stops there, with no sweep."""
 
     def test_moderate_gap(self, monkeypatch):
-        # wider than the pooling threshold 2 / sqrt(pi) = 1.128
+        # wider than the pooling threshold 2 / sqrt(pi) = 1.128; at p = 2 the surrogate
+        # is log P, so one sweep ends SURROGATE_STEPS + 1 exact unit steps from z
+        nu = z = np.array([0.75, -0.75])
+        for _ in range(estimator.SURROGATE_STEPS + 1):
+            g = inverse_mills(-(nu[0] - nu[1]) / math.sqrt(2.0)) / math.sqrt(2.0)  # the gradient at nu
+            nu = estimator._pava(z - np.array([g, -g]))[0]
         start = first_step(ObservedSample(np.array([1.5, 0.0]), 1.0), monkeypatch)
-        g = inverse_mills(-1.5 / math.sqrt(2.0)) / math.sqrt(2.0)  # the gradient at z
-        assert np.allclose(start.mu_hat, [1.5 - g, g], atol=1e-9)
+        assert np.allclose(start.mu_hat, 0.75 + nu, atol=1e-9)
 
     def test_wide_gap_keeps_observations(self, monkeypatch):
         start = first_step(ObservedSample(np.array([10.0, 0.0]), 1.0), monkeypatch)
@@ -281,6 +287,29 @@ class TestTaylorStart:
         assert res.groups == [[0, 1]]
         assert res.mu_hat == pytest.approx([0.05, 0.05], rel=1e-15)
         assert res.kkt_residual <= KKT_TOL
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 20])
+    def test_start_is_on_the_cone_and_keeps_the_sum(self, p):
+        rng = np.random.default_rng([29, p])
+        pooled = 0
+        for scale in (0.05, 0.5, 3.0, 3.0 * rng.random(p)):  # clustered to spread, and mixed
+            z = np.sort(rng.normal(0.0, scale, p))[::-1]
+            z -= z.mean()
+            start = estimator._surrogate_start(z)
+            assert np.all(np.diff(start) <= 0.0)
+            assert abs(start.sum() - z.sum()) <= 1e-12
+            pooled += len(set(start.tolist())) < p
+        assert pooled  # the projection ran
+
+    @pytest.mark.parametrize("p", [3, 4, 6, 10, 20])
+    def test_spread_samples_take_at_most_two_sweeps(self, p):
+        # every gap between 3 and 8 sigma
+        rng = np.random.default_rng([29, p])
+        for _ in range(8):
+            sigma = float(np.exp(rng.uniform(-2.0, 2.0)))
+            x = 5.0 - sigma * np.concatenate([[0.0], np.cumsum(rng.uniform(3.0, 8.0, p - 1))])
+            res = ccmle(ObservedSample(rng.permutation(x), sigma))
+            assert res.converged and res.iterations <= 2
 
 
 def order_statistic_mean(p: int, k: int) -> float:
@@ -468,19 +497,21 @@ class TestCcmleGeneral:
         assert np.abs(res.mu_hat - exact.mu_hat).max() <= KKT_TOL * obs.sigma
 
     def test_cap_right_after_a_fallback_raises_with_the_last_unit_step(self, monkeypatch):
-        # iteration 3 is a candidate that does not ascend: capped there, the solve
-        # sweeps no more and returns the unit step of the iterate kept at 2
+        # capped at the sweep of the first candidate that does not ascend, the solve
+        # sweeps no more and returns the unit step of the iterate kept one sweep before
         obs = ObservedSample(np.array([3.0, 1.0, 0.2, -2.5]), 1.0)
         shrink_covariance(monkeypatch)
-        capped = []
-        for cap in (2, 3):
-            monkeypatch.setattr(estimator, "MAX_ITERATIONS", cap)
+        capped = [None]  # capped[cap], from cap 1
+        while capped[-1] is None or capped[-1].fallbacks == 0:
+            assert len(capped) <= 10, "no fallback in 10 sweeps"
+            monkeypatch.setattr(estimator, "MAX_ITERATIONS", len(capped))
             with pytest.raises(MaxIterationsExceeded) as info:
                 ccmle(obs)
             capped.append(info.value.result)
-        kept, fallen = capped
-        assert (kept.iterations, kept.fallbacks) == (2, 0)
-        assert (fallen.iterations, fallen.fallbacks) == (3, 1) and not fallen.converged
+        cap = len(capped) - 1
+        kept, fallen = capped[-2:]
+        assert cap >= 2 and (kept.iterations, kept.fallbacks) == (cap - 1, 0)
+        assert (fallen.iterations, fallen.fallbacks) == (cap, 1) and not fallen.converged
         assert np.array_equal(fallen.mu_hat, kept.mu_hat)
         assert fallen.kkt_residual == kept.kkt_residual > KKT_TOL
 

@@ -52,6 +52,7 @@ class TestConfigs:
             {"mu_true": [True, False]},  # a bool or a string is no mean
             {"mu_true": ["1", "0"]},
             {"mu_true": [1, True]},
+            {"mu_true": [10**400, 0]},  # an int past the float range is not finite
         ],
     )
     def test_mse_invalid(self, kwargs):

@@ -149,7 +149,9 @@ class TestMeanConfig:
         "mu,sigma",
         [((1.0,), 1.0), ((1.0, math.nan), 1.0), ((1.0, 0.0), 0.0), ((1.0, 0.0), -1.0),
          # a bool or a string is no number, as mean or as sigma
-         ((True, False), 1.0), (("1", "0"), 1.0), ((1.0, 0.0), True), ((1.0, 0.0), "1")],
+         ((True, False), 1.0), (("1", "0"), 1.0), ((1.0, 0.0), True), ((1.0, 0.0), "1"),
+         # an int past the float range is not finite
+         ((10**400, 0.0), 1.0), pytest.param((1.0, 0.0), 10**400, id="sigma-past-float")],
     )
     def test_invalid(self, mu, sigma):
         with pytest.raises(ValueError):
@@ -464,6 +466,11 @@ class TestMonteCarlo:
         for n_draws in (100, 10_000.5):  # an integer of at least 10^4
             with pytest.raises(ValueError, match="n_draws"):
                 mc_ordering_probability(MeanConfig((0.0, 0.0), 1.0), n_draws, seed=0)
+
+    @pytest.mark.parametrize("seed", [True, 1.5, "3", -1])
+    def test_invalid_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            mc_ordering_probability(MeanConfig((0.0, 0.0), 1.0), 10_000, seed=seed)
 
 
 class TestGradient:
