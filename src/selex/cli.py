@@ -93,7 +93,8 @@ def cmd_estimate(args) -> int:
     try:
         result = ccmle(obs)
     except MaxIterationsExceeded as exc:
-        result = exc.result
+        if (result := exc.result) is None:  # a p = 2 root out of steps: no iterate to show
+            raise
     estimates = result.in_original_order()
     log_likelihood = conditional_log_likelihood(result.mu_hat, obs)
     payload = {
@@ -189,35 +190,32 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(fn=cmd_estimate)
 
     m = sub.add_parser("simulate-mse", help="selection-respecting MSE experiment")
-    m.add_argument("--mu", type=_listed(), dest="mu_true", metavar="MU",
-                   help="comma-separated true means")
-    m.add_argument("--sigma", type=float, help="common std deviation (default 1)")
-    m.add_argument("--reps", type=int, dest="n_reps", metavar="REPS",
-                   help="number of replicates (default 1000)")
-    m.add_argument("--seed", type=int, help="replicate seed (default 0)")
-    m.add_argument("--ranks", type=_listed(int),
-                   help="comma-separated 1-based ranks (default all)")
-    m.add_argument("--config-id", help="config_id column value (default 0)")
-
     b = sub.add_parser("bootstrap-ci", help="stratified bootstrap intervals")
-    b.add_argument("--mu", type=_listed(), dest="mu_true", metavar="MU",
-                   help="comma-separated true means")
-    b.add_argument("--n-per-group", type=int, help="observations per group (default 50)")
-    b.add_argument("--obs-sd", type=float,
-                   help="per-observation std deviation (default sqrt(50))")
-    b.add_argument("--n-boot", type=int, help="bootstrap resamples (default 9999)")
-    b.add_argument("--level", type=float, help="confidence level (default 0.95)")
-    b.add_argument("--seed", type=int, help="seed (default 0)")
-
     for sp, cls, runner, rows in (
         (m, MseConfig, run_mse, "rows"),
         (b, BootstrapConfig, run_bootstrap_ci, "ranks"),
     ):
+        sp.add_argument("--mu", type=_listed(), dest="mu_true", metavar="MU",
+                        help="comma-separated true means")
+        sp.add_argument("--seed", type=int, help="seed (default 0)")
         sp.add_argument("--config", help=f"JSON config file (exact {cls.__name__} fields)")
         sp.add_argument("--out", required=True, help="output file path")
         sp.add_argument("--format", choices=["csv", "json"],
                         help="output format (default from extension)")
         sp.set_defaults(fn=_run_experiment, config_class=cls, runner=runner, rows=rows)
+
+    m.add_argument("--sigma", type=float, help="common std deviation (default 1)")
+    m.add_argument("--reps", type=int, dest="n_reps", metavar="REPS",
+                   help="number of replicates (default 1000)")
+    m.add_argument("--ranks", type=_listed(int),
+                   help="comma-separated 1-based ranks (default all)")
+    m.add_argument("--config-id", help="config_id column value (default 0)")
+
+    b.add_argument("--n-per-group", type=int, help="observations per group (default 50)")
+    b.add_argument("--obs-sd", type=float,
+                   help="per-observation std deviation (default sqrt(50))")
+    b.add_argument("--n-boot", type=int, help="bootstrap resamples (default 9999)")
+    b.add_argument("--level", type=float, help="confidence level (default 0.95)")
 
     return parser
 

@@ -47,9 +47,8 @@ At p = 3 and 4 it is exact, in closed form from the bivariate and the
 trivariate normal orthant of the gaps; those forms hold their accuracy only
 on the cone, where every iterate lies, so the checked
 ``ordering_probability`` and the public gradient keep the quadrature. For
-p >= 5 it sweeps each block (ordering, Blocks). z = (x - xbar)/sigma
-descends, so its ends z_1 and z_p bound it: a sample where either, or the
-span z_1 - z_p, overflows is rejected with a ValueError, as at p = 2.
+p >= 5 it sweeps each block (ordering, Blocks). A sample whose z
+(ObservedSample.z) overflows is rejected with a ValueError, as at p = 2.
 """
 
 from __future__ import annotations
@@ -82,11 +81,11 @@ P2_MAX_STEPS = 100  # steps of one p = 2 root
 
 
 class MaxIterationsExceeded(RuntimeError):
-    """Ascent hit the iteration cap.
+    """The ascent, or the p = 2 root, hit its iteration cap.
 
     Carries the result at the last iterate. Every step ascends, so it is
-    also the best iterate found. ``result`` may be left out where only the
-    message is known.
+    also the best iterate found. ``result`` is None from ``ccmle_p2_rows``,
+    whose root has no iterate to show.
     """
 
     def __init__(self, message: str, result: "CcmleResult | None" = None):
@@ -96,17 +95,18 @@ class MaxIterationsExceeded(RuntimeError):
 
 @dataclass
 class ObservedSample:
-    """Observed values, canonicalized to descending order.
+    """Observed values, canonicalized to descending order, and standardized.
 
     The constructor sorts and remembers the permutation, so callers may pass
     observations in any order; results are reported back in original labels.
-    Exact ties are broken by original index.
+    Exact ties are broken by original index; ``z`` is (x - xbar) / sigma.
     """
 
     x: np.ndarray
     sigma: float
     permutation: np.ndarray = field(init=False)
     xbar: float = field(init=False)
+    z: np.ndarray = field(init=False)
 
     def __post_init__(self):
         x = _reals(self.x, "observations")
@@ -114,10 +114,11 @@ class ObservedSample:
         order = np.argsort(-x, kind="stable")
         self.permutation = order
         self.x = x[order]
-        with np.errstate(over="ignore"):  # an overflow is caught here
+        with np.errstate(over="ignore"):  # an overflow is caught here and in _ascent
             xbar = float(np.add.reduce(self.x)) / self.x.size  # x.mean(), bit for bit
-        # x / p cannot overflow, so nor can its sum
-        self.xbar = xbar if math.isfinite(xbar) else float((self.x / self.x.size).sum())
+            # x / p cannot overflow, so nor can its sum
+            self.xbar = xbar if math.isfinite(xbar) else float((self.x / self.x.size).sum())
+            self.z = (self.x - self.xbar) / self.sigma
 
     @property
     def p(self) -> int:
@@ -153,8 +154,7 @@ def conditional_log_likelihood(mu: np.ndarray, obs: ObservedSample) -> float:
     terms are), in the standardized coordinates of ``ccmle``; log P comes from the checked
     ``ordering_probability``, which raises ConvergenceFailure off tolerance."""
     nu = (np.asarray(mu, dtype=float) - obs.xbar) / obs.sigma
-    z = (obs.x - obs.xbar) / obs.sigma
-    return _objective(z, nu, ordering_probability(MeanConfig(nu, 1.0)).log_value) + 0.0
+    return _objective(obs.z, nu, ordering_probability(MeanConfig(nu, 1.0)).log_value) + 0.0
 
 
 def _pava(v: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -207,7 +207,7 @@ def ccmle_p2_rows(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     nu_1) / sqrt(2) underflows; nu_1 is the root in [0, d = (x_1 - xbar) / sigma]
     of the increasing, convex f below (g' = g (g - u) is in (0, 1)): Halley's
     method from d, each row on its own steps, reaches it in about four (2 f'^2
-    - f f'' stays above 0.48 on [0, d]).
+    - f f'' stays above 0.48 on [0, d]), else raises MaxIterationsExceeded at P2_MAX_STEPS.
     """
 
     def stationarity(nu, d):  # f(nu) = g(-sqrt(2) nu) - sqrt(2) (d - nu), and g
@@ -240,7 +240,8 @@ def ccmle_p2_rows(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
             mu_hat[interior] = x[interior] + sigma * (g / SQRT_2)[:, None] * np.array([-1.0, 1.0])
             residual[interior] = np.abs(f)
             return mu_hat, residual
-    raise RuntimeError(f"p = 2 root unconverged after {P2_MAX_STEPS} steps, d = {d[todo]}")
+    raise MaxIterationsExceeded(f"p = 2 root unconverged after {P2_MAX_STEPS} steps in {todo.size}"
+                                f" of {len(x)} rows, the first row {todo[0]} (d = {d[todo[0]]:.6g})")
 
 
 def _objective(z: np.ndarray, nu: np.ndarray, log_p: float) -> float:
@@ -260,8 +261,8 @@ def _expected_order_statistics(p: int) -> np.ndarray:
 def ccmle(obs: ObservedSample) -> CcmleResult:
     """Constrained conditional MLE of one sample: one ``ccmle_p2_rows`` row at p = 2, its
     |f(nu_1)| as ``kkt_residual``, else ``_ascent``. Raises ValueError when the
-    standardization overflows, and MaxIterationsExceeded, carrying the last unit step,
-    past MAX_ITERATIONS."""
+    standardization overflows, and MaxIterationsExceeded past P2_MAX_STEPS (no result) or
+    MAX_ITERATIONS (carrying the last unit step)."""
     if obs.p > 2:
         return _ascent(obs)
     mu_hat, residual = ccmle_p2_rows(obs.x[None, :], obs.sigma)
@@ -273,7 +274,7 @@ def ccmle(obs: ObservedSample) -> CcmleResult:
 def _ascent(obs: ObservedSample) -> CcmleResult:
     """The projected-Newton ascent of the module docstring, at any p.
 
-    It standardizes the sample, tests the grand mean with the cached e_p,
+    It reads the sample's z, tests the grand mean with the cached e_p,
     and else iterates from ``_surrogate_start``, one ``conditional_moments``
     call per iterate and per Newton candidate (``iterations`` counts these
     sweeps, 0 for a pooled sample; ``fallbacks`` the candidates not kept).
@@ -282,11 +283,9 @@ def _ascent(obs: ObservedSample) -> CcmleResult:
     sample that does not pool gets the unit step at the start. Raises as
     ``ccmle`` does.
     """
-    x, xbar, sigma = obs.x, obs.xbar, obs.sigma
-    # z descends, so it is finite where its ends and their span are
-    if not math.isfinite((float(x[0]) - xbar) / sigma - (float(x[-1]) - xbar) / sigma):
+    z, xbar, sigma = obs.z, obs.xbar, obs.sigma
+    if not math.isfinite(float(z[0]) - float(z[-1])):  # z descends: finite where this is
         raise ValueError("observations too far apart for sigma to standardize")
-    z = (x - xbar) / sigma
     nu_pg, sizes = _pava(z - _expected_order_statistics(obs.p))
     kkt = math.hypot(*nu_pg.tolist())  # the unit step from nu = 0; hypot as z may not square
     iterations = fallbacks = 0

@@ -99,17 +99,16 @@ def _solve(obs: ObservedSample, what: str) -> np.ndarray:
 def _replicates(first: np.ndarray, sigma: float, seed: int):
     """Solve the drawn (count, p) rows with the CCMLE, replicate b in row b.
 
-    Returns the sorted samples, the estimates and the selected labels, each
-    (count, p) in rank order and replicate order.
+    Returns the samples, ranked as ObservedSample ranks one, the estimates and
+    the selected labels, each (count, p) in rank order and replicate order.
     """
-    if first.shape[1] == 2:  # one exact solve for all rows, which cannot fail
-        order = np.argsort(-first, axis=1, kind="stable")  # as ObservedSample
-        x = np.take_along_axis(first, order, axis=1)
+    order = np.argsort(-first, axis=1, kind="stable")
+    x = np.take_along_axis(first, order, axis=1)
+    if x.shape[1] == 2:  # one exact solve for all rows
         return x, ccmle_p2_rows(x, sigma)[0], order
-    samples = [ObservedSample(row, sigma) for row in first]
-    estimates = [_solve(obs, f"replicate (seed={seed}, b={b})") for b, obs in enumerate(samples)]
-    return (np.array([obs.x for obs in samples]), np.array(estimates),
-            np.array([obs.permutation for obs in samples]))
+    estimates = [_solve(ObservedSample(row, sigma), f"replicate (seed={seed}, b={b})")
+                 for b, row in enumerate(x)]
+    return x, np.array(estimates), order
 
 
 def _keys(seed: int, count: int) -> np.ndarray:

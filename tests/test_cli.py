@@ -610,6 +610,22 @@ def test_failing_replicate_replays_with_estimate(
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["estimate", "--obs", "3,0", "--sigma", "1"],
+     ["simulate-mse", "--mu", "3,0", "--reps", "100", "--out", "x.csv"]],
+    ids=["estimate", "simulate-mse"],
+)
+def test_p2_root_out_of_steps_exits_4(capsys, monkeypatch, tmp_path, argv):
+    # the p = 2 root has no iterate to show, so estimate prints none; one short line
+    monkeypatch.setattr(estimator, "P2_MAX_STEPS", 1)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv)
+    assert code == 4 and out == "" and not (tmp_path / "x.csv").exists()
+    assert err.startswith("optimizer failure: p = 2 root unconverged after 1 steps")
+    assert err.count("\n") == 1 and len(err) < 300
+
+
+@pytest.mark.parametrize(
     "argv,flag",
     [
         (["prob", "--means", "1,x", "--sigma", "1"], "--means"),

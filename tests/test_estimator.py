@@ -86,6 +86,11 @@ class TestObservedSample:
         assert "xbar" in {f.name for f in dataclasses.fields(obs)}
         assert obs.xbar == np.mean([1.0, 3.0, 2.5])
 
+    @pytest.mark.parametrize("p", [2, 3, 6])
+    def test_z_is_the_standardized_sample(self, p):
+        obs = ObservedSample(np.random.default_rng(p).normal(5.0, 3.0, p), 0.7)
+        assert obs.z.tobytes() == ((obs.x - obs.xbar) / obs.sigma).tobytes()  # bit for bit
+
     @pytest.mark.parametrize(
         "x,sigma",
         [(np.array([1.0]), 1.0), (np.array([1.0, np.inf]), 1.0), (np.array([1.0, 0.0]), 0.0),
@@ -219,8 +224,11 @@ class TestCcmleP2:
     def test_rows_raise_when_the_root_runs_out_of_steps(self, monkeypatch):
         # an interior row moves on its first Halley step, so one step cannot settle it
         monkeypatch.setattr(estimator, "P2_MAX_STEPS", 1)
-        with pytest.raises(RuntimeError, match="unconverged after 1 steps"):
-            ccmle_p2_rows(np.array([[3.0, 0.0]]), 1.0)
+        with pytest.raises(RuntimeError, match="unconverged after 1 steps") as info:
+            ccmle_p2_rows(np.array([[0.5, 0.0], [3.0, 0.0], [4.0, 0.0]]), 1.0)
+        # an optimizer failure with no iterate, naming the count and only the first row
+        assert isinstance(info.value, MaxIterationsExceeded) and info.value.result is None
+        assert "in 2 of 3 rows, the first row 1 (d = 1.5)" in str(info.value)
 
     @pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0, 2.0, 3.0])
     def test_rows_match_single_solves(self, sigma):

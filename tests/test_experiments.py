@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from selex import experiments
-from selex.estimator import MaxIterationsExceeded, ObservedSample
+from selex.estimator import MaxIterationsExceeded, ObservedSample, ccmle
 from selex.experiments import (
     BootstrapConfig,
     MseConfig,
@@ -107,6 +107,19 @@ class TestSelectionAccounting:
         assert errors_mle[0] == pytest.approx(-0.2)
         assert errors_mle[1] == pytest.approx(3.0 - 2.1)
         assert errors_mle[2] == pytest.approx(1.0 - 1.8)
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_batch_matches_one_sample_at_a_time(self, p):
+        # the batch is ranked at once; each row must rank and solve as its own sample,
+        # an exact tie (last row) included
+        first = np.random.default_rng(p).normal(0.0, 1.5, (40, p))
+        first[-1, :2] = first[-1, 1:3]
+        x, mu_hat, labels = experiments._replicates(first, 0.8, 0)
+        for b, row in enumerate(first):
+            obs = ObservedSample(row, 0.8)
+            assert x[b].tobytes() == obs.x.tobytes()
+            assert mu_hat[b].tobytes() == ccmle(obs).mu_hat.tobytes()
+            assert labels[b].tobytes() == obs.permutation.tobytes()
 
     def test_ccmle_errors_use_selected_truth(self):
         _, errors_mle, errors_ccmle, mu_hat = worked_example()
