@@ -23,9 +23,10 @@ order cone (Brascamp-Lieb). So the unit step
 Pi the Euclidean projection onto the cone (pool-adjacent-violators), ascends
 from any point, and ||nu_pg - nu|| is the stopping rule. At nu = 0
 the gradient is e_p, the expected order statistics of p standard normals
-(Harter 1961; e_2 gives the p = 2 threshold), so the grand mean is tested
-with no sweep: the sample pools at xbar iff every top partial sum of z - e_p
-is <= 0 (nu_pg = 0). Else the ascent starts SURROGATE_STEPS unit steps from z
+(Harter 1961; e_2 gives the p = 2 threshold), and C is C_0, both cached
+from one sweep per p, so the grand mean is tested with no sweep: the sample
+pools at xbar iff every top partial sum of z - e_p is <= 0 (nu_pg = 0).
+Else the ascent starts SURROGATE_STEPS unit steps from z
 on the log P of independent gaps, sum_k log Phi((nu_k - nu_{k+1}) / sqrt(2)),
 exact at p = 2, at no sweep. Where C has small eigenvalues, as on clustered
 cones, the unit step is slow, so each iteration also takes a Newton step on
@@ -35,8 +36,10 @@ and C and the gradient at nu from one sweep, the candidate is Pi(B w) with
 
     (B^T C B) w = B^T (z - nu - grad log P_1(nu) + C nu),
 
-the maximum of the objective's quadratic model over the span of B. It is
-kept if the log-likelihood, which its own sweep gives, does not fall;
+the maximum of the objective's quadratic model over the span of B. Where
+nu_pg at 0 ties ranks, the candidate at 0 (from e_p and C_0) is the start
+instead if it lies no farther from that nu_pg. A candidate is kept if the
+log-likelihood, which its own sweep gives, does not fall;
 otherwise the iteration takes nu_pg (a proximal Newton safeguard: Lee, Sun
 and Saunders 2014). The tie groups are the blocks that pool-adjacent-
 violators hands back with nu_pg, each set to one value (two that meet at
@@ -251,11 +254,19 @@ def _objective(z: np.ndarray, nu: np.ndarray, log_p: float) -> float:
 
 
 @functools.cache
-def _expected_order_statistics(p: int) -> np.ndarray:
-    """e_p (module docstring) from one sweep of the rule; read-only, as it is shared."""
-    e = conditional_moments(np.zeros(p))[1]
-    e.flags.writeable = False
-    return e
+def _expected_order_statistics(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """e_p and C_0 (module docstring) from one sweep of the rule; read-only, as they are shared."""
+    _, e, cov = conditional_moments(np.zeros(p))
+    e.flags.writeable = cov.flags.writeable = False
+    return e, cov
+
+
+def _newton(cov: np.ndarray, rhs: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Pi(B w), (B^T C B) w = B^T rhs, on the face of tie-group sizes ``sizes``."""
+    if len(sizes) == rhs.size:  # the face is the identity
+        return _pava(np.linalg.solve(cov, rhs))[0]
+    face = np.repeat(np.eye(len(sizes)), sizes, axis=0)  # column g indicates block g
+    return _pava(face @ np.linalg.solve(face.T @ cov @ face, face.T @ rhs))[0]
 
 
 def ccmle(obs: ObservedSample) -> CcmleResult:
@@ -274,10 +285,12 @@ def ccmle(obs: ObservedSample) -> CcmleResult:
 def _ascent(obs: ObservedSample) -> CcmleResult:
     """The projected-Newton ascent of the module docstring, at any p.
 
-    It reads the sample's z, tests the grand mean with the cached e_p,
-    and else iterates from ``_surrogate_start``, one ``conditional_moments``
-    call per iterate and per Newton candidate (``iterations`` counts these
-    sweeps, 0 for a pooled sample; ``fallbacks`` the candidates not kept).
+    It reads the sample's z, tests the grand mean with the cached e_p and
+    else iterates from ``_surrogate_start``, or from the Newton step at 0
+    where the unit step at 0 ties ranks and the Newton step lies no farther
+    from it; one ``conditional_moments`` call per iterate and per Newton
+    candidate (``iterations`` counts these sweeps, 0 for a pooled sample;
+    ``fallbacks`` the candidates not kept).
     It returns the unit step nu_pg once ||nu_pg - nu|| is within
     ``KKT_TOL`` (in sigma units, ``kkt_residual``); capped at one sweep, a
     sample that does not pool gets the unit step at the start. Raises as
@@ -286,11 +299,16 @@ def _ascent(obs: ObservedSample) -> CcmleResult:
     z, xbar, sigma = obs.z, obs.xbar, obs.sigma
     if not math.isfinite(float(z[0]) - float(z[-1])):  # z descends: finite where this is
         raise ValueError("observations too far apart for sigma to standardize")
-    nu_pg, sizes = _pava(z - _expected_order_statistics(obs.p))
+    e, cov0 = _expected_order_statistics(obs.p)
+    nu_pg, sizes = _pava(z - e)
     kkt = math.hypot(*nu_pg.tolist())  # the unit step from nu = 0; hypot as z may not square
     iterations = fallbacks = 0
     if kkt > KKT_TOL:
-        rule, iterations = conditional_moments(nu := _surrogate_start(z)), 1
+        nu = _surrogate_start(z)
+        if len(sizes) < z.size:  # nu_pg ties ranks: the Newton step at 0, if no farther
+            newton = _newton(cov0, z - e, sizes)
+            nu = newton if math.dist(newton, nu_pg) <= math.dist(nu, nu_pg) else nu
+        rule, iterations = conditional_moments(nu), 1
         value = _objective(z, nu, rule[0])
     while kkt > KKT_TOL:
         _, grad, cov = rule
@@ -298,13 +316,7 @@ def _ascent(obs: ObservedSample) -> CcmleResult:
         kkt = math.hypot(*(nu_pg - nu).tolist())
         if kkt <= KKT_TOL or iterations >= MAX_ITERATIONS:
             break
-        rhs = z - nu - grad + cov @ nu
-        if len(sizes) == z.size:  # the face is the identity
-            step = np.linalg.solve(cov, rhs)
-        else:  # column g of the face indicates block g
-            face = np.repeat(np.eye(len(sizes)), sizes, axis=0)
-            step = face @ np.linalg.solve(face.T @ cov @ face, face.T @ rhs)
-        candidate = _pava(step)[0]
+        candidate = _newton(cov, z - nu - grad + cov @ nu, sizes)
         rule, iterations = conditional_moments(candidate), iterations + 1
         if (trial := _objective(z, candidate, rule[0])) >= value:
             nu, value = candidate, trial

@@ -104,8 +104,11 @@ def _replicates(first: np.ndarray, sigma: float, seed: int):
     """
     order = np.argsort(-first, axis=1, kind="stable")
     x = np.take_along_axis(first, order, axis=1)
-    if x.shape[1] == 2:  # one exact solve for all rows
-        return x, ccmle_p2_rows(x, sigma)[0], order
+    if x.shape[1] == 2:
+        try:  # one exact solve for all rows
+            return x, ccmle_p2_rows(x, sigma)[0], order
+        except MaxIterationsExceeded:  # each row's root takes its own steps, so row by row
+            pass  # the same first row fails, named with its replay
     estimates = [_solve(ObservedSample(row, sigma), f"replicate (seed={seed}, b={b})")
                  for b, row in enumerate(x)]
     return x, np.array(estimates), order

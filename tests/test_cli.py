@@ -616,13 +616,20 @@ def test_failing_replicate_replays_with_estimate(
     ids=["estimate", "simulate-mse"],
 )
 def test_p2_root_out_of_steps_exits_4(capsys, monkeypatch, tmp_path, argv):
-    # the p = 2 root has no iterate to show, so estimate prints none; one short line
+    # the p = 2 root has no iterate to show, so estimate prints none; one short line,
+    # which names a failing replicate and the estimate command that replays it
     monkeypatch.setattr(estimator, "P2_MAX_STEPS", 1)
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, argv)
     assert code == 4 and out == "" and not (tmp_path / "x.csv").exists()
-    assert err.startswith("optimizer failure: p = 2 root unconverged after 1 steps")
+    what = "replicate (seed=0, b=0): " if argv[0] == "simulate-mse" else ""
+    assert err.startswith(f"optimizer failure: {what}p = 2 root unconverged after 1 steps")
     assert err.count("\n") == 1 and len(err) < 300
+    if what:
+        assert "; replay: selex estimate --obs=" in err
+        replayed, out, err = run(capsys, shlex.split(err.split("; replay: ")[1])[1:])
+        assert replayed == 4 and out == ""
+        assert err.startswith("optimizer failure: p = 2 root unconverged after 1 steps")
 
 
 @pytest.mark.parametrize(
