@@ -21,25 +21,26 @@ order cone (Brascamp-Lieb). So the unit step
     nu_pg = Pi(z - grad log P_1(nu)),
 
 Pi the Euclidean projection onto the cone (pool-adjacent-violators), ascends
-from any point, and ||nu_pg - nu|| is the stopping rule. At nu = 0
-the gradient is e_p, the expected order statistics of p standard normals
-(Harter 1961; e_2 gives the p = 2 threshold), and C is C_0, both cached
-from one sweep per p, so the grand mean is tested with no sweep: the sample
-pools at xbar iff every top partial sum of z - e_p is <= 0 (nu_pg = 0).
-Else the ascent starts SURROGATE_STEPS unit steps from z
-on the log P of independent gaps, sum_k log Phi((nu_k - nu_{k+1}) / sqrt(2)),
-exact at p = 2, at no sweep. Where C has small eigenvalues, as on clustered
-cones, the unit step is slow, so each iteration also takes a Newton step on
-the face of the cone that nu_pg lies on (projected Newton, Bertsekas 1982):
-with B the tie-group matrix of nu_pg (the identity when no entries tie),
-and C and the gradient at nu from one sweep, the candidate is Pi(B w) with
+from any point, and ||nu_pg - nu|| is the stopping rule. The ascent starts
+at the grand mean nu = 0, where the gradient is e_p, the expected order
+statistics of p standard normals (Harter 1961; e_2 gives the p = 2
+threshold), and C is C_0, both cached from one sweep per p. So its first
+unit step is the grand-mean test, at no sweep: the sample pools at xbar iff
+every top partial sum of z - e_p is <= 0 (nu_pg = 0). Else the first
+candidate is SURROGATE_STEPS unit steps from z on the log P of independent
+gaps, sum_k log Phi((nu_k - nu_{k+1}) / sqrt(2)), exact at p = 2, at no
+sweep. Where C has small eigenvalues, as on clustered cones, the unit step
+is slow, so each iteration also takes a Newton step on the face of the cone
+that nu_pg lies on (projected Newton, Bertsekas 1982): with B the tie-group
+matrix of nu_pg (the identity when no entries tie), and C and the gradient
+at nu from one sweep, the candidate is Pi(B w) with
 
     (B^T C B) w = B^T (z - nu - grad log P_1(nu) + C nu),
 
-the maximum of the objective's quadratic model over the span of B. Where
-nu_pg at 0 ties ranks, the candidate at 0 (from e_p and C_0) is the start
-instead if it lies no farther from that nu_pg. A candidate is kept if the
-log-likelihood, which its own sweep gives, does not fall;
+the maximum of the objective's quadratic model over the span of B; at 0 it
+is taken where nu_pg ties ranks, and replaces the surrogate if no farther
+from that nu_pg. A candidate is kept if the log-likelihood, which its own
+sweep gives, does not fall (at 0 it is -inf, so the start always is);
 otherwise the iteration takes nu_pg (a proximal Newton safeguard: Lee, Sun
 and Saunders 2014). The tie groups are the blocks that pool-adjacent-
 violators hands back with nu_pg, each set to one value (two that meet at
@@ -227,7 +228,7 @@ def ccmle_p2_rows(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
         d = (x[:, 0] - xbar) / sigma
         if not np.all(np.isfinite(SQRT_2 * d)):
             raise ValueError("observations too far apart for sigma to standardize")
-    interior = x[:, 0] - x[:, 1] > POOLING_THRESHOLD * sigma
+        interior = x[:, 0] - x[:, 1] > POOLING_THRESHOLD * sigma  # an infinite gap is interior
     nu = np.where(interior, d, 0.0)
     todo = np.flatnonzero(interior)
     for _ in range(P2_MAX_STEPS):
@@ -243,8 +244,9 @@ def ccmle_p2_rows(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
             mu_hat[interior] = x[interior] + sigma * (g / SQRT_2)[:, None] * np.array([-1.0, 1.0])
             residual[interior] = np.abs(f)
             return mu_hat, residual
-    raise MaxIterationsExceeded(f"p = 2 root unconverged after {P2_MAX_STEPS} steps in {todo.size}"
-                                f" of {len(x)} rows, the first row {todo[0]} (d = {d[todo[0]]:.6g})")
+    rows = f" in {todo.size} of {len(x)} rows, the first row {todo[0]}" if len(x) > 1 else ""
+    raise MaxIterationsExceeded(f"p = 2 root unconverged after {P2_MAX_STEPS} steps{rows}"
+                                f" (d = {d[todo[0]]:.6g})")
 
 
 def _objective(z: np.ndarray, nu: np.ndarray, log_p: float) -> float:
@@ -285,47 +287,40 @@ def ccmle(obs: ObservedSample) -> CcmleResult:
 def _ascent(obs: ObservedSample) -> CcmleResult:
     """The projected-Newton ascent of the module docstring, at any p.
 
-    It reads the sample's z, tests the grand mean with the cached e_p and
-    else iterates from ``_surrogate_start``, or from the Newton step at 0
-    where the unit step at 0 ties ranks and the Newton step lies no farther
-    from it; one ``conditional_moments`` call per iterate and per Newton
-    candidate (``iterations`` counts these sweeps, 0 for a pooled sample;
-    ``fallbacks`` the candidates not kept).
-    It returns the unit step nu_pg once ||nu_pg - nu|| is within
-    ``KKT_TOL`` (in sigma units, ``kkt_residual``); capped at one sweep, a
-    sample that does not pool gets the unit step at the start. Raises as
-    ``ccmle`` does.
+    One loop from nu = 0, whose first unit step, from the cached e_p, is the
+    grand-mean test; the first candidate is ``_surrogate_start``, or the
+    Newton step at 0 where the unit step there ties ranks and the Newton
+    step lies no farther from it. ``iterations`` counts the
+    ``conditional_moments`` sweeps, one per candidate and per fallback, at
+    most MAX_ITERATIONS (0 for a pooled sample); ``fallbacks`` the candidates
+    not kept. It returns the unit step nu_pg once ||nu_pg - nu|| is within
+    ``KKT_TOL`` (in sigma units, ``kkt_residual``); capped at 0 sweeps, a
+    sample that does not pool gets the unit step at 0. Raises as ``ccmle``.
     """
     z, xbar, sigma = obs.z, obs.xbar, obs.sigma
     if not math.isfinite(float(z[0]) - float(z[-1])):  # z descends: finite where this is
         raise ValueError("observations too far apart for sigma to standardize")
-    e, cov0 = _expected_order_statistics(obs.p)
-    nu_pg, sizes = _pava(z - e)
-    kkt = math.hypot(*nu_pg.tolist())  # the unit step from nu = 0; hypot as z may not square
+    nu, value, (grad, cov) = np.zeros(z.size), -math.inf, _expected_order_statistics(obs.p)
     iterations = fallbacks = 0
-    if kkt > KKT_TOL:
-        nu = _surrogate_start(z)
-        if len(sizes) < z.size:  # nu_pg ties ranks: the Newton step at 0, if no farther
-            newton = _newton(cov0, z - e, sizes)
-            nu = newton if math.dist(newton, nu_pg) <= math.dist(nu, nu_pg) else nu
-        rule, iterations = conditional_moments(nu), 1
-        value = _objective(z, nu, rule[0])
-    while kkt > KKT_TOL:
-        _, grad, cov = rule
+    while True:
         nu_pg, sizes = _pava(z - grad)
-        kkt = math.hypot(*(nu_pg - nu).tolist())
+        kkt = math.hypot(*(nu_pg - nu).tolist())  # hypot, as z may not square
         if kkt <= KKT_TOL or iterations >= MAX_ITERATIONS:
             break
-        candidate = _newton(cov, z - nu - grad + cov @ nu, sizes)
-        rule, iterations = conditional_moments(candidate), iterations + 1
-        if (trial := _objective(z, candidate, rule[0])) >= value:
+        candidate = None if iterations else _surrogate_start(z)
+        if iterations or len(sizes) < z.size:  # at 0 only where nu_pg ties ranks
+            newton = _newton(cov, z - nu - grad + cov @ nu, sizes)
+            if candidate is None or math.dist(newton, nu_pg) <= math.dist(candidate, nu_pg):
+                candidate = newton
+        (log_p, grad, cov), iterations = conditional_moments(candidate), iterations + 1
+        if (trial := _objective(z, candidate, log_p)) >= value:
             nu, value = candidate, trial
             continue
         fallbacks += 1
         if iterations >= MAX_ITERATIONS:
             break
-        nu, rule, iterations = nu_pg, conditional_moments(nu_pg), iterations + 1
-        value = _objective(z, nu, rule[0])
+        (log_p, grad, cov), nu, iterations = conditional_moments(nu_pg), nu_pg, iterations + 1
+        value = _objective(z, nu, log_p)
     converged = kkt <= KKT_TOL
 
     result = CcmleResult(

@@ -129,7 +129,11 @@ def _mse_draws(mu_true: np.ndarray, sigma: float, seed: int, count: int) -> np.n
     """Replicates 0..count-1: row b is ``default_rng([seed, b]).normal(mu_true, sigma)``."""
     z = np.array([np.random.default_rng(key).standard_normal(mu_true.size)
                   for key in _keys(seed, count)])
-    return mu_true + sigma * z
+    with np.errstate(over="ignore"):  # an overflow is caught here
+        x = mu_true + sigma * z
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"sigma = {sigma!r} draws an observation that is not finite")
+    return x
 
 
 def run_mse(cfg: MseConfig) -> ResultTable:

@@ -270,6 +270,14 @@ class TestEstimate:
         assert code == 0
         assert json.loads(out)["estimates"] == [1.7e308, 1.7e308]
 
+    def test_p2_gap_past_the_largest_float_keeps_the_observations(self, capsys):
+        # x_1 - x_2 overflows to inf, an interior gap whose shrinkage underflows;
+        # pyproject's filterwarnings makes the overflow's warning fail this test
+        argv = ["estimate", "--obs", "1e308,-1e308", "--sigma", "1", "--json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["estimates"] == [1e308, -1e308]
+
     @pytest.mark.parametrize(
         "obs",
         [[200.0 - i for i in range(150)], [round(100.0 - 0.05 * i, 2) for i in range(100)]],
@@ -314,6 +322,25 @@ class TestSimulateMse:
         lines = out_path.read_text().splitlines()
         assert lines[0] == "config_id,mu_true_1,mu_true_2,rank,estimator,mse,se,n_reps"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("mu", ["1,0", "1,0,0"], ids=["p2", "p3"])
+    def test_draws_past_the_largest_float_name_sigma(self, capsys, tmp_path, mu):
+        # sigma * a standard normal overflows: a usage error, with no warning
+        out_path = tmp_path / "x.csv"
+        argv = ["simulate-mse", "--mu", mu, "--reps", "100", "--sigma", "1e308",
+                "--out", str(out_path)]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err == "error: sigma = 1e+308 draws an observation that is not finite\n"
+
+    def test_p2_gaps_past_the_largest_float_run(self, capsys, tmp_path):
+        # every replicate's x_1 - x_2 overflows to inf, as in estimate
+        out_path = tmp_path / "x.csv"
+        argv = ["simulate-mse", "--mu", "1e308,-1e308", "--reps", "100", "--out", str(out_path)]
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+        rows = list(csv.DictReader(out_path.open()))
+        assert [r["mse"] for r in rows[::2]] == [r["mse"] for r in rows[1::2]]  # mle, ccmle
 
     def test_zero_reps_names_field(self, capsys, tmp_path):
         code, _, err = run(
@@ -623,13 +650,14 @@ def test_p2_root_out_of_steps_exits_4(capsys, monkeypatch, tmp_path, argv):
     code, out, err = run(capsys, argv)
     assert code == 4 and out == "" and not (tmp_path / "x.csv").exists()
     what = "replicate (seed=0, b=0): " if argv[0] == "simulate-mse" else ""
-    assert err.startswith(f"optimizer failure: {what}p = 2 root unconverged after 1 steps")
+    # one row, so the message names no row
+    assert err.startswith(f"optimizer failure: {what}p = 2 root unconverged after 1 steps (d = ")
     assert err.count("\n") == 1 and len(err) < 300
     if what:
         assert "; replay: selex estimate --obs=" in err
         replayed, out, err = run(capsys, shlex.split(err.split("; replay: ")[1])[1:])
         assert replayed == 4 and out == ""
-        assert err.startswith("optimizer failure: p = 2 root unconverged after 1 steps")
+        assert err.startswith("optimizer failure: p = 2 root unconverged after 1 steps (d = ")
 
 
 @pytest.mark.parametrize(

@@ -61,7 +61,7 @@ def shrink_covariance(monkeypatch, factor: float = 0.2) -> None:
 
 
 def first_step(obs: ObservedSample, monkeypatch) -> CcmleResult:
-    """The general path capped at one sweep: the unit step at the surrogate start."""
+    """The loop from the grand mean capped at one sweep, that of its start: the unit step there."""
     monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)
     try:
         res = estimator._ascent(obs)
@@ -270,10 +270,11 @@ class TestLogLikelihood:
 
 
 class TestSurrogateStart:
-    """A sample that does not pool at the grand mean starts SURROGATE_STEPS unit
-    steps from the observations on the independent-gaps surrogate, or, where the
-    unit step from the grand mean pools, at the Newton step from it if that lies
-    no farther from the unit step; one that pools stops there, with no sweep."""
+    """The loop's first candidate, where its first unit step, from the grand mean,
+    does not pool the sample: SURROGATE_STEPS unit steps from the observations on
+    the independent-gaps surrogate, or, where that unit step ties ranks, the loop's
+    Newton step from the grand mean if that lies no farther from the unit step; a
+    sample that pools stops at the grand mean, with no sweep."""
 
     def test_moderate_gap(self, monkeypatch):
         # wider than the pooling threshold 2 / sqrt(pi) = 1.128; at p = 2 the surrogate
@@ -383,9 +384,10 @@ def order_statistic_mean(p: int, k: int) -> float:
 
 
 class TestGrandMean:
-    """The solver tests the grand mean before its first sweep: there the
-    gradient of log P is e_p, the expected order statistics of p standard
-    normals, so nu = 0 solves iff the projection of z - e_p is 0."""
+    """The solver's one loop starts at the grand mean: there the gradient of
+    log P is e_p, the expected order statistics of p standard normals, cached,
+    so the first unit step, with no sweep, tests it: nu = 0 solves iff the
+    projection of z - e_p is 0."""
 
     def test_two_populations_give_the_pooling_threshold(self):
         e = estimator._expected_order_statistics(2)[0]
@@ -439,6 +441,23 @@ class TestGrandMean:
         res = ccmle(ObservedSample(np.array([10.0, 9.9, 9.8, 9.7]), 1.0))
         assert res.iterations == 0 and not calls
         assert res.path == "numeric" and res.converged
+
+    def test_capped_at_no_sweep_gives_the_unit_step_from_the_grand_mean(self, monkeypatch):
+        # the start is one of the MAX_ITERATIONS sweeps; a pooled sample needs none
+        estimator._expected_order_statistics(4)  # its one origin sweep, first
+        calls = []
+        monkeypatch.setattr(estimator, "conditional_moments", calls.append)
+        monkeypatch.setattr(estimator, "MAX_ITERATIONS", 0)
+        obs = ObservedSample(np.array([10.0, 9.0, 8.5, 0.0]), 2.0)
+        with pytest.raises(MaxIterationsExceeded) as info:
+            ccmle(obs)
+        res = info.value.result
+        unit = estimator._pava(obs.z - estimator._expected_order_statistics(4)[0])[0]
+        assert res.iterations == 0 and not res.converged and not calls
+        assert res.mu_hat.tobytes() == (obs.xbar + obs.sigma * unit).tobytes()
+        assert res.kkt_residual == float(np.linalg.norm(unit))
+        pooled = ccmle(ObservedSample(np.array([10.0, 9.9, 9.8, 9.7]), 1.0))
+        assert pooled.converged and pooled.iterations == 0 and not calls
 
 
 TABLE_CONFIGS = [
