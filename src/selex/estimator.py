@@ -37,12 +37,16 @@ at nu from one sweep, the candidate is Pi(B w) with
 
     (B^T C B) w = B^T (z - nu - grad log P_1(nu) + C nu),
 
-the maximum of the objective's quadratic model over the span of B; at 0 it
-is taken where nu_pg ties ranks, and replaces the surrogate if no farther
-from that nu_pg. A candidate is kept if the log-likelihood, which its own
-sweep gives, does not fall (at 0 it is -inf, so the start always is);
-otherwise the iteration takes nu_pg (a proximal Newton safeguard: Lee, Sun
-and Saunders 2014). The tie groups are the blocks that pool-adjacent-
+the maximum of the objective's quadratic model over the span of B, solved
+again on the face Pi(B w) lands on until that is the face it was solved
+on. At 0 it is taken where nu_pg ties ranks, and replaces the surrogate if
+no farther from that nu_pg. A candidate is kept if the log-likelihood,
+which its own sweep gives, does not fall (at 0 it is -inf, so the start
+always is); otherwise the iteration takes nu_pg (a proximal Newton
+safeguard: Lee, Sun and Saunders 2014). At p > 4 a Newton step shorter
+than LAST_STEP is almost always the last, so its sweep skips C (a light
+sweep); where its unit step misses KKT_TOL after all, nu is swept again
+with C, one sweep more. The tie groups are the blocks that pool-adjacent-
 violators hands back with nu_pg, each set to one value (two that meet at
 one value join): the runs of exactly equal entries of the estimate.
 
@@ -78,6 +82,7 @@ from .ordering import (
 SQRT_PI = math.sqrt(math.pi)
 POOLING_THRESHOLD = 2.0 / SQRT_PI  # times sigma
 KKT_TOL = 1e-7  # bound on the last unit step ||mu+ - mu|| / sigma
+LAST_STEP = 1e-3  # Newton steps shorter than this (sigma units) at p > 4 are swept without C
 SURROGATE_STEPS = 2  # unit steps on the independent-gaps surrogate before the first sweep
 MAX_ITERATIONS = 500  # sweeps of the solver's rule
 P2_XTOL = 1e-12  # last step of the p = 2 root, relative to max(1, nu)
@@ -264,11 +269,14 @@ def _expected_order_statistics(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _newton(cov: np.ndarray, rhs: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """Pi(B w), (B^T C B) w = B^T rhs, on the face of tie-group sizes ``sizes``."""
+    """Pi(B w), (B^T C B) w = B^T rhs, on the face of tie-group sizes ``sizes``, or else on
+    the face it lands on: Pi only pools groups of B w, so at most len(sizes) - 1 more solves."""
     if len(sizes) == rhs.size:  # the face is the identity
-        return _pava(np.linalg.solve(cov, rhs))[0]
-    face = np.repeat(np.eye(len(sizes)), sizes, axis=0)  # column g indicates block g
-    return _pava(face @ np.linalg.solve(face.T @ cov @ face, face.T @ rhs))[0]
+        step, landed = _pava(np.linalg.solve(cov, rhs))
+    else:
+        face = np.repeat(np.eye(len(sizes)), sizes, axis=0)  # column g indicates block g
+        step, landed = _pava(face @ np.linalg.solve(face.T @ cov @ face, face.T @ rhs))
+    return step if landed == sizes else _newton(cov, rhs, landed)
 
 
 def ccmle(obs: ObservedSample) -> CcmleResult:
@@ -291,10 +299,10 @@ def _ascent(obs: ObservedSample) -> CcmleResult:
     grand-mean test; the first candidate is ``_surrogate_start``, or the
     Newton step at 0 where the unit step there ties ranks and the Newton
     step lies no farther from it. ``iterations`` counts the
-    ``conditional_moments`` sweeps, one per candidate and per fallback, at
-    most MAX_ITERATIONS (0 for a pooled sample); ``fallbacks`` the candidates
-    not kept. It returns the unit step nu_pg once ||nu_pg - nu|| is within
-    ``KKT_TOL`` (in sigma units, ``kkt_residual``); capped at 0 sweeps, a
+    ``conditional_moments`` sweeps, one per candidate, per fallback and per
+    light sweep's miss, at most MAX_ITERATIONS (0 for a pooled sample);
+    ``fallbacks`` the candidates not kept. It returns the unit step nu_pg
+    once ||nu_pg - nu|| is within ``KKT_TOL`` (in sigma units, ``kkt_residual``); capped at 0 sweeps, a
     sample that does not pool gets the unit step at 0. Raises as ``ccmle``.
     """
     z, xbar, sigma = obs.z, obs.xbar, obs.sigma
@@ -307,12 +315,17 @@ def _ascent(obs: ObservedSample) -> CcmleResult:
         kkt = math.hypot(*(nu_pg - nu).tolist())  # hypot, as z may not square
         if kkt <= KKT_TOL or iterations >= MAX_ITERATIONS:
             break
+        if cov is None:  # a light sweep's unit step missed: sweep nu again, with C
+            (_, grad, cov), iterations = conditional_moments(nu), iterations + 1
+            continue
         candidate = None if iterations else _surrogate_start(z)
         if iterations or len(sizes) < z.size:  # at 0 only where nu_pg ties ranks
             newton = _newton(cov, z - nu - grad + cov @ nu, sizes)
             if candidate is None or math.dist(newton, nu_pg) <= math.dist(candidate, nu_pg):
                 candidate = newton
-        (log_p, grad, cov), iterations = conditional_moments(candidate), iterations + 1
+        light = iterations > 0 and z.size > 4 and math.dist(candidate, nu) <= LAST_STEP
+        log_p, grad, cov = conditional_moments(candidate, covariance=not light)
+        iterations += 1
         if (trial := _objective(z, candidate, log_p)) >= value:
             nu, value = candidate, trial
             continue

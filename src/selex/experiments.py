@@ -199,10 +199,13 @@ def run_bootstrap_ci(cfg: BootstrapConfig, data: np.ndarray | None = None) -> Re
         data = rng_data.normal(np.asarray(cfg.mu_true)[:, None], cfg.obs_sd, size=(p, n))
     elif (data := np.asarray(data, dtype=float)).shape != (p, n):
         raise ValueError(f"data must have shape {(p, n)}")
-    obs = ObservedSample(data.mean(axis=1), sigma_eff)
+    with np.errstate(over="ignore", invalid="ignore"):  # a value or a sum that overflows
+        means = data.mean(axis=1)
+        resamples = np.array([_resample_draw(data, cfg.seed, b) for b in range(cfg.n_boot)])
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(resamples))):
+        raise ValueError(f"obs_sd = {cfg.obs_sd!r} draws a group mean that is not finite")
+    obs = ObservedSample(means, sigma_eff)
     point_ccmle, point_trad = _solve(obs, f"point estimate (seed={cfg.seed})"), obs.x
-
-    resamples = np.array([_resample_draw(data, cfg.seed, b) for b in range(cfg.n_boot)])
     boots_trad, boots_ccmle, _ = _replicates(resamples, sigma_eff, cfg.seed)
 
     rows = []

@@ -91,7 +91,8 @@ absolute, so relative only on the cone, and the public functions keep the
 checked quadrature at p = 3 and 4. For p >= 5 C is block-diagonal: blocks
 of 3 and 4 take the exact rules, one mean (0, 0, 1), others one ``_sweep``
 of the unhalved panels with no error pass: the first halving converges
-there, and the solver stops on its own residual.
+there, and the solver stops on its own residual. Asked for no C, as for
+the solver's last sweep, one such block runs the checked quadrature's two.
 """
 
 from __future__ import annotations
@@ -542,30 +543,34 @@ def _trivariate_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return math.log(value), grad, cov.reshape(4, 4)
 
 
-def _panel_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+def _panel_moments(mu: np.ndarray, covariance: bool = True) -> tuple:
     """``conditional_moments`` from one ``_sweep`` of the panels of
     ``_layout``, with no error pass: each row's moments are divided by the
-    P that the row integrates to, and give the gradient and the covariance."""
-    moments = _sweep(mu, *_layout(mu), covariance=True)
+    P that the row integrates to, and give the gradient and the covariance,
+    or None without ``covariance``, as the checked quadrature sweeps."""
+    moments = _sweep(mu, *_layout(mu), covariance)
     mass = moments[:, 0, 0].copy()
     if not mass[0] > 0.0:  # NaN too: 1-sigma panels lose P in large clustered blocks
         raise ConvergenceFailure(f"the solver's rule lost P (got {mass[0]:.3g}) at p = {mu.size}")
     moments /= mass[:, None, None]
+    if not covariance:
+        return math.log(mass[0]), moments[:, 0, 1], None
     grad, cov = moments[:, 0, 1], np.zeros((mu.size, mu.size))
     cov[:-1] = moments[:, 1:, 1].T  # E[(X_j - mu_j)(X_k - mu_k) | order], j < k
     cov += cov.T + np.diag(moments[:, 0, 2]) - np.outer(grad, grad)
     return math.log(mass[0]), grad, cov
 
 
-def conditional_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+def conditional_moments(mu: np.ndarray, covariance: bool = True) -> tuple:
     """(log P, gradient of log P, Cov(X | order)) at sigma = 1, for means on
     the cone: the solver's rule (module docstring), exact at p = 3 and 4 and
-    for p >= 5 the blocks' rules stacked, C block-diagonal."""
+    for p >= 5 the blocks' rules stacked, C block-diagonal. One panel block
+    without ``covariance`` gives None for C; the others give C regardless."""
     if mu.size in (3, 4):
         return _orthant_moments(mu) if mu.size == 3 else _trivariate_moments(mu)
     blocks = _blocks(mu)
     if len(blocks) == 1:
-        return _panel_moments(mu)
+        return _panel_moments(mu, covariance)
     log_p, grad, cov = 0.0, np.zeros(mu.size), np.eye(mu.size)
     for b in blocks:
         if b.stop - b.start > 1:  # a single mean keeps (0, 0, 1)

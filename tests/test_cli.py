@@ -194,6 +194,17 @@ class TestEstimate:
         assert code == 2
         assert "--obs needs at least 2 values" in err
 
+    @pytest.mark.parametrize("step,p,most", [(0.5, 10, 4), (0.3, 20, 5)], ids=["p10", "p20"])
+    def test_clustered_ladders_take_a_sweep_fewer(self, capsys, step, p, most):
+        # observations step sigma apart; a Newton step that stops on the face its projection
+        # first lands on, not the one it pools to, takes 5 and 6 sweeps
+        obs = ",".join(f"{-step * k + 0.0:g}" for k in range(p))
+        argv = ["estimate", "--obs", obs, "--sigma", "1", "--json", "--diagnostics"]
+        code, out, _ = run(capsys, argv)
+        result = json.loads(out)
+        assert code == 0 and result["converged"] and result["fallbacks"] == 0
+        assert result["iterations"] <= most
+
     def test_table_config(self, capsys):
         code, out, _ = run(
             capsys, ["estimate", "--obs", "10,9.5,9,0", "--sigma", "1", "--json"]
@@ -507,7 +518,7 @@ class TestSimulateMse:
     def test_failing_replicate_exits_quadrature(self, capsys, monkeypatch, tmp_path):
         # every solver's rule fails, and no draw 2e12 sigma apart pools, so
         # replicate 0 is the first to fail
-        def fail(mu):
+        def fail(mu, covariance=True):
             raise ConvergenceFailure("injected")
 
         monkeypatch.setattr(estimator, "conditional_moments", fail)
@@ -569,6 +580,17 @@ class TestBootstrapCi:
         lines = out_path.read_text().splitlines()
         assert lines[0].startswith("rank,ccmle_point,ccmle_lower,ccmle_upper")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("obs_sd", ["1e307", "1e308"])
+    def test_group_means_past_the_largest_float_name_obs_sd(self, capsys, tmp_path, obs_sd):
+        # at 1e307 a resample's group sum overflows, at 1e308 a drawn value does: a usage
+        # error, with no warning
+        out_path = tmp_path / "x.csv"
+        argv = ["bootstrap-ci", "--mu", "1,0,0", "--obs-sd", obs_sd, "--n-boot", "999",
+                "--out", str(out_path)]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err == f"error: obs_sd = {float(obs_sd)!r} draws a group mean that is not finite\n"
 
     def test_invalid_level(self, capsys, tmp_path):
         code, _, err = run(

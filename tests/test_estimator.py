@@ -49,13 +49,13 @@ def brute_force_projection(v: np.ndarray) -> np.ndarray:
 
 
 def shrink_covariance(monkeypatch, factor: float = 0.2) -> None:
-    """The solver's rule with C scaled by ``factor``: the Newton steps overshoot, so
-    some candidates do not ascend and the iteration falls back to the unit step."""
+    """The solver's rule with C, where it gives one, scaled by ``factor``: the Newton steps
+    overshoot, so some candidates do not ascend and the iteration falls back to the unit step."""
     real = estimator.conditional_moments
 
-    def scaled(mu):
-        log_p, grad, cov = real(mu)
-        return log_p, grad, factor * cov
+    def scaled(mu, covariance=True):
+        log_p, grad, cov = real(mu, covariance=covariance)
+        return log_p, grad, None if cov is None else factor * cov
 
     monkeypatch.setattr(estimator, "conditional_moments", scaled)
 
@@ -326,7 +326,7 @@ class TestSurrogateStart:
         class Started(Exception):
             pass
 
-        def start(mu):  # the first sweep after the cached origin is at the start
+        def start(mu, covariance=True):  # the first sweep after the cached origin is at the start
             raise Started(mu)
 
         e = estimator._expected_order_statistics(p)[0]
@@ -605,9 +605,9 @@ class TestCcmleGeneral:
         real = estimator.conditional_moments
         calls = []
 
-        def counted(mu):
+        def counted(mu, covariance=True):
             calls.append(mu)
-            return real(mu)
+            return real(mu, covariance=covariance)
 
         monkeypatch.setattr(estimator, "conditional_moments", counted)
         estimator._expected_order_statistics.cache_clear()
@@ -717,6 +717,76 @@ class TestCcmleGeneral:
         alone = ccmle(ObservedSample(block, 0.7)).mu_hat
         assert res.converged
         assert np.abs(res.mu_hat[1:] - alone).max() / 0.7 <= 1e-4
+
+
+def ladder(step: float, p: int) -> np.ndarray:
+    """p observations ``step`` sigma apart at sigma = 1: a clustered cone that ties its ends."""
+    return -step * np.arange(float(p))
+
+
+def counted_moments(monkeypatch) -> list:
+    """The solver's rule, recording each call's point and its ``covariance``."""
+    real = estimator.conditional_moments
+    calls = []
+
+    def counted(mu, covariance=True):
+        calls.append((mu.copy(), covariance))
+        return real(mu, covariance=covariance)
+
+    monkeypatch.setattr(estimator, "conditional_moments", counted)
+    return calls
+
+
+class TestNewtonStep:
+    """Each Newton step is solved on the face it lands on, and a short one at p > 4 leads
+    to a sweep without C."""
+
+    @pytest.mark.parametrize("p", [5, 10, 20])
+    def test_step_lands_on_the_face_it_was_solved_on(self, p):
+        rng = np.random.default_rng([34, p])
+        pooled = 0
+        for _ in range(40):
+            q = np.linalg.qr(rng.normal(size=(p, p)))[0]
+            cov = (q * rng.uniform(0.05, 1.0, p)) @ q.T  # symmetric, 0 < C <= I
+            rhs = np.sort(rng.normal(0.0, 1.0, p))[::-1]
+            sizes = estimator._pava(rhs + rng.normal(0.0, 0.5, p))[1]
+            face = np.repeat(np.eye(len(sizes)), sizes, axis=0)
+            first = estimator._pava(face @ np.linalg.solve(face.T @ cov @ face, face.T @ rhs))
+            pooled += first[1] != sizes
+            step = estimator._newton(cov, rhs, sizes)
+            landed = estimator._pava(step)[1]
+            assert estimator._newton(cov, rhs, landed).tobytes() == step.tobytes()
+            if len(landed) < p:  # one solve on the face it landed on gives it
+                face = np.repeat(np.eye(len(landed)), landed, axis=0)
+                again = face @ np.linalg.solve(face.T @ cov @ face, face.T @ rhs)
+                assert again.tobytes() == step.tobytes()
+        assert pooled >= 10  # the first projection pools blocks of B w
+
+    def test_only_the_last_sweep_skips_the_covariance(self, monkeypatch):
+        # its last Newton step is 1.3e-6 sigma long; the p = 10 ladder's, 2.3e-3, is
+        # above LAST_STEP, and every sweep there builds C
+        estimator._expected_order_statistics(20)
+        calls = counted_moments(monkeypatch)
+        res = ccmle(ObservedSample(ladder(0.3, 20), 1.0))
+        flags = [covariance for _, covariance in calls]
+        assert res.converged and flags == [True] * (res.iterations - 1) + [False]
+
+    def test_a_missed_light_sweep_costs_one_sweep(self, monkeypatch):
+        estimator._expected_order_statistics(10)
+        calls = counted_moments(monkeypatch)
+        default = ccmle(ObservedSample(ladder(0.5, 10), 1.0))
+        monkeypatch.setattr(estimator, "LAST_STEP", 1e9)  # every Newton step's sweep is light
+        calls.clear()
+        res = ccmle(ObservedSample(ladder(0.5, 10), 1.0))
+        flags = [covariance for _, covariance in calls]
+        misses = flags[:-1].count(False)
+        assert res.converged and res.fallbacks == 0 and misses >= 2 and not flags[-1]
+        assert res.iterations == len(calls) == default.iterations + misses
+        for (light, covariance), (again, _) in zip(calls, calls[1:]):
+            if not covariance:  # the kept point, swept again with C
+                assert again.tobytes() == light.tobytes()
+        assert res.groups == default.groups
+        assert np.abs(res.mu_hat - default.mu_hat).max() <= KKT_TOL
 
 
 @pytest.mark.parametrize(
