@@ -43,12 +43,12 @@ on. At 0 it is taken where nu_pg ties ranks, and replaces the surrogate if
 no farther from that nu_pg. A candidate is kept if the log-likelihood,
 which its own sweep gives, does not fall (at 0 it is -inf, so the start
 always is); otherwise the iteration takes nu_pg (a proximal Newton
-safeguard: Lee, Sun and Saunders 2014). At p > 4 a Newton step shorter
-than LAST_STEP is almost always the last, so its sweep skips C (a light
-sweep); where its unit step misses KKT_TOL after all, nu is swept again
-with C, one sweep more. The tie groups are the blocks that pool-adjacent-
-violators hands back with nu_pg, each set to one value (two that meet at
-one value join): the runs of exactly equal entries of the estimate.
+safeguard: Lee, Sun and Saunders 2014). A Newton step shorter than
+LAST_STEP is almost always the last, so its sweep skips C where the rule
+can (a light sweep); if the unit step then misses KKT_TOL, the next step
+takes the last C, at no sweep. The tie groups are the blocks that pool-
+adjacent-violators hands back with nu_pg, each set to one value (two that
+meet at one value join): the runs of exactly equal entries of the estimate.
 
 The rule, ``conditional_moments``, gives log P, its gradient and C at once.
 At p = 3 and 4 it is exact, in closed form from the bivariate and the
@@ -82,7 +82,7 @@ from .ordering import (
 SQRT_PI = math.sqrt(math.pi)
 POOLING_THRESHOLD = 2.0 / SQRT_PI  # times sigma
 KKT_TOL = 1e-7  # bound on the last unit step ||mu+ - mu|| / sigma
-LAST_STEP = 1e-3  # Newton steps shorter than this (sigma units) at p > 4 are swept without C
+LAST_STEP = 1e-3  # Newton steps shorter than this (sigma units) are swept without C
 SURROGATE_STEPS = 2  # unit steps on the independent-gaps surrogate before the first sweep
 MAX_ITERATIONS = 500  # sweeps of the solver's rule
 P2_XTOL = 1e-12  # last step of the p = 2 root, relative to max(1, nu)
@@ -123,7 +123,7 @@ class ObservedSample:
         order = np.argsort(-x, kind="stable")
         self.permutation = order
         self.x = x[order]
-        with np.errstate(over="ignore"):  # an overflow is caught here and in _ascent
+        with np.errstate(over="ignore", invalid="ignore"):  # overflows caught here and in _ascent
             xbar = float(np.add.reduce(self.x)) / self.x.size  # x.mean(), bit for bit
             # x / p cannot overflow, so nor can its sum
             self.xbar = xbar if math.isfinite(xbar) else float((self.x / self.x.size).sum())
@@ -270,13 +270,15 @@ def _expected_order_statistics(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _newton(cov: np.ndarray, rhs: np.ndarray, sizes: list[int]) -> np.ndarray:
     """Pi(B w), (B^T C B) w = B^T rhs, on the face of tie-group sizes ``sizes``, or else on
-    the face it lands on: Pi only pools groups of B w, so at most len(sizes) - 1 more solves."""
+    the face it lands on: Pi only pools groups of a finite B w, so at most len(sizes) - 1
+    more solves. One that overflows, which Pi cannot pool, is returned as it is."""
     if len(sizes) == rhs.size:  # the face is the identity
         step, landed = _pava(np.linalg.solve(cov, rhs))
     else:
         face = np.repeat(np.eye(len(sizes)), sizes, axis=0)  # column g indicates block g
-        step, landed = _pava(face @ np.linalg.solve(face.T @ cov @ face, face.T @ rhs))
-    return step if landed == sizes else _newton(cov, rhs, landed)
+        with np.errstate(over="ignore", invalid="ignore"):  # _ascent takes nu_pg instead
+            step, landed = _pava(face @ np.linalg.solve(face.T @ cov @ face, face.T @ rhs))
+    return _newton(cov, rhs, landed) if len(landed) < len(sizes) else step
 
 
 def ccmle(obs: ObservedSample) -> CcmleResult:
@@ -299,8 +301,8 @@ def _ascent(obs: ObservedSample) -> CcmleResult:
     grand-mean test; the first candidate is ``_surrogate_start``, or the
     Newton step at 0 where the unit step there ties ranks and the Newton
     step lies no farther from it. ``iterations`` counts the
-    ``conditional_moments`` sweeps, one per candidate, per fallback and per
-    light sweep's miss, at most MAX_ITERATIONS (0 for a pooled sample);
+    ``conditional_moments`` sweeps, one per candidate and per fallback, at
+    most MAX_ITERATIONS (0 for a pooled sample);
     ``fallbacks`` the candidates not kept. It returns the unit step nu_pg
     once ||nu_pg - nu|| is within ``KKT_TOL`` (in sigma units, ``kkt_residual``); capped at 0 sweeps, a
     sample that does not pool gets the unit step at 0. Raises as ``ccmle``.
@@ -315,16 +317,15 @@ def _ascent(obs: ObservedSample) -> CcmleResult:
         kkt = math.hypot(*(nu_pg - nu).tolist())  # hypot, as z may not square
         if kkt <= KKT_TOL or iterations >= MAX_ITERATIONS:
             break
-        if cov is None:  # a light sweep's unit step missed: sweep nu again, with C
-            (_, grad, cov), iterations = conditional_moments(nu), iterations + 1
-            continue
         candidate = None if iterations else _surrogate_start(z)
         if iterations or len(sizes) < z.size:  # at 0 only where nu_pg ties ranks
             newton = _newton(cov, z - nu - grad + cov @ nu, sizes)
+            newton = newton if all(map(math.isfinite, newton.tolist())) else nu_pg  # overflowed
             if candidate is None or math.dist(newton, nu_pg) <= math.dist(candidate, nu_pg):
                 candidate = newton
-        light = iterations > 0 and z.size > 4 and math.dist(candidate, nu) <= LAST_STEP
-        log_p, grad, cov = conditional_moments(candidate, covariance=not light)
+        light = iterations > 0 and math.dist(candidate.tolist(), nu.tolist()) <= LAST_STEP
+        log_p, grad, fresh = conditional_moments(candidate, covariance=not light)
+        cov = cov if fresh is None else fresh  # a light sweep keeps the last C
         iterations += 1
         if (trial := _objective(z, candidate, log_p)) >= value:
             nu, value = candidate, trial

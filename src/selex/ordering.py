@@ -274,10 +274,9 @@ class OrderingProb:
 
 
 def _check_size(panels) -> None:
-    if not panels * PANEL_NODES <= MAX_NODES:  # nan too
-        raise ConvergenceFailure(
-            f"quadrature needs {panels * PANEL_NODES:.0f} nodes, over the cap of {MAX_NODES}"
-        )
+    if not panels <= MAX_NODES / PANEL_NODES:  # nan too; panels * PANEL_NODES may overflow
+        raise ConvergenceFailure(f"quadrature needs {panels:.3g} panels of {PANEL_NODES} nodes,"
+                                 f" over the cap of {MAX_NODES} nodes")
 
 
 def _blocks(mu: np.ndarray, sigma: float = 1.0) -> list[slice]:
@@ -464,7 +463,7 @@ def _bivariate_cdf(h: float, k: float, rule: list) -> float:
     """Phi_2(h, k; rho) for rho <= 0 on the nodes of ``_plackett_rule``, by
     Plackett's identity: Phi(h) Phi(k) - (1/2pi) integral_{asin rho}^{0}
     exp(-(h^2 + k^2 - 2hk sin t) / (2 cos^2 t)) dt."""
-    squares, product = h * h + k * k, 2.0 * h * k
+    squares, product = h * h + k * k, 2.0 * (h * k)
     return _normal_cdf(h) * _normal_cdf(k) - sum(
         w * math.exp((product * s - squares) * c) for s, c, w in rule
     )
@@ -503,7 +502,7 @@ def _trivariate_moments(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     # to RHO: P = Phi(h1) Phi_2(h2, h3) minus the p = 3 integral in (h1, h2)
     # with Phi of D_3 given D_1 = h1, D_2 = h2 at rho_12 = sin t in each node:
     # its mean is -(h2 - h1 sin t) c, its variance 1 - c / 2, c = 1 / (2 cos^2 t)
-    squares, product = h1 * h1 + h2 * h2, 2.0 * h1 * h2
+    squares, product = h1 * h1 + h2 * h2, 2.0 * (h1 * h2)
     value = _normal_cdf(h1) * _bivariate_cdf(h2, h3, _PLACKETT) - sum(
         w
         * math.exp((product * s - squares) * c)

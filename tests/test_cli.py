@@ -140,6 +140,16 @@ class TestProb:
         else:
             assert code == 0 and json.loads(out)["value"] == value
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("far,count", [("1e308", "1e+308"), ("1e300", "1e+300")])
+    def test_node_cap_counts_without_overflow(self, capsys, far, count):
+        # the count of panels is compared with the cap and printed without forming
+        # panels times nodes, which overflows at 1e308 and has 301 digits at 1e300
+        code, out, err = run(capsys, ["prob", "--means", f"0,0,{far}", "--sigma", "1"])
+        assert code == 3 and out == ""
+        assert err == (f"quadrature failure: quadrature needs {count} panels of 10 nodes,"
+                       " over the cap of 65536 nodes\n")
+
     def test_offset_of_all_means_changes_nothing(self, capsys):
         # the means are standardized about their midrange before any node is
         # laid, so 1e15 sigma from 0 the quadrature is that of (2, 1, 0)
@@ -263,8 +273,9 @@ class TestEstimate:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "obs,sigma",
-        [("1e300,0,-1e300", "1e-10"), ("3,2,1,0", "5e-324"), ("1e308,0,-1e308", "1")],
-        ids=["p3", "p4", "span"],
+        [("1e300,0,-1e300", "1e-10"), ("3,2,1,0", "5e-324"), ("1e308,0,-1e308", "1"),
+         (",".join(["1e308"] * 4 + ["-1e308"] * 4), "1")],
+        ids=["p3", "p4", "span", "sum-inf-minus-inf"],
     )
     def test_standardization_overflow_exits_2(self, capsys, obs, sigma):
         # z = (x - xbar) / sigma, or its span, overflows: a usage error, as at p = 2
@@ -280,6 +291,28 @@ class TestEstimate:
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert json.loads(out)["estimates"] == [1.7e308, 1.7e308]
+
+    @pytest.mark.parametrize(
+        "obs,kept",
+        [
+            ("0,-1e308,-1e308", True),
+            ("5e-324,-1.7e308,-1.7e308", True),
+            ("1e308,1e308,0,0", False),
+            ("1.7e308,1.7e308,1e154,1e154,10", False),
+        ],
+        ids=["p3", "p3-denormal", "p4", "p5"],
+    )
+    def test_face_solves_near_the_largest_float_converge(self, capsys, obs, kept):
+        # a Newton step's face solve overflows; the iteration takes the unit step, where
+        # the face solve used to recurse without end. pyproject's filterwarnings makes any
+        # RuntimeWarning fail this test
+        code, out, _ = run(capsys, ["estimate", "--obs", obs, "--sigma", "1", "--json"])
+        payload = json.loads(out)
+        assert code == 0 and payload["converged"]
+        assert all(math.isfinite(v) for v in payload["estimates"])
+        if kept:  # to the rounding of xbar + sigma nu, which takes 5e-324 to 0
+            assert payload["estimates"] == pytest.approx([float(v) for v in obs.split(",")],
+                                                         rel=1e-15)
 
     def test_p2_gap_past_the_largest_float_keeps_the_observations(self, capsys):
         # x_1 - x_2 overflows to inf, an interior gap whose shrinkage underflows;
@@ -352,6 +385,23 @@ class TestSimulateMse:
         assert code == 0
         rows = list(csv.DictReader(out_path.open()))
         assert [r["mse"] for r in rows[::2]] == [r["mse"] for r in rows[1::2]]  # mle, ccmle
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mu", "0,-1e308,-1e308"],
+            ["--mu", "100,1e154,1e-300,1e-300,1", "--sigma", "1e-154"],
+        ],
+        ids=["p3", "p5"],
+    )
+    def test_face_solves_near_the_largest_float_run(self, capsys, tmp_path, argv):
+        # replicates whose Newton step overflows solve, as in estimate
+        out_path = tmp_path / "x.csv"
+        code, _, err = run(capsys, ["simulate-mse", *argv, "--reps", "100",
+                                    "--out", str(out_path)])
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(out_path.open()))
+        assert rows and all(math.isfinite(float(r["mse"])) for r in rows)
 
     def test_zero_reps_names_field(self, capsys, tmp_path):
         code, _, err = run(

@@ -406,6 +406,22 @@ class TestGrandMean:
         expected = [order_statistic_mean(p, k) for k in range(1, p + 1)]
         assert np.max(np.abs(e - expected)) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "p",
+        [3, 4, 5, 6, 10, 20,
+         pytest.param(40, marks=pytest.mark.xfail(
+             strict=True, reason="ROADMAP item 4: the rule's 1-sigma panels lose accuracy"
+             " in large clustered blocks"))],
+    )
+    def test_identities_of_the_order_statistics(self, p):
+        # at nu = 0 the ordered sample permutes p iid N(0, 1) draws: their squares sum
+        # to p in mean, so tr C_0 + ||e_p||^2 = p; their sum S is independent of the
+        # deviations from their mean, which fix the order, so row k of C_0 sums to
+        # Cov(X_(k), S) = Cov(S / p, S) = 1
+        e, cov = estimator._expected_order_statistics(p)
+        assert abs(np.trace(cov) + e @ e - p) <= 1e-7
+        assert np.abs(cov.sum(axis=1) - 1.0).max() <= 1e-7
+
     def test_cached_read_only(self):
         # e_4 and C_0 = Cov(X | order) at the origin, from one sweep
         e, cov = estimator._expected_order_statistics(4)
@@ -738,8 +754,8 @@ def counted_moments(monkeypatch) -> list:
 
 
 class TestNewtonStep:
-    """Each Newton step is solved on the face it lands on, and a short one at p > 4 leads
-    to a sweep without C."""
+    """Each Newton step is solved on the face it lands on, and a short one leads to a sweep
+    without C, after which the loop keeps the last C it built."""
 
     @pytest.mark.parametrize("p", [5, 10, 20])
     def test_step_lands_on_the_face_it_was_solved_on(self, p):
@@ -771,20 +787,20 @@ class TestNewtonStep:
         flags = [covariance for _, covariance in calls]
         assert res.converged and flags == [True] * (res.iterations - 1) + [False]
 
-    def test_a_missed_light_sweep_costs_one_sweep(self, monkeypatch):
+    def test_a_light_sweep_keeps_the_last_covariance(self, monkeypatch):
+        # with every Newton step's sweep light, the steps after the first take the C of the
+        # first sweep (a chord method): a unit step that misses costs no sweep
         estimator._expected_order_statistics(10)
         calls = counted_moments(monkeypatch)
         default = ccmle(ObservedSample(ladder(0.5, 10), 1.0))
-        monkeypatch.setattr(estimator, "LAST_STEP", 1e9)  # every Newton step's sweep is light
+        monkeypatch.setattr(estimator, "LAST_STEP", 1e9)
         calls.clear()
         res = ccmle(ObservedSample(ladder(0.5, 10), 1.0))
         flags = [covariance for _, covariance in calls]
-        misses = flags[:-1].count(False)
-        assert res.converged and res.fallbacks == 0 and misses >= 2 and not flags[-1]
-        assert res.iterations == len(calls) == default.iterations + misses
-        for (light, covariance), (again, _) in zip(calls, calls[1:]):
-            if not covariance:  # the kept point, swept again with C
-                assert again.tobytes() == light.tobytes()
+        assert res.converged and res.fallbacks == 0 and res.iterations == len(calls)
+        assert flags == [True] + [False] * (len(calls) - 1)
+        for (before, _), (after, _) in zip(calls, calls[1:]):
+            assert after.tobytes() != before.tobytes()  # no point is swept twice in a row
         assert res.groups == default.groups
         assert np.abs(res.mu_hat - default.mu_hat).max() <= KKT_TOL
 
@@ -795,7 +811,7 @@ class TestNewtonStep:
     ids=["max-iterations", "convergence"],
 )
 def test_solver_errors_pickle(exc):
-    # an error raised in a pool worker reaches the parent process pickled
+    # selex runs in one process, but a caller's process pool hands a worker's error back pickled
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is type(exc) and str(back) == str(exc)
     assert vars(back) == vars(exc)

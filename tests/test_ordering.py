@@ -833,3 +833,18 @@ class TestTrivariateOrthantRule:
         assert np.abs(grad - [e[0], e[1], -e[1], -e[0]]).max() <= 1e-14
         assert np.abs(np.diag(cov) - (var + var[::-1])).max() <= 1e-14
         assert np.abs(cov - cov.T).max() == 0.0
+
+
+@pytest.mark.parametrize(
+    "mu,tied",
+    [((1.13e308, -5.67e307, -5.67e307), 2), ((1.13e308, -5.67e307, -5.67e307, -5.67e307), 3)],
+    ids=["p3", "p4"],
+)
+def test_exact_rules_beside_a_gap_near_the_largest_float(mu, tied):
+    # the far mean is certain to come first, so the rule is that of the tie below it; the
+    # product of the gap h = 1.2e308 and the tie's 0 is 0, though 2 h overflows
+    log_p, grad, cov = conditional_moments(np.array(mu))
+    e = conditional_moments(np.zeros(tied))[1]
+    assert log_p == pytest.approx(-math.log(math.factorial(tied)), abs=1e-14)
+    assert np.abs(grad - [0.0, *e]).max() <= 1e-14
+    assert np.isfinite(cov).all()
