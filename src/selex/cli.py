@@ -93,8 +93,7 @@ def cmd_estimate(args) -> int:
     try:
         result = ccmle(obs)
     except MaxIterationsExceeded as exc:
-        if (result := exc.result) is None:  # a p = 2 root out of steps: no iterate to show
-            raise
+        result = exc.result
     estimates = result.in_original_order()
     log_likelihood = conditional_log_likelihood(result.mu_hat, obs)
     payload = {

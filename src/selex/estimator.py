@@ -8,7 +8,7 @@ over the monotone cone {mu : mu_1 >= mu_2 >= ... >= mu_p}. Two populations
 admit an exact solution: observations closer than 2 sigma / sqrt(pi) pool at
 the grand mean, wider gaps shrink toward each other through a single
 transcendental root, which ``ccmle_p2_rows`` finds for many samples at once
-(``ccmle`` takes one sample as one row).
+(``ccmle`` takes one sample as one row, and alone raises at a step cap).
 
 The general case (``_ascent``; ``ccmle`` at p >= 3) solves in standardized
 coordinates z = (x - xbar)/sigma, nu = (mu - xbar)/sigma, where the
@@ -90,11 +90,11 @@ P2_MAX_STEPS = 100  # steps of one p = 2 root
 
 
 class MaxIterationsExceeded(RuntimeError):
-    """The ascent, or the p = 2 root, hit its iteration cap.
+    """The ascent, or the p = 2 root, hit its iteration cap; raised by ``ccmle`` only.
 
-    Carries the result at the last iterate. Every step ascends, so it is
-    also the best iterate found. ``result`` is None from ``ccmle_p2_rows``,
-    whose root has no iterate to show.
+    Carries the result at the last iterate (``converged`` False); each step of
+    the ascent ascends, so there it is also the best iterate found. ``result``
+    is None only where the error is rebuilt from its message, as unpickling does.
     """
 
     def __init__(self, message: str, result: "CcmleResult | None" = None):
@@ -125,8 +125,9 @@ class ObservedSample:
         self.x = x[order]
         with np.errstate(over="ignore", invalid="ignore"):  # overflows caught here and in _ascent
             xbar = float(np.add.reduce(self.x)) / self.x.size  # x.mean(), bit for bit
-            # x / p cannot overflow, so nor can its sum
-            self.xbar = xbar if math.isfinite(xbar) else float((self.x / self.x.size).sum())
+            # x / p cannot overflow, so nor can its sum; a rounded mean may leave [x_p, x_1]
+            xbar = xbar if math.isfinite(xbar) else float((self.x / self.x.size).sum())
+            self.xbar = min(max(xbar, float(self.x[-1])), float(self.x[0]))
             self.z = (self.x - self.xbar) / self.sigma
 
     @property
@@ -208,15 +209,16 @@ def _surrogate_start(z: np.ndarray) -> np.ndarray:
     return np.array(nu)
 
 
-def ccmle_p2_rows(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact p = 2 estimates of the descending rows of ``x``, and each |f(nu_1)|.
+def ccmle_p2_rows(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Exact p = 2 estimates of the descending rows of ``x``, each |f(nu_1)|, and the rows
+    whose root still moves at P2_MAX_STEPS, in row order, estimated at their last step.
 
     Rows with gap <= POOLING_THRESHOLD sigma pool at their mean xbar. Others
     take x -+ sigma s, exactly x where the shrinkage s = d - nu_1 = g(-sqrt(2)
     nu_1) / sqrt(2) underflows; nu_1 is the root in [0, d = (x_1 - xbar) / sigma]
     of the increasing, convex f below (g' = g (g - u) is in (0, 1)): Halley's
     method from d, each row on its own steps, reaches it in about four (2 f'^2
-    - f f'' stays above 0.48 on [0, d]), else raises MaxIterationsExceeded at P2_MAX_STEPS.
+    - f f'' stays above 0.48 on [0, d]). It raises only ValueError, for its input.
     """
 
     def stationarity(nu, d):  # f(nu) = g(-sqrt(2) nu) - sqrt(2) (d - nu), and g
@@ -244,14 +246,12 @@ def ccmle_p2_rows(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
         nu[todo] = step = np.clip(v - 2.0 * f * f1 / (2.0 * f1 * f1 - f * f2), 0.0, top)
         todo = todo[~(np.abs(step - v) <= P2_XTOL * np.maximum(1.0, v))]  # NaN stays
         if todo.size == 0:
-            f, g = stationarity(nu[interior], d[interior])  # pooled rows stay at xbar
-            mu_hat, residual = np.repeat(xbar[:, None], 2, axis=1), np.zeros(len(x))
-            mu_hat[interior] = x[interior] + sigma * (g / SQRT_2)[:, None] * np.array([-1.0, 1.0])
-            residual[interior] = np.abs(f)
-            return mu_hat, residual
-    rows = f" in {todo.size} of {len(x)} rows, the first row {todo[0]}" if len(x) > 1 else ""
-    raise MaxIterationsExceeded(f"p = 2 root unconverged after {P2_MAX_STEPS} steps{rows}"
-                                f" (d = {d[todo[0]]:.6g})")
+            break
+    f, g = stationarity(nu[interior], d[interior])  # pooled rows stay at xbar
+    mu_hat, residual = np.repeat(xbar[:, None], 2, axis=1), np.zeros(len(x))
+    mu_hat[interior] = x[interior] + sigma * (g / SQRT_2)[:, None] * np.array([-1.0, 1.0])
+    residual[interior] = np.abs(f)
+    return mu_hat, residual, todo.tolist()
 
 
 def _objective(z: np.ndarray, nu: np.ndarray, log_p: float) -> float:
@@ -284,14 +284,21 @@ def _newton(cov: np.ndarray, rhs: np.ndarray, sizes: list[int]) -> np.ndarray:
 def ccmle(obs: ObservedSample) -> CcmleResult:
     """Constrained conditional MLE of one sample: one ``ccmle_p2_rows`` row at p = 2, its
     |f(nu_1)| as ``kkt_residual``, else ``_ascent``. Raises ValueError when the
-    standardization overflows, and MaxIterationsExceeded past P2_MAX_STEPS (no result) or
-    MAX_ITERATIONS (carrying the last unit step)."""
+    standardization overflows, and MaxIterationsExceeded, carrying the result at the last
+    iterate, for a root still moving at P2_MAX_STEPS or an ascent capped at MAX_ITERATIONS."""
     if obs.p > 2:
-        return _ascent(obs)
-    mu_hat, residual = ccmle_p2_rows(obs.x[None, :], obs.sigma)
-    groups = [[0, 1]] if mu_hat[0, 0] == mu_hat[0, 1] else [[0], [1]]
-    path = "closed_form_pooled" if len(groups) == 1 else "closed_form_interior"
-    return CcmleResult(mu_hat[0], groups, path, 0, float(residual[0]), obs.permutation)
+        result = _ascent(obs)
+    else:
+        mu_hat, kkt, moving = ccmle_p2_rows(obs.x[None, :], obs.sigma)
+        groups = [[0, 1]] if mu_hat[0, 0] == mu_hat[0, 1] else [[0], [1]]
+        path = "closed_form_pooled" if len(groups) == 1 else "closed_form_interior"
+        result = CcmleResult(mu_hat[0], groups, path, 0, float(kkt[0]), obs.permutation, not moving)
+    if not result.converged:
+        raise MaxIterationsExceeded(
+            f"projected ascent did not reach kkt_tol={KKT_TOL} in {MAX_ITERATIONS} iterations"
+            f" (residual {result.kkt_residual:.3e} sigma)" if obs.p > 2 else
+            f"p = 2 root unconverged after {P2_MAX_STEPS} steps (d = {obs.z[0]:.6g})", result)
+    return result
 
 
 def _ascent(obs: ObservedSample) -> CcmleResult:
@@ -305,7 +312,7 @@ def _ascent(obs: ObservedSample) -> CcmleResult:
     most MAX_ITERATIONS (0 for a pooled sample);
     ``fallbacks`` the candidates not kept. It returns the unit step nu_pg
     once ||nu_pg - nu|| is within ``KKT_TOL`` (in sigma units, ``kkt_residual``); capped at 0 sweeps, a
-    sample that does not pool gets the unit step at 0. Raises as ``ccmle``.
+    sample that does not pool gets the unit step at 0. At a cap ``converged`` is False.
     """
     z, xbar, sigma = obs.z, obs.xbar, obs.sigma
     if not math.isfinite(float(z[0]) - float(z[-1])):  # z descends: finite where this is
@@ -335,22 +342,13 @@ def _ascent(obs: ObservedSample) -> CcmleResult:
             break
         (log_p, grad, cov), nu, iterations = conditional_moments(nu_pg), nu_pg, iterations + 1
         value = _objective(z, nu, log_p)
-    converged = kkt <= KKT_TOL
-
-    result = CcmleResult(
+    return CcmleResult(
         xbar + sigma * nu_pg,
         [list(range(a, a + c)) for a, c in zip(itertools.accumulate([0] + sizes), sizes)],
         "numeric",
         iterations,
         kkt,
         obs.permutation,
-        converged,
+        kkt <= KKT_TOL,
         fallbacks,
     )
-    if not converged:
-        raise MaxIterationsExceeded(
-            f"projected ascent did not reach kkt_tol={KKT_TOL} in "
-            f"{MAX_ITERATIONS} iterations (residual {kkt:.3e} sigma)",
-            result,
-        )
-    return result

@@ -314,6 +314,23 @@ class TestEstimate:
             assert payload["estimates"] == pytest.approx([float(v) for v in obs.split(",")],
                                                          rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "value,p,sigma",
+        [("1e200", 6, "1"), ("2.7653240825437483e+188", 5, "1"),
+         ("2.7653240825437483e+188", 10, "1"), ("1.1", 6, "1e-17")],
+        ids=["1e200-p6", "2.77e188-p5", "2.77e188-p10", "1.1-p6"],
+    )
+    def test_equal_observations_pool_with_no_sweep(self, capsys, value, p, sigma):
+        # sum / p rounds away from the common value at these p, by far more than sigma; xbar,
+        # kept in [x_p, x_1], is that value, so z is 0 and the grand-mean test pools the sample
+        argv = ["estimate", "--obs", ",".join([value] * p), "--sigma", sigma, "--json",
+                "--diagnostics"]
+        code, out, _ = run(capsys, argv)
+        payload = json.loads(out)
+        assert code == 0 and payload["converged"] and payload["iterations"] == 0
+        assert payload["groups"] == [list(range(p))]
+        assert payload["estimates"] == [float(value)] * p
+
     def test_p2_gap_past_the_largest_float_keeps_the_observations(self, capsys):
         # x_1 - x_2 overflows to inf, an interior gap whose shrinkage underflows;
         # pyproject's filterwarnings makes the overflow's warning fail this test
@@ -385,6 +402,19 @@ class TestSimulateMse:
         assert code == 0
         rows = list(csv.DictReader(out_path.open()))
         assert [r["mse"] for r in rows[::2]] == [r["mse"] for r in rows[1::2]]  # mle, ccmle
+
+    def test_equal_means_near_the_largest_float_pool(self, capsys, tmp_path):
+        # sigma is below an ulp of 1e200, so every replicate draws six equal observations,
+        # which pool at their value: the CCMLE is the MLE at every rank
+        out_path = tmp_path / "x.csv"
+        argv = ["simulate-mse", "--mu", ",".join(["1e200"] * 6), "--reps", "100",
+                "--out", str(out_path)]
+        code, _, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(out_path.open()))
+        assert [r["estimator"] for r in rows] == ["mle", "ccmle"] * 6
+        for mle, ccmle in zip(rows[::2], rows[1::2]):
+            assert {**mle, "estimator": "ccmle"} == ccmle
 
     @pytest.mark.parametrize(
         "argv",
@@ -715,21 +745,32 @@ def test_failing_replicate_replays_with_estimate(
     ids=["estimate", "simulate-mse"],
 )
 def test_p2_root_out_of_steps_exits_4(capsys, monkeypatch, tmp_path, argv):
-    # the p = 2 root has no iterate to show, so estimate prints none; one short line,
-    # which names a failing replicate and the estimate command that replays it
+    # a p = 2 root still moving at its cap is an unconverged solve like any at p >= 3:
+    # estimate prints its last iterate and the warning; an experiment solves the first
+    # such replicate alone, which names it and the estimate command that replays it
     monkeypatch.setattr(estimator, "P2_MAX_STEPS", 1)
     monkeypatch.chdir(tmp_path)
+    real, solves = experiments.ccmle, []  # the solves after the one batch solve
+    monkeypatch.setattr(experiments, "ccmle", lambda obs: solves.append(obs) or real(obs))
     code, out, err = run(capsys, argv)
-    assert code == 4 and out == "" and not (tmp_path / "x.csv").exists()
-    what = "replicate (seed=0, b=0): " if argv[0] == "simulate-mse" else ""
-    # one row, so the message names no row
-    assert err.startswith(f"optimizer failure: {what}p = 2 root unconverged after 1 steps (d = ")
-    assert err.count("\n") == 1 and len(err) < 300
-    if what:
-        assert "; replay: selex estimate --obs=" in err
-        replayed, out, err = run(capsys, shlex.split(err.split("; replay: ")[1])[1:])
-        assert replayed == 4 and out == ""
-        assert err.startswith("optimizer failure: p = 2 root unconverged after 1 steps (d = ")
+    assert code == 4 and not (tmp_path / "x.csv").exists()
+    obs = estimator.ObservedSample([3.0, 0.0], 1.0)
+    if argv[0] == "simulate-mse":
+        assert out == "" and len(solves) == 1
+        obs = solves[0]  # replicate 0, which the replay solves again
+        assert err == (
+            "optimizer failure: replicate (seed=0, b=0): p = 2 root unconverged after 1 steps"
+            " (d = 1.62892); replay: selex estimate --obs=3.1257302210933933,"
+            "-0.1321048632913019 --sigma=1.0\n"
+        )
+        code, out, err = run(capsys, shlex.split(err.split("; replay: ")[1])[1:])
+        assert code == 4
+    with pytest.raises(MaxIterationsExceeded) as info:
+        estimator.ccmle(obs)
+    shown = ", ".join(f"{v:.6g}" for v in info.value.result.in_original_order())
+    assert err == "" and out.startswith(f"estimates (original label order): {shown}\n")
+    assert "path = closed_form_interior\n" in out
+    assert out.endswith("WARNING: optimizer did not converge; last (and best) iterate shown\n")
 
 
 @pytest.mark.parametrize(

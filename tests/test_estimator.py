@@ -63,10 +63,7 @@ def shrink_covariance(monkeypatch, factor: float = 0.2) -> None:
 def first_step(obs: ObservedSample, monkeypatch) -> CcmleResult:
     """The loop from the grand mean capped at one sweep, that of its start: the unit step there."""
     monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)
-    try:
-        res = estimator._ascent(obs)
-    except MaxIterationsExceeded as exc:
-        res = exc.result
+    res = estimator._ascent(obs)  # reports the cap; only ccmle raises
     assert res.iterations == 1
     return res
 
@@ -221,14 +218,25 @@ class TestCcmleP2:
         with pytest.raises(ValueError, match="sigma must be"):  # not "too far apart"
             ccmle_p2_rows(np.array([[1.0, 0.0], [3.0, 0.0]]), sigma)
 
-    def test_rows_raise_when_the_root_runs_out_of_steps(self, monkeypatch):
+    def test_rows_report_the_roots_still_moving_at_the_step_cap(self, monkeypatch):
         # an interior row moves on its first Halley step, so one step cannot settle it
         monkeypatch.setattr(estimator, "P2_MAX_STEPS", 1)
-        with pytest.raises(RuntimeError, match="unconverged after 1 steps") as info:
-            ccmle_p2_rows(np.array([[0.5, 0.0], [3.0, 0.0], [4.0, 0.0]]), 1.0)
-        # an optimizer failure with no iterate, naming the count and only the first row
-        assert isinstance(info.value, MaxIterationsExceeded) and info.value.result is None
-        assert "in 2 of 3 rows, the first row 1 (d = 1.5)" in str(info.value)
+        x = np.array([[0.5, 0.0], [3.0, 0.0], [4.0, 0.0]])
+        rows, residual, moving = ccmle_p2_rows(x, 1.0)
+        assert moving == [1, 2]  # in row order; the pooled row needs no step
+        assert rows[0].tolist() == [0.25, 0.25] and residual[0] == 0.0
+        # each moving row at its first step: shrunk into its gap, short of the root
+        low, high = rows[1:, 1], rows[1:, 0]
+        assert np.all((x[1:, 1] < low) & (low < high) & (high < x[1:, 0]))
+        assert np.all(residual[1:] > 1e-10)
+        # only ccmle raises, an optimizer failure carrying that row's iterate
+        with pytest.raises(MaxIterationsExceeded) as info:
+            ccmle(ObservedSample(x[1], 1.0))
+        assert str(info.value) == "p = 2 root unconverged after 1 steps (d = 1.5)"
+        res = info.value.result
+        assert isinstance(res, CcmleResult) and not res.converged and res.iterations == 0
+        assert res.mu_hat.tobytes() == rows[1].tobytes() and res.kkt_residual == residual[1]
+        assert res.path == "closed_form_interior" and res.groups == [[0], [1]]
 
     @pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0, 2.0, 3.0])
     def test_rows_match_single_solves(self, sigma):
@@ -239,7 +247,8 @@ class TestCcmleP2:
             np.linspace(4.0, 40.0, 13),
         ])
         x = np.column_stack((units * sigma, np.zeros_like(units)))
-        rows, residual = ccmle_p2_rows(x, sigma)
+        rows, residual, moving = ccmle_p2_rows(x, sigma)
+        assert moving == []
         for sample, est in zip(x, rows):
             single = ccmle(ObservedSample(sample, sigma)).mu_hat
             assert np.all(np.abs(est - single) <= 1e-14 * sigma)
@@ -468,6 +477,8 @@ class TestGrandMean:
         with pytest.raises(MaxIterationsExceeded) as info:
             ccmle(obs)
         res = info.value.result
+        assert str(info.value) == ("projected ascent did not reach kkt_tol=1e-07 in 0 iterations"
+                                   f" (residual {res.kkt_residual:.3e} sigma)")
         unit = estimator._pava(obs.z - estimator._expected_order_statistics(4)[0])[0]
         assert res.iterations == 0 and not res.converged and not calls
         assert res.mu_hat.tobytes() == (obs.xbar + obs.sigma * unit).tobytes()

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from selex import experiments
-from selex.estimator import MaxIterationsExceeded, ObservedSample, ccmle
+from selex import estimator, experiments
+from selex.estimator import CcmleResult, MaxIterationsExceeded, ObservedSample, ccmle
 from selex.experiments import (
     BootstrapConfig,
     MseConfig,
@@ -180,6 +180,18 @@ class TestRunMse:
             run_mse(cfg)
         assert len(calls) == 5  # replicate 4 solved once, and none after it
         assert info.value is raised[0]  # the solver's own error, not a rebuilt one
+
+    def test_p2_batch_solves_only_the_first_row_still_moving(self, monkeypatch):
+        # at seed 0, rows 0-6 pool and need no step; row 7 is the first whose root moves
+        monkeypatch.setattr(estimator, "P2_MAX_STEPS", 1)
+        real, calls = experiments.ccmle, []
+        monkeypatch.setattr(experiments, "ccmle", lambda obs: calls.append(obs) or real(obs))
+        with pytest.raises(MaxIterationsExceeded, match=r"^replicate \(seed=0, b=7\): ") as info:
+            run_mse(MseConfig((0.0, 0.0), 1.0, 100, seed=0))
+        assert len(calls) == 1  # the batch solve, then row 7 alone, not rows 0-7 in turn
+        x = experiments._mse_draws(np.zeros(2), 1.0, 0, 8)[7]
+        assert calls[0].x.tolist() == sorted(x.tolist(), reverse=True)
+        assert isinstance(info.value.result, CcmleResult) and not info.value.result.converged
 
 
 class TestRunBootstrap:
