@@ -160,9 +160,10 @@ class CcmleResult:
 
 
 def conditional_log_likelihood(mu: np.ndarray, obs: ObservedSample) -> float:
-    """Selection-conditioned log-likelihood, constant term dropped (0, not -0.0, where both
-    terms are), in the standardized coordinates of ``ccmle``; log P comes from the checked
-    ``ordering_probability``, which raises ConvergenceFailure off tolerance."""
+    """Selection-conditioned log-likelihood of ``mu`` in rank order, as ``CcmleResult.mu_hat``
+    holds it (``in_original_order()`` gives another value), constant term dropped (0, not -0.0,
+    where both terms are), in the standardized coordinates of ``ccmle``; log P comes from the
+    checked ``ordering_probability``, which raises ConvergenceFailure off tolerance."""
     nu = (np.asarray(mu, dtype=float) - obs.xbar) / obs.sigma
     return _objective(obs.z, nu, ordering_probability(MeanConfig(nu, 1.0)).log_value) + 0.0
 
@@ -218,16 +219,18 @@ def ccmle_p2_rows(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray, 
     nu_1) / sqrt(2) underflows; nu_1 is the root in [0, d = (x_1 - xbar) / sigma]
     of the increasing, convex f below (g' = g (g - u) is in (0, 1)): Halley's
     method from d, each row on its own steps, reaches it in about four (2 f'^2
-    - f f'' stays above 0.48 on [0, d]). It raises only ValueError, for its input.
+    - f f'' stays above 0.48 on [0, d]). Input it cannot solve raises ValueError.
     """
 
     def stationarity(nu, d):  # f(nu) = g(-sqrt(2) nu) - sqrt(2) (d - nu), and g
         g = inverse_mills(-SQRT_2 * nu)
         return g - SQRT_2 * (d - nu), g
 
-    sigma = _real(sigma, "sigma")
+    sigma, x = _real(sigma, "sigma"), np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("observations must be finite")
+    if x.ndim != 2 or x.shape[1] != 2 or not np.all(x[:, 0] >= x[:, 1]):
+        raise ValueError("observations must be rows of two, each in descending order")
     with np.errstate(over="ignore"):  # an overflow is caught here
         xbar = x.mean(axis=1)
         if not np.all(np.isfinite(xbar)):  # x / 2 cannot overflow, so nor can its sum

@@ -1,7 +1,7 @@
 """Probability that independent normals come out in strictly decreasing order.
 
-Both public functions cut the means into blocks (Blocks) and standardize
-each about its midrange, nu = (mu - (max + min) / 2) / sigma; every private
+Every rule takes its means from ``_blocks`` (Blocks), each block standardized
+about its midrange, nu = (mu - (max + min) / 2) / sigma; every private
 function works at sigma = 1, so a common offset drops out before any node is
 laid, and the gradient in mu is the one in nu over sigma. For p = 2, P has a
 closed form in the tail of ``_erfcx``. For p >= 3 we evaluate
@@ -46,9 +46,10 @@ ordered sample leaves that gap empty, so P is the product of the two
 sides' and the gradient of log P stacks theirs, as Genz (2004) factors
 orthant probabilities. On the cone every gap wider than 2R is cut; off it,
 for means (0, 0, 60), the ordered sample sits near t = 20, inside the gap,
-which is not. Each block is standardized from the caller's means, so no
-node lies further from 0 than R plus half a block's span, which MAX_NODES
-caps. One mean has P = 1, and two, never cut, the exact closed form; more
+which is not. ``_blocks`` standardizes each block from the caller's means
+for every rule, a solver's sample of one block too, so no node lies further
+from 0 than R plus half a block's span, which MAX_NODES caps. A mean alone
+has P = 1 and is left out; two, never cut, take the exact closed form; more
 lay one stretch [min - R, max + R] of equal panels PANEL_WIDTH wide with
 PANEL_NODES Gauss-Legendre nodes each. The running integral is a spectral
 integration matrix inside each panel (Greengard 1991) plus an exclusive
@@ -89,10 +90,10 @@ derivatives at h = J nu as smooth integrals that fixed Gauss-Legendre
 nodes take to rounding (the rule functions give the forms). That error is
 absolute, so relative only on the cone, and the public functions keep the
 checked quadrature at p = 3 and 4. For p >= 5 C is block-diagonal: blocks
-of 3 and 4 take the exact rules, one mean (0, 0, 1), others one ``_sweep``
-of the unhalved panels with no error pass: the first halving converges
-there, and the solver stops on its own residual. Asked for no C, as for
-the solver's last sweep, one such block runs the checked quadrature's two.
+of 3 and 4 take the exact rules, a mean left out (0, 0, 1), others one
+``_sweep`` of the unhalved panels with no error pass: the first halving
+converges there, and the solver stops on its own residual. Asked for no C,
+as for its last sweep, one block alone skips the p - 1 weighted sweeps.
 """
 
 from __future__ import annotations
@@ -267,7 +268,7 @@ class OrderingProb:
 
     value: float
     log_value: float
-    method: str  # closed_form_p2 | quadrature | monte_carlo
+    method: str  # quadrature if a block of 3+ means took it, else closed_form_p2; monte_carlo
     err_est: float
     log_err_est: float
     degenerate: bool = False
@@ -279,18 +280,16 @@ def _check_size(panels) -> None:
                                  f" over the cap of {MAX_NODES} nodes")
 
 
-def _blocks(mu: np.ndarray, sigma: float = 1.0) -> list[slice]:
-    """The populations cut into blocks, as slices in order (module docstring, Blocks)."""
+def _blocks(mu: np.ndarray, sigma: float = 1.0) -> list[tuple[slice, np.ndarray]]:
+    """The blocks of two or more means in order (module docstring, Blocks) as (slice, nu), nu
+    the block's means standardized about their midrange; a mean cut off alone has P = 1."""
     v, gap = mu.tolist(), 2.0 * TRUNCATION_RADIUS * sigma
     # a cut needs its two neighbours that far apart, which rules out most gaps at once
     cuts = [j for j in range(1, len(v)) if len(v) > 2
             and v[j - 1] - v[j] > gap and min(v[:j]) - max(v[j:]) > gap]
-    return [slice(a, b) for a, b in zip([0] + cuts, cuts + [len(v)])]
-
-
-def _centred(mu: np.ndarray, sigma: float = 1.0) -> np.ndarray:
-    """The means standardized about their midrange; only the division by sigma can overflow."""
-    return (mu - (0.5 * mu.max() + 0.5 * mu.min())) / sigma
+    with np.errstate(over="ignore"):  # dividing by sigma: a pair may take inf, more fail the cap
+        return [(slice(a, b), (mu[a:b] - (0.5 * max(v[a:b]) + 0.5 * min(v[a:b]))) / sigma)
+                for a, b in zip([0] + cuts, cuts + [len(v)]) if b - a > 1]
 
 
 def _layout(mu: np.ndarray) -> tuple[np.ndarray, float]:
@@ -560,23 +559,23 @@ def _panel_moments(mu: np.ndarray, covariance: bool = True) -> tuple:
     return math.log(mass[0]), grad, cov
 
 
+_EXACT_RULES = {3: _orthant_moments, 4: _trivariate_moments}  # by block size
+
+
 def conditional_moments(mu: np.ndarray, covariance: bool = True) -> tuple:
     """(log P, gradient of log P, Cov(X | order)) at sigma = 1, for means on
     the cone: the solver's rule (module docstring), exact at p = 3 and 4 and
-    for p >= 5 the blocks' rules stacked, C block-diagonal. One panel block
-    without ``covariance`` gives None for C; the others give C regardless."""
-    if mu.size in (3, 4):
-        return _orthant_moments(mu) if mu.size == 3 else _trivariate_moments(mu)
+    for p >= 5 the blocks' rules stacked, C block-diagonal. A sample of one
+    panel block without ``covariance`` gives None for C; others give C."""
+    if mu.size in _EXACT_RULES:
+        return _EXACT_RULES[mu.size](mu)
     blocks = _blocks(mu)
-    if len(blocks) == 1:
-        return _panel_moments(mu, covariance)
+    if len(blocks) == 1 and blocks[0][1].size == mu.size:
+        return _panel_moments(blocks[0][1], covariance)
     log_p, grad, cov = 0.0, np.zeros(mu.size), np.eye(mu.size)
-    for b in blocks:
-        if b.stop - b.start > 1:  # a single mean keeps (0, 0, 1)
-            nu = _centred(mu[b])
-            rule = {3: _orthant_moments, 4: _trivariate_moments}.get(nu.size, _panel_moments)
-            log_b, grad[b], cov[b, b] = rule(nu)
-            log_p += log_b
+    for b, nu in blocks:
+        log_b, grad[b], cov[b, b] = _EXACT_RULES.get(nu.size, _panel_moments)(nu)
+        log_p += log_b
     return log_p, grad, cov
 
 
@@ -622,18 +621,12 @@ def _converged(mu: np.ndarray) -> tuple:
 
 
 def _checked(cfg: MeanConfig) -> tuple:
-    """((P, log P, gradient of log P in nu), err, log_err, method) from the blocks (module
-    docstring): exactly (1, 0, 0) for one mean, the closed form for two,
-    ``_converged`` for more; P and err by the product rule, the logs summed. The method
-    is quadrature if any block took it."""
-    mu = np.asarray(cfg.mu, dtype=float)
+    """((P, log P, gradient of log P in nu), err, log_err, method) over ``_blocks``: the closed
+    form for two means, ``_converged`` for more, exactly (1, 0, 0) for a mean left out; P and
+    err by the product rule, the logs summed. The method is quadrature if any block took it."""
     value, log_value, err, log_err, grad = 1.0, 0.0, 0.0, 0.0, np.zeros(cfg.p)
     method = "closed_form_p2"
-    for b in _blocks(mu, cfg.sigma):
-        if b.stop - b.start == 1:
-            continue  # P = 1 exactly, and the gradient 0
-        with np.errstate(over="ignore"):  # a pair takes nu = inf; more means fail the node cap
-            nu = _centred(mu[b], cfg.sigma)
+    for b, nu in _blocks(np.asarray(cfg.mu, dtype=float), cfg.sigma):
         if nu.size == 2:
             rule, e, log_e = _closed_form_p2(nu)
         else:

@@ -213,6 +213,20 @@ class TestCcmleP2:
         with pytest.raises(ValueError, match="observations must be finite"):
             ccmle_p2_rows(x, 1.0)
 
+    @pytest.mark.parametrize(
+        "x", [[[0.0, 3.0]], [[3.0, 1.0, 0.0]], [3.0, 0.0]], ids=["ascending", "triple", "1-d"]
+    )
+    def test_rows_reject_what_is_not_descending_pairs(self, x):
+        # an ascending row would pool at its mean, though ccmle of (0, 3) is (2.97, 0.03)
+        with pytest.raises(ValueError, match="rows of two, each in descending order"):
+            ccmle_p2_rows(np.array(x), 1.0)
+
+    def test_rows_take_a_list_as_its_array(self):
+        x = [[3.0, 0.0], [0.5, 0.0], [7, 6]]
+        got, expected = ccmle_p2_rows(x, 1.0), ccmle_p2_rows(np.array(x, dtype=float), 1.0)
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes() and got[2] == expected[2] == []
+
     @pytest.mark.parametrize("sigma", [-1.0, 0.0, math.nan, True])
     def test_rows_reject_a_bad_sigma(self, sigma):
         with pytest.raises(ValueError, match="sigma must be"):  # not "too far apart"
@@ -671,6 +685,9 @@ class TestCcmleGeneral:
 
         for name, seen in calls.items():
             monkeypatch.setattr(ordering, name, counted(getattr(ordering, name), seen))
+        # the rule finds the exact rules in its table by block size
+        exact = {3: ordering._orthant_moments, 4: ordering._trivariate_moments}
+        monkeypatch.setattr(ordering, "_EXACT_RULES", exact)
         estimator._expected_order_statistics.cache_clear()
         for origin_sweeps in (1, 0):  # e_p computed, then cached
             for seen in calls.values():

@@ -19,7 +19,6 @@ from selex.ordering import (
     _RUNNING,
     _WEIGHTS,
     _blocks,
-    _centred,
     _closed_form_p2,
     _converged,
     _cumulative,
@@ -347,7 +346,8 @@ class TestPanelKernels:
         # across it the running integral of a density on the windows below
         # holds constant, so P factors there; one stretch tiles all of it
         mu = np.array([40.0, 1.0, 0.0])
-        assert _blocks(mu) == [slice(0, 1), slice(1, 3)]
+        [(block, nu)] = _blocks(mu)  # 40 is cut off alone, where P = 1
+        assert block == slice(1, 3) and np.array_equal(nu, [0.5, -0.5])
         edges = _layout(mu)[0]
         assert edges[0] == -8.0 and edges[-1] + PANEL_WIDTH == 48.0
         np.testing.assert_allclose(np.diff(edges), PANEL_WIDTH)
@@ -372,10 +372,12 @@ class TestPanelKernels:
         edges = _layout(np.array([0.0, 0.0, 60.0]))[0]
         np.testing.assert_allclose(np.diff(edges), PANEL_WIDTH)
         assert edges[0] == -8.0 and edges[-1] + PANEL_WIDTH == 68.0
-        assert len(_blocks(np.array([0.0, 0.0, 60.0]))) == 1
-        # on the cone the same means are cut there, into blocks of 16 panels
+        [(block, nu)] = _blocks(np.array([0.0, 0.0, 60.0]))
+        assert block == slice(0, 3) and np.array_equal(nu, [-30.0, -30.0, 30.0])
+        # on the cone the same means are cut there: 60 alone, where P = 1, and
+        # the tie below it, a block of 16 panels
         mu = np.array([60.0, 0.0, 0.0])
-        assert [_layout(_centred(mu[b]))[0].size for b in _blocks(mu)] == [16, 16]
+        assert [(b, _layout(nu)[0].size) for b, nu in _blocks(mu)] == [(slice(1, 3), 16)]
 
     def test_no_panels_overlap_past_a_skipped_gap(self):
         # the windows of 0.2 and 16.3 leave a gap (8.2, 8.3), narrower than a
@@ -389,13 +391,15 @@ class TestPanelKernels:
     def test_layout_matches_array_reference(self):
         """The blocks of ``_blocks`` against a brute-force reference, which cuts
         after population j iff every mean before j is more than 2R sigma above
-        every mean from j on, and each block's panels against one stretch
+        every mean from j on and drops the pieces of one mean, each block's nu
+        against the midrange formula, and its panels against one stretch
         written with arrays."""
 
         def reference(mu, sigma):
             p, gap = mu.size, 2.0 * TRUNCATION_RADIUS * sigma
             cuts = [j for j in range(1, p) if all(a - b > gap for a in mu[:j] for b in mu[j:])]
-            return np.split(mu, [] if p == 2 else cuts)
+            cuts = [] if p == 2 else cuts
+            return [slice(a, b) for a, b in zip([0] + cuts, cuts + [p]) if b - a > 1]
 
         rng = np.random.default_rng(17)
         cut = set()
@@ -405,16 +409,15 @@ class TestPanelKernels:
             centres = 20.0 * sigma * rng.integers(0, 4, p)  # far apart or tied
             mu = rng.permutation(centres + rng.normal(0.0, sigma, p))
             blocks, expected = _blocks(mu, sigma), reference(mu, sigma)
-            assert len(blocks) == len(expected)
-            for b, want in zip(blocks, expected):
-                assert np.array_equal(mu[b], want)
-                nu = _centred(mu[b], sigma)
+            assert [b for b, _ in blocks] == expected
+            for b, nu in blocks:
+                want = mu[b]
                 assert np.array_equal(nu, (want - (0.5 * want.max() + 0.5 * want.min())) / sigma)
                 edges, width = _layout(nu)
                 lo, hi = nu.min() - TRUNCATION_RADIUS, nu.max() + TRUNCATION_RADIUS
                 stretch = lo + PANEL_WIDTH * np.arange(math.ceil((hi - lo) / PANEL_WIDTH - 1e-9))
                 assert width == PANEL_WIDTH and np.array_equal(edges, stretch)
-            cut.add(len(blocks) > 1)
+            cut.add(expected != [slice(0, p)])
         assert cut == {True, False}
 
 
@@ -486,7 +489,8 @@ class TestGradient:
         # the closed form holds at any distance: 17 sigma apart, past the 16
         # sigma that cuts more means, log P and the gradient are not 0
         cfg = MeanConfig((17.0, 0.0), 1.0)
-        assert _blocks(np.array(cfg.mu)) == [slice(0, 2)]
+        [(block, nu)] = _blocks(np.array(cfg.mu))
+        assert block == slice(0, 2) and np.array_equal(nu, [8.5, -8.5])
         prob = ordering_probability(cfg)
         assert prob.method == "closed_form_p2" and -1e-33 > prob.log_value > -1e-32
         grad = grad_log_ordering_probability(cfg)
@@ -595,6 +599,15 @@ class TestGradient:
             tracemalloc.stop()
         assert peak <= 8e6
 
+    @pytest.mark.parametrize("c", [3.0, -5.0, 64.0])
+    @pytest.mark.parametrize("p", [5, 6, 10])
+    def test_solver_rule_of_one_panel_block_ignores_where_it_sits(self, p, c):
+        # a sample of one panel block is standardized about its midrange, as every
+        # block is, and on this dyadic ladder the shift by c and back is exact
+        nu = 0.375 * ((p - 1) / 2.0 - np.arange(p))
+        for moved, base in zip(conditional_moments(nu + c), conditional_moments(nu)):
+            assert np.array_equal(moved, base)
+
     def test_checked_path_holds_windows_not_the_layout(self):
         # the checked quadrature runs the rule's sweep, so on the cone its
         # rows keep to their windows on halved panels too
@@ -676,17 +689,12 @@ def cone_points_p3(seed: int = 0):
 
 
 def panel_reference(mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """``_panel_moments`` of the means, or where ``_blocks`` cuts them, of each
-    block, stacked: log P summed, the gradients and a block-diagonal C, (0, 1)
-    for a single mean."""
-    blocks = _blocks(mu)
-    if len(blocks) == 1:
-        return _panel_moments(mu)
+    """``_panel_moments`` of each block of ``_blocks``, stacked: log P summed,
+    the gradients and a block-diagonal C, (0, 1) for a mean left out."""
     log_p, grad, cov = 0.0, np.zeros(mu.size), np.eye(mu.size)
-    for b in blocks:
-        if b.stop - b.start > 1:
-            log_b, grad[b], cov[b, b] = _panel_moments(_centred(mu[b]))
-            log_p += log_b
+    for b, nu in _blocks(mu):
+        log_b, grad[b], cov[b, b] = _panel_moments(nu)
+        log_p += log_b
     return log_p, grad, cov
 
 
@@ -709,9 +717,10 @@ class TestOrthantRule:
         # (2e12, 0.3, 0, -0.4, -2e12) is cut at both wide gaps: the outer means
         # are certain, the middle block takes this rule, and C is block-diagonal
         mu = np.array([2e12, 0.3, 0.0, -0.4, -2e12])
-        assert _blocks(mu) == [slice(0, 1), slice(1, 4), slice(4, 5)]
+        [(block, nu)] = _blocks(mu)  # the outer means are left out
+        assert block == slice(1, 4) and np.array_equal(nu, mu[1:4] - (0.5 * 0.3 + 0.5 * -0.4))
         log_p, grad, cov = conditional_moments(mu)
-        log_b, grad_b, cov_b = _orthant_moments(_centred(mu[1:4]))
+        log_b, grad_b, cov_b = _orthant_moments(nu)
         assert log_p == log_b
         assert np.array_equal(grad, np.r_[0.0, grad_b, 0.0])
         expected = np.eye(5)
@@ -723,7 +732,7 @@ class TestOrthantRule:
         # pair block takes one panel sweep of two means, whose log P and
         # gradient are the p = 2 closed form's, and C = I + the Hessian of log P
         mu = np.array([40.0, 39.5, 0.0, -0.3, -40.0])
-        assert _blocks(mu) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+        assert [b for b, _ in _blocks(mu)] == [slice(0, 2), slice(2, 4)]  # -40 left out
         log_p, grad, cov = conditional_moments(mu)
         expected_log_p, expected_cov = 0.0, np.eye(5)
         for rows in (slice(0, 2), slice(2, 4)):
